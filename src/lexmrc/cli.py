@@ -309,7 +309,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(defaults, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -354,7 +354,7 @@ def run(argv: list[str], cache: _EmbeddingCache | None = None) -> int:
     except (DatasetValidationError, EmptySplitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DatasetParseError, EmbeddingFormatError, OSError) as exc:
+    except (DatasetParseError, EmbeddingFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, ValueError) as exc:
@@ -365,14 +365,19 @@ def run(argv: list[str], cache: _EmbeddingCache | None = None) -> int:
 def _run_batch(path: str, cache: _EmbeddingCache) -> int:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        code = run(shlex.split(line), cache)
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            print(f"error: {path}:{lineno}: {exc}", file=sys.stderr)
+            return EXIT_IO
+        code = run(argv, cache)
         if code != EXIT_OK:
             return code
     return EXIT_OK

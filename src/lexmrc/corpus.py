@@ -117,7 +117,9 @@ def _validate(texts: Iterable[ReadingText], questions: Iterable[MCQuestion]) -> 
         if t.id in seen_text_ids:
             problems.append(f"text {t.id}: duplicate id")
         seen_text_ids.add(t.id)
-        if t.grade not in GRADES:
+        if isinstance(t.grade, bool) or not isinstance(t.grade, int):
+            problems.append(f"text {t.id}: grade {t.grade!r} is not an integer")
+        elif t.grade not in GRADES:
             problems.append(f"text {t.id}: grade {t.grade} outside 1-5")
         if not t.body.strip():
             problems.append(f"text {t.id}: empty body")
@@ -158,6 +160,8 @@ _QUESTION_KEYS = {"id", "text_id", "stem", "options", "gold", "reasoning_type", 
 def _parse_document(doc, origin: str, split_assignment: Mapping[str, str] | None):
     if not isinstance(doc, dict) or "texts" not in doc or "questions" not in doc:
         raise DatasetParseError(f"{origin}: expected an object with 'texts' and 'questions'")
+    if not isinstance(doc["texts"], list) or not isinstance(doc["questions"], list):
+        raise DatasetParseError(f"{origin}: 'texts' and 'questions' must be lists")
     problems: list[str] = []
     texts: list[ReadingText] = []
     questions: list[MCQuestion] = []
@@ -166,7 +170,7 @@ def _parse_document(doc, origin: str, split_assignment: Mapping[str, str] | None
             texts.append(
                 ReadingText(
                     id=str(raw["id"]),
-                    grade=int(raw["grade"]),
+                    grade=raw["grade"],
                     title=raw.get("title"),
                     body=str(raw["body"]),
                     extra={k: v for k, v in raw.items() if k not in _TEXT_KEYS},
@@ -331,35 +335,47 @@ def _mean(values: list[int]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _stats_for(texts: list[ReadingText], questions: list[MCQuestion], segmenter: Segmenter) -> SplitStats:
-    vocab: set[str] = set()
-    text_lengths = []
-    for t in texts:
-        words = _segment_raw(t.body, segmenter)
-        text_lengths.append(len(words))
-        vocab.update(words)
-    question_lengths = []
-    option_lengths = []
-    correct_lengths = []
-    for q in questions:
-        stem_words = _segment_raw(q.stem, segmenter)
-        question_lengths.append(len(stem_words))
-        vocab.update(stem_words)
-        for i, option in enumerate(q.options):
-            opt_words = _segment_raw(option, segmenter)
-            option_lengths.append(len(opt_words))
-            vocab.update(opt_words)
-            if i == q.gold:
-                correct_lengths.append(len(opt_words))
-    return SplitStats(
-        texts=len(texts),
-        questions=len(questions),
-        avg_text_length=_mean(text_lengths),
-        avg_question_length=_mean(question_lengths),
-        avg_option_length=_mean(option_lengths),
-        avg_correct_length=_mean(correct_lengths),
-        vocabulary=len(vocab),
-    )
+class _Tally:
+    """Word lengths and vocabulary of one stats group (a split, the whole
+    dataset, or a grade)."""
+
+    def __init__(self):
+        self.text_lengths: list[int] = []
+        self.question_lengths: list[int] = []
+        self.option_lengths: list[int] = []
+        self.correct_lengths: list[int] = []
+        self.vocab: set[str] = set()
+
+    def add_text(self, words: list[str]) -> None:
+        self.text_lengths.append(len(words))
+        self.vocab.update(words)
+
+    def add_question(self, stem: list[str], options: list[list[str]], gold: int) -> None:
+        self.question_lengths.append(len(stem))
+        self.vocab.update(stem)
+        for i, words in enumerate(options):
+            self.option_lengths.append(len(words))
+            self.vocab.update(words)
+            if i == gold:
+                self.correct_lengths.append(len(words))
+
+    def split_stats(self) -> SplitStats:
+        return SplitStats(
+            texts=len(self.text_lengths),
+            questions=len(self.question_lengths),
+            avg_text_length=_mean(self.text_lengths),
+            avg_question_length=_mean(self.question_lengths),
+            avg_option_length=_mean(self.option_lengths),
+            avg_correct_length=_mean(self.correct_lengths),
+            vocabulary=len(self.vocab),
+        )
+
+    def grade_stats(self) -> GradeStats:
+        return GradeStats(
+            texts=len(self.text_lengths),
+            questions=len(self.question_lengths),
+            vocabulary=len(self.vocab),
+        )
 
 
 def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
@@ -368,30 +384,39 @@ def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
     Lengths are measured in segmented words of the raw strings; the
     vocabulary is the set of distinct lowercase segmented words across
     texts, stems, and options. A split's texts are the ones its questions
-    reference.
+    reference. Each string is segmented once and tallied into every group
+    it belongs to.
     """
-    split_stats: dict[str, SplitStats] = {}
-    for split in SPLITS:
-        qs = [q for q in dataset.questions if q.split == split]
-        if not qs:
-            continue
-        used = {q.text_id for q in qs}
-        ts = [t for t in dataset.texts if t.id in used]
-        split_stats[split] = _stats_for(ts, qs, segmenter)
-    overall = _stats_for(list(dataset.texts), list(dataset.questions), segmenter)
-    grade_stats: dict[int, GradeStats] = {}
-    for grade in GRADES:
-        ts = [t for t in dataset.texts if t.grade == grade]
-        if not ts:
-            continue
-        ids = {t.id for t in ts}
-        qs = [q for q in dataset.questions if q.text_id in ids]
-        vocab: set[str] = set()
-        for t in ts:
-            vocab.update(_segment_raw(t.body, segmenter))
-        for q in qs:
-            vocab.update(_segment_raw(q.stem, segmenter))
-            for option in q.options:
-                vocab.update(_segment_raw(option, segmenter))
-        grade_stats[grade] = GradeStats(texts=len(ts), questions=len(qs), vocabulary=len(vocab))
-    return DatasetStats(splits=split_stats, overall=overall, grades=grade_stats)
+    overall = _Tally()
+    splits = {split: _Tally() for split in SPLITS}
+    grades = {grade: _Tally() for grade in GRADES}
+    text_splits: dict[str, set[str]] = {}
+    for q in dataset.questions:
+        if q.split in splits:
+            text_splits.setdefault(q.text_id, set()).add(q.split)
+    grade_of = {t.id: t.grade for t in dataset.texts}
+
+    for t in dataset.texts:
+        words = _segment_raw(t.body, segmenter)
+        groups = [overall] + [splits[s] for s in text_splits.get(t.id, ())]
+        if t.grade in grades:
+            groups.append(grades[t.grade])
+        for group in groups:
+            group.add_text(words)
+    for q in dataset.questions:
+        stem = _segment_raw(q.stem, segmenter)
+        options = [_segment_raw(o, segmenter) for o in q.options]
+        groups = [overall]
+        if q.split in splits:
+            groups.append(splits[q.split])
+        grade = grade_of.get(q.text_id)
+        if grade in grades:
+            groups.append(grades[grade])
+        for group in groups:
+            group.add_question(stem, options, q.gold)
+
+    return DatasetStats(
+        splits={s: tally.split_stats() for s, tally in splits.items() if tally.question_lengths},
+        overall=overall.split_stats(),
+        grades={g: tally.grade_stats() for g, tally in grades.items() if tally.text_lengths},
+    )

@@ -147,20 +147,10 @@ class TextIndex:
         return max_window_cosine(self.vec_prefix, self.cnt_prefix, span.vector, len(option))
 
 
-def sliding_window_score(
-    text: ProcessedText, question: WordList, option: WordList, counts: dict[str, int]
-) -> float:
+def sliding_window_score(text: ProcessedText, question: WordList, option: WordList) -> float:
     """Best window sum of inverse-count log weights over tokens of `text`
-    hitting set(question) | set(option); `counts` must come from `text`."""
-    word_set = set(question) | set(option)
-    if not word_set or not text.flat:
-        return 0.0
-    weights = np.fromiter(
-        (math.log(1.0 + 1.0 / counts[tok]) if tok in word_set else 0.0 for tok in text.flat),
-        dtype=np.float64,
-        count=len(text.flat),
-    )
-    return max_window_sum(weights, len(word_set))
+    hitting set(question) | set(option)."""
+    return TextIndex(text).window_score(set(question) | set(option))
 
 
 def distance_score(

@@ -1,6 +1,5 @@
 import pytest
 
-from lexmrc import kernels
 from lexmrc.corpus import load_dataset
 from lexmrc.embedding import load_embeddings
 from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig, load_lexicon
@@ -8,12 +7,6 @@ from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig, load_lexico
 from pathlib import Path
 
 DATA_DIR = Path(__file__).parent / "data"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jit kernels before anything is timed
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from lexmrc.scoring import (
     distance_score,
     predict,
     sliding_window_score,
-    term_counts,
 )
 
 from oracles import boost_oracle, distance_oracle, random_instance, window_score_oracle
@@ -49,7 +48,7 @@ class TestOracleEquivalence:
         for _ in range(1000):
             tokens, question, option = random_instance(rng)
             text = pt(*tokens)
-            got = sliding_window_score(text, question, option, term_counts(text))
+            got = sliding_window_score(text, question, option)
             want = window_score_oracle(tokens, question, option)
             assert abs(got - want) <= 1e-12
         elapsed = time.perf_counter() - start
@@ -148,7 +147,7 @@ class TestInvariantSuite:
         for _ in range(300):
             tokens, question, option = random_instance(rng)
             text = pt(*tokens)
-            sw = sliding_window_score(text, question, option, term_counts(text))
+            sw = sliding_window_score(text, question, option)
             assert sw >= 0.0
             for agg in ("min", "max"):
                 cfg = MethodConfig(method="sw_d", distance_aggregation=agg)

@@ -151,6 +151,29 @@ class TestEvaluate:
         assert code == EXIT_DATA
         assert "grade" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"texts": 5, "questions": []},
+        {"texts": [], "questions": "q1"},
+    ])
+    def test_texts_and_questions_must_be_lists(self, capsys, tmp_path, doc):
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = invoke(capsys, "stats", "--dataset", str(f))
+        assert code == EXIT_IO
+        assert "must be lists" in err
+
+    @pytest.mark.parametrize("flag,command", [
+        ("--embeddings", ["answer", "--question-id", "q-wm", "--method", "sw_d_web"]),
+        ("--stopwords", ["stats"]),
+        ("--lexicon", ["stats"]),
+    ])
+    def test_undecodable_word_file_is_io_error(self, capsys, tmp_path, flag, command):
+        f = tmp_path / "words.txt"
+        f.write_bytes(b"\xff\xfe")
+        code, _, err = invoke(capsys, *command, "--dataset", FIXTURES, flag, str(f))
+        assert code == EXIT_IO
+        assert err.startswith("error:")
+
 
 class TestStats:
     def test_fixture_counts(self, capsys):
@@ -277,6 +300,19 @@ class TestBatch:
 
     def test_batch_missing_file(self):
         assert run(["batch", "/nonexistent/cmds.txt"]) == EXIT_IO
+
+    def test_batch_unbalanced_quote(self, capsys, tmp_path):
+        batch = tmp_path / "cmds.txt"
+        batch.write_text(f"stats --dataset {FIXTURES}\nstats --dataset \"unclosed\n",
+                         encoding="utf-8")
+        code, _, err = invoke(capsys, "batch", str(batch))
+        assert code == EXIT_IO
+        assert err.splitlines()[-1] == f"error: {batch}:2: No closing quotation"
+
+    def test_batch_undecodable_file(self, tmp_path):
+        batch = tmp_path / "cmds.txt"
+        batch.write_bytes(b"\xff\xfe")
+        assert run(["batch", str(batch)]) == EXIT_IO
 
 
 def test_help_exits_cleanly(capsys):

@@ -76,6 +76,20 @@ class TestLoad:
         assert "q2: unknown text_id" in messages
         assert "q2: unknown split" in messages
 
+    @pytest.mark.parametrize("grade", [True, 3.9, "3"])
+    def test_grade_must_be_an_integer(self, tmp_path, grade):
+        texts, questions = minimal_doc()
+        texts[0]["grade"] = grade
+        questions[0]["gold"] = "E"
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        with pytest.raises(DatasetValidationError) as err:
+            load_dataset(f)
+        assert err.value.violations == [
+            "question q1: gold label 'E' is not one of A-D",
+            f"text t1: grade {grade!r} is not an integer",
+        ]
+
     def test_malformed_json(self, tmp_path):
         f = tmp_path / "d.json"
         f.write_text("{not json", encoding="utf-8")
@@ -244,6 +258,17 @@ class TestStats:
         stats = compute_stats(load_dataset(f), SEG)
         assert stats.splits["dev"].avg_correct_length == 3.0
         assert stats.splits["dev"].avg_option_length == (1 + 2 + 3 + 1) / 4
+
+    def test_each_string_segmented_once(self, fixture_dataset):
+        calls = []
+
+        def counting_segmenter(tokens):
+            calls.append(tokens)
+            return SEG(tokens)
+
+        stats = compute_stats(fixture_dataset, counting_segmenter)
+        assert len(calls) == len(fixture_dataset.texts) + 5 * len(fixture_dataset.questions)
+        assert stats == compute_stats(fixture_dataset, SEG)
 
     def test_grade_stats(self, fixture_dataset):
         stats = compute_stats(fixture_dataset, SEG)

@@ -3,86 +3,75 @@ import pytest
 
 from lexmrc import kernels
 
-PAIRS = [
-    (kernels.max_window_sum_numpy, kernels.max_window_sum_jit),
-    (kernels.extreme_pair_distance_numpy, kernels.extreme_pair_distance_jit),
-    (kernels.max_window_cosine_numpy, kernels.max_window_cosine_jit),
-]
 
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
+def read_only(kernel):
+    """`kernel` called on read-only copies of its array arguments.
+
+    Scorers hand the kernels arrays that `TextIndex` caches, so a kernel
+    must never write into its inputs; numpy raises if one tries.
+    """
+
+    def call(*args):
+        frozen = []
+        for arg in args:
+            if isinstance(arg, np.ndarray):
+                arg = arg.copy()
+                arg.setflags(write=False)
+            frozen.append(arg)
+        return kernel(*frozen)
+
+    return call
 
 
-def test_backend_selected():
-    assert kernels.BACKEND in ("numba", "numpy")
-    assert kernels.max_window_sum is not None
+def both_call_forms(kernel):
+    """Each test runs on plain inputs (`...0`) and on read-only ones (`...1`).
+
+    The ids keep the test names stable across the kernels' history.
+    """
+    name = kernel.__name__ + "_numpy"
+    return pytest.mark.parametrize(
+        "impl", [kernel, read_only(kernel)], ids=[name + "0", name + "1"]
+    )
 
 
 class TestMaxWindowSum:
-    @pytest.mark.parametrize("impl", [kernels.max_window_sum_numpy, kernels.max_window_sum])
+    @both_call_forms(kernels.max_window_sum)
     def test_basic(self, impl):
         w = np.array([0.0, 1.0, 1.0, 0.0])
         assert impl(w, 2) == pytest.approx(2.0)
         assert impl(w, 1) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("impl", [kernels.max_window_sum_numpy, kernels.max_window_sum])
+    @both_call_forms(kernels.max_window_sum)
     def test_window_wider_than_text(self, impl):
         w = np.array([0.5, 0.25])
         assert impl(w, 10) == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("impl", [kernels.max_window_sum_numpy, kernels.max_window_sum])
+    @both_call_forms(kernels.max_window_sum)
     def test_empty(self, impl):
         assert impl(np.zeros(0), 3) == 0.0
         assert impl(np.ones(3), 0) == 0.0
 
-    @needs_numba
-    def test_backends_agree(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            n = rng.integers(0, 40)
-            w = rng.random(n)
-            width = int(rng.integers(1, 8))
-            a = kernels.max_window_sum_numpy(w, width)
-            b = kernels.max_window_sum_jit(w, width)
-            assert b == pytest.approx(a, abs=1e-12)
-
 
 class TestExtremePairDistance:
-    @pytest.mark.parametrize(
-        "impl", [kernels.extreme_pair_distance_numpy, kernels.extreme_pair_distance]
-    )
+    @both_call_forms(kernels.extreme_pair_distance)
     def test_min_and_max(self, impl):
         a = np.array([1, 5], dtype=np.int64)
         b = np.array([4], dtype=np.int64)
         assert impl(a, b, False) == 1
         assert impl(a, b, True) == 3
 
-    @pytest.mark.parametrize(
-        "impl", [kernels.extreme_pair_distance_numpy, kernels.extreme_pair_distance]
-    )
+    @both_call_forms(kernels.extreme_pair_distance)
     def test_same_position_pairs_skipped(self, impl):
         a = np.array([2], dtype=np.int64)
         assert impl(a, a, False) == -1
         b = np.array([2, 4], dtype=np.int64)
         assert impl(a, b, False) == 2
 
-    @pytest.mark.parametrize(
-        "impl", [kernels.extreme_pair_distance_numpy, kernels.extreme_pair_distance]
-    )
+    @both_call_forms(kernels.extreme_pair_distance)
     def test_empty(self, impl):
         a = np.zeros(0, dtype=np.int64)
         b = np.array([1], dtype=np.int64)
         assert impl(a, b, False) == -1
-
-    @needs_numba
-    def test_backends_agree(self):
-        rng = np.random.default_rng(12)
-        for _ in range(300):
-            a = rng.integers(0, 25, size=rng.integers(0, 10)).astype(np.int64)
-            b = rng.integers(0, 25, size=rng.integers(0, 10)).astype(np.int64)
-            for use_max in (False, True):
-                assert kernels.extreme_pair_distance_jit(
-                    a, b, use_max
-                ) == kernels.extreme_pair_distance_numpy(a, b, use_max)
 
 
 def prefixes(rows, known):
@@ -96,25 +85,19 @@ def prefixes(rows, known):
 
 
 class TestMaxWindowCosine:
-    @pytest.mark.parametrize(
-        "impl", [kernels.max_window_cosine_numpy, kernels.max_window_cosine]
-    )
+    @both_call_forms(kernels.max_window_cosine)
     def test_exact_match_window(self, impl):
         rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         vec, cnt = prefixes(rows, [1, 1, 1])
         target = np.array([0.0, 1.0])
         assert impl(vec, cnt, target, 1) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize(
-        "impl", [kernels.max_window_cosine_numpy, kernels.max_window_cosine]
-    )
+    @both_call_forms(kernels.max_window_cosine)
     def test_zero_target_undefined(self, impl):
         vec, cnt = prefixes([[1.0, 0.0]], [1])
         assert impl(vec, cnt, np.zeros(2), 1) == 0.0
 
-    @pytest.mark.parametrize(
-        "impl", [kernels.max_window_cosine_numpy, kernels.max_window_cosine]
-    )
+    @both_call_forms(kernels.max_window_cosine)
     def test_unknown_windows_count_as_zero(self, impl):
         # one all-unknown window, one negative-similarity window: the
         # undefined window's 0 wins
@@ -123,9 +106,7 @@ class TestMaxWindowCosine:
         target = np.array([1.0, 0.0])
         assert impl(vec, cnt, target, 1) == pytest.approx(0.0)
 
-    @pytest.mark.parametrize(
-        "impl", [kernels.max_window_cosine_numpy, kernels.max_window_cosine]
-    )
+    @both_call_forms(kernels.max_window_cosine)
     def test_all_windows_negative(self, impl):
         rows = [[-1.0, 0.0], [-1.0, -1.0]]
         vec, cnt = prefixes(rows, [1, 1])
@@ -133,17 +114,3 @@ class TestMaxWindowCosine:
         got = impl(vec, cnt, target, 1)
         assert got == pytest.approx(-np.sqrt(0.5))
 
-    @needs_numba
-    def test_backends_agree(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            n = int(rng.integers(0, 20))
-            dim = int(rng.integers(1, 5))
-            rows = rng.normal(size=(n, dim))
-            known = rng.integers(0, 2, size=n)
-            vec, cnt = prefixes(rows, known)
-            target = rng.normal(size=dim)
-            width = int(rng.integers(1, 6))
-            a = kernels.max_window_cosine_numpy(vec, cnt, target, width)
-            b = kernels.max_window_cosine_jit(vec, cnt, target, width)
-            assert b == pytest.approx(a, abs=1e-12)

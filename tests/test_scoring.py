@@ -49,29 +49,28 @@ class TestTermCounts:
 class TestSlidingWindow:
     def test_two_word_option(self):
         text = pt("a", "b", "c", "a")
-        got = sliding_window_score(text, [], ["b", "c"], term_counts(text))
+        got = sliding_window_score(text, [], ["b", "c"])
         assert got == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_no_overlap(self):
         text = pt("a", "b")
-        assert sliding_window_score(text, ["x"], ["y"], term_counts(text)) == 0.0
+        assert sliding_window_score(text, ["x"], ["y"]) == 0.0
 
     def test_single_token(self):
         text = pt("x")
-        got = sliding_window_score(text, ["x"], [], term_counts(text))
+        got = sliding_window_score(text, ["x"], [])
         assert got == pytest.approx(LN2, abs=1e-12)
 
     def test_empty_text_and_empty_words(self):
-        assert sliding_window_score(pt(), ["a"], ["b"], {}) == 0.0
+        assert sliding_window_score(pt(), ["a"], ["b"]) == 0.0
         text = pt("a")
-        assert sliding_window_score(text, [], [], term_counts(text)) == 0.0
+        assert sliding_window_score(text, [], []) == 0.0
 
     def test_duplicates_collapse_in_window_set(self):
         # set semantics: repeating an option word must not change the score
         text = pt("a", "b", "c")
-        counts = term_counts(text)
-        once = sliding_window_score(text, ["a"], ["b"], counts)
-        repeated = sliding_window_score(text, ["a", "a"], ["b", "b", "a"], counts)
+        once = sliding_window_score(text, ["a"], ["b"])
+        repeated = sliding_window_score(text, ["a", "a"], ["b", "b", "a"])
         assert repeated == once
 
     def test_zero_iff_no_overlap_or_empty(self):
@@ -79,17 +78,16 @@ class TestSlidingWindow:
         for _ in range(200):
             tokens, question, option = random_instance(rng)
             text = pt(*tokens)
-            score = sliding_window_score(text, question, option, term_counts(text))
+            score = sliding_window_score(text, question, option)
             overlap = (set(question) | set(option)) & set(tokens)
             assert score >= 0.0
             assert (score == 0.0) == (not overlap)
 
     def test_appending_neutral_tokens_never_lowers_score(self):
         text = pt("a", "b", "c", "a")
-        counts = term_counts(text)
-        base = sliding_window_score(text, ["a"], ["c"], counts)
+        base = sliding_window_score(text, ["a"], ["c"])
         grown = pt("a", "b", "c", "a", "zz", "zz")
-        grown_score = sliding_window_score(grown, ["a"], ["c"], term_counts(grown))
+        grown_score = sliding_window_score(grown, ["a"], ["c"])
         assert grown_score >= base
 
     def test_matches_oracle(self):
@@ -97,7 +95,7 @@ class TestSlidingWindow:
         for _ in range(300):
             tokens, question, option = random_instance(rng)
             text = pt(*tokens)
-            got = sliding_window_score(text, question, option, term_counts(text))
+            got = sliding_window_score(text, question, option)
             want = window_score_oracle(tokens, question, option)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -291,15 +289,6 @@ class TestPredict:
 
 
 class TestTextIndex:
-    def test_window_score_matches_public_op(self):
-        text = pt("a", "b", "a", "c")
-        index = TextIndex(text)
-        counts = term_counts(text)
-        for words in (["a"], ["b", "c"], ["zz"]):
-            assert index.window_score(set(words)) == pytest.approx(
-                sliding_window_score(text, words, [], counts), abs=1e-12
-            )
-
     def test_boost_requires_store(self):
         with pytest.raises(ValueError):
             TextIndex(pt("a")).boost(["a"])
