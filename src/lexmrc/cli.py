@@ -2,7 +2,8 @@
 
 Subcommands: answer one question, evaluate a split, print dataset
 statistics, compare two methods, or run a batch of commands in one
-process (embedding files are then loaded once and shared).
+process (each input file is then parsed once and shared; a file that
+changes during the batch is read again).
 
 Every command is a pure function of its input files, flags, and seed, so
 repeated invocations write identical bytes. Exit codes: 0 success,
@@ -12,19 +13,24 @@ repeated invocations write identical bytes. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import shlex
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import (
+    Dataset,
     DatasetParseError,
     DatasetStats,
     DatasetValidationError,
     OPTION_LABELS,
     SPLITS,
     compute_stats,
+    dataset_files,
     load_dataset,
 )
 from .embedding import EmbeddingFormatError, EmbeddingStore, load_embeddings
@@ -95,35 +101,72 @@ class RunConfig:
                 raise ConfigError("method random requires --seed")
 
 
+def _stamp(files) -> tuple:
+    """Path, size, modification and change time and inode of each file.
+    The change time and the inode catch a same-size rewrite whose
+    modification time was set back (`cp -p`, `touch -r`)."""
+    stamp = []
+    for file in files:
+        st = os.stat(file)
+        stamp.append((str(file), st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino))
+    return tuple(stamp)
+
+
 class _EmbeddingCache:
-    """Per-process store cache so batch mode loads each file once."""
+    """Per-process cache of every parsed input: datasets, vector stores,
+    stopword sets and segmenters, so a batch parses each file once.
+
+    Each entry is stamped with its path and the files it was parsed from. A
+    file that changes is read again and its entry replaced. Vector stores,
+    and the segmenters built from them, are kept per path; the dataset, the
+    stopword set and the lexicon segmenter keep only the last one read, so a
+    batch over many datasets holds one of them at a time.
+    """
 
     def __init__(self):
-        self._stores: dict[str, EmbeddingStore] = {}
+        self._entries: dict[object, tuple[tuple, object]] = {}
+
+    def _get(self, slot, path: str, files, build):
+        # stamp before building: a file rewritten during the build then
+        # fails the next lookup instead of being served stale
+        stamp = (path, _stamp(files))
+        entry = self._entries.get(slot)
+        if entry is None or entry[0] != stamp:
+            self._entries.pop(slot, None)  # free the old value before building the new one
+            entry = (stamp, build())
+            self._entries[slot] = entry
+        return entry[1]
 
     def load(self, path: str) -> EmbeddingStore:
-        if path not in self._stores:
-            self._stores[path] = load_embeddings(path)
-        return self._stores[path]
+        return self._get(("embeddings", path), path, [path], lambda: load_embeddings(path))
+
+    def dataset(self, path: str) -> Dataset:
+        return self._get("dataset", path, dataset_files(path), lambda: load_dataset(path))
+
+    def stopwords(self, path: str) -> frozenset[str]:
+        return self._get("stopwords", path, [path], lambda: load_stopwords(path))
+
+    def segmenter(self, lexicon: str | None, embeddings: str | None) -> DictionarySegmenter:
+        """Built from the lexicon file or, without one, from the multi-
+        syllable entries of the embedding vocabulary, when one is given."""
+        if lexicon:
+            return self._get("lexicon", lexicon, [lexicon],
+                             lambda: DictionarySegmenter(load_lexicon(lexicon)))
+        if embeddings:
+            def build():
+                return DictionarySegmenter(self.load(embeddings).multi_syllable_words())
+            return self._get(("store lexicon", embeddings), embeddings, [embeddings], build)
+        return DictionarySegmenter()
 
 
 def _build_runtime(cfg: RunConfig, cache: _EmbeddingCache):
-    """Load the dataset, optional store, and the preprocessing config.
-
-    Without an explicit lexicon the segmenter falls back to the multi-
-    syllable entries of the embedding vocabulary, when one is loaded.
-    """
-    dataset = load_dataset(cfg.dataset)
+    """The dataset, optional store, and the preprocessing config, from the
+    cache."""
+    dataset = cache.dataset(cfg.dataset)
     store = cache.load(cfg.embeddings) if cfg.embeddings else None
-    stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
-    if cfg.lexicon:
-        lexicon = load_lexicon(cfg.lexicon)
-    elif store is not None:
-        lexicon = store.multi_syllable_words()
-    else:
-        lexicon = frozenset()
-    preprocess = PreprocessConfig(stopwords=stopwords, segmenter=DictionarySegmenter(lexicon))
-    return dataset, store, preprocess
+    stopwords = cache.stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
+    segmenter = cache.segmenter(cfg.lexicon, cfg.embeddings)
+    return dataset, store, PreprocessConfig(stopwords=stopwords, segmenter=segmenter)
 
 
 def _method_config(cfg: RunConfig, preprocess: PreprocessConfig, method: str | None = None):
@@ -136,10 +179,36 @@ def _method_config(cfg: RunConfig, preprocess: PreprocessConfig, method: str | N
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
-    else:
+    """Write to stdout or to `--out`, following symlinks. A regular or new
+    file is replaced atomically, so a failed write leaves the previous file
+    intact; any other target (a device, a pipe) is written in place."""
+    if not cfg.out:
         sys.stdout.write(text)
+        return
+    try:
+        try:
+            mode = os.stat(cfg.out).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is None or stat.S_ISREG(mode):
+            _replace(Path(os.path.realpath(cfg.out)), text, mode)
+        else:  # by its own name: realpath mangles /dev/stdout on a pipe
+            Path(cfg.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, cfg.out) from exc  # name --out, not the temp file
+
+
+def _replace(target: Path, text: str, mode: int | None) -> None:
+    """Write `text` to a temporary file beside `target`, give it the old
+    file's `mode` (None for a new file), and rename it onto `target`."""
+    tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def cmd_answer(cfg: RunConfig, question_id: str, cache: _EmbeddingCache) -> str:
@@ -297,6 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    return _build_parser()
+
+
 _CONFIG_FIELDS = (
     "dataset", "split", "method", "embeddings", "stopwords", "lexicon",
     "distance_agg", "seed", "format", "out", "workers",
@@ -330,8 +405,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run(argv: list[str], cache: _EmbeddingCache | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     cache = cache or _EmbeddingCache()
     if args.command == "batch":
         return _run_batch(args.file, cache)

@@ -36,6 +36,7 @@ __all__ = [
     "SplitStats",
     "compute_stats",
     "count_words",
+    "dataset_files",
     "filter_dataset",
     "load_dataset",
     "save_dataset",
@@ -101,10 +102,14 @@ class Dataset:
         return index
 
     def question_by_id(self, question_id: str) -> MCQuestion:
-        for q in self.questions:
-            if q.id == question_id:
-                return q
-        raise KeyError(question_id)
+        """The first question with this id; `KeyError` if there is none."""
+        index = self.__dict__.get("_question_index_cache")
+        if index is None:
+            index = {}
+            for q in self.questions:
+                index.setdefault(q.id, q)
+            object.__setattr__(self, "_question_index_cache", index)
+        return index[question_id]
 
 
 def _validate(texts: Iterable[ReadingText], questions: Iterable[MCQuestion]) -> list[str]:
@@ -121,7 +126,9 @@ def _validate(texts: Iterable[ReadingText], questions: Iterable[MCQuestion]) -> 
             problems.append(f"text {t.id}: grade {t.grade!r} is not an integer")
         elif t.grade not in GRADES:
             problems.append(f"text {t.id}: grade {t.grade} outside 1-5")
-        if not t.body.strip():
+        if not isinstance(t.body, str):
+            problems.append(f"text {t.id}: body {t.body!r} is not a string")
+        elif not t.body.strip():
             problems.append(f"text {t.id}: empty body")
     seen_question_ids: set[str] = set()
     for q in questions:
@@ -133,9 +140,14 @@ def _validate(texts: Iterable[ReadingText], questions: Iterable[MCQuestion]) -> 
         seen_question_ids.add(q.id)
         if q.text_id not in seen_text_ids:
             problems.append(f"question {q.id}: unknown text_id {q.text_id!r}")
+        if not isinstance(q.stem, str):
+            problems.append(f"question {q.id}: stem {q.stem!r} is not a string")
+        for label, option in zip(OPTION_LABELS, q.options):
+            if not isinstance(option, str):
+                problems.append(f"question {q.id}: option {label} {option!r} is not a string")
         if len(q.options) != 4:
             problems.append(f"question {q.id}: expected 4 options, found {len(q.options)}")
-        elif any(not o.strip() for o in q.options):
+        elif any(isinstance(o, str) and not o.strip() for o in q.options):
             problems.append(f"question {q.id}: empty option text")
         if not (0 <= q.gold <= 3) and q.gold != -1:  # -1 already flagged at parse time
             problems.append(f"question {q.id}: gold index {q.gold} outside 0-3")
@@ -172,7 +184,7 @@ def _parse_document(doc, origin: str, split_assignment: Mapping[str, str] | None
                     id=str(raw["id"]),
                     grade=raw["grade"],
                     title=raw.get("title"),
-                    body=str(raw["body"]),
+                    body=raw["body"],
                     extra={k: v for k, v in raw.items() if k not in _TEXT_KEYS},
                 )
             )
@@ -190,8 +202,8 @@ def _parse_document(doc, origin: str, split_assignment: Mapping[str, str] | None
                 MCQuestion(
                     id=qid,
                     text_id=str(raw["text_id"]),
-                    stem=str(raw["stem"]),
-                    options=tuple(str(o) for o in raw["options"]),
+                    stem=raw["stem"],
+                    options=tuple(raw["options"]),
                     gold=_parse_gold(raw["gold"], qid, problems),
                     split=str(split) if split is not None else "",
                     reasoning_type=raw.get("reasoning_type"),
@@ -203,6 +215,18 @@ def _parse_document(doc, origin: str, split_assignment: Mapping[str, str] | None
     return texts, questions, problems
 
 
+def dataset_files(path: str | Path) -> list[Path]:
+    """The files `load_dataset` reads for `path`: the path itself, or every
+    `*.json` file of a dataset directory in name order."""
+    path = Path(path)
+    if not path.is_dir():
+        return [path]
+    files = sorted(path.glob("*.json"))
+    if not files:
+        raise DatasetParseError(f"{path}: no .json files in dataset directory")
+    return files
+
+
 def load_dataset(path: str | Path, split_assignment: Mapping[str, str] | None = None) -> Dataset:
     """Load and validate a dataset file, or a directory of per-split files.
 
@@ -210,17 +234,10 @@ def load_dataset(path: str | Path, split_assignment: Mapping[str, str] | None = 
     the file contents. Every invariant violation is reported at once in the
     raised `DatasetValidationError`.
     """
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("*.json"))
-        if not files:
-            raise DatasetParseError(f"{path}: no .json files in dataset directory")
-    else:
-        files = [path]
     texts: list[ReadingText] = []
     questions: list[MCQuestion] = []
     problems: list[str] = []
-    for file in files:
+    for file in dataset_files(path):
         try:
             doc = json.loads(file.read_text(encoding="utf-8"))
         except FileNotFoundError:

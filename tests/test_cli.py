@@ -1,10 +1,18 @@
+import errno
 import json
+import os
+import shlex
+import stat
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from lexmrc import cli
 from lexmrc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, run
+from lexmrc.embedding import EmbeddingStore
 
 from conftest import DATA_DIR
 
@@ -60,6 +68,25 @@ class TestAnswer:
         )
         assert code == EXIT_CONFIG
         assert "embeddings" in err
+
+    def test_null_fields_are_validation_errors(self, capsys, tmp_path):
+        doc = {
+            "texts": [{"id": "t", "grade": 1, "title": None, "body": None}],
+            "questions": [{
+                "id": "q", "text_id": "t", "stem": None,
+                "options": [None, "b", "c", "d"], "gold": "A", "split": "test",
+            }],
+        }
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke(
+            capsys, "answer", "--dataset", str(f), "--question-id", "q", "--method", "sw",
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "text t: body None is not a string" in err
+        assert "question q: stem None is not a string" in err
+        assert "question q: option A None is not a string" in err
 
     def test_json_format(self, capsys):
         code, out, _ = invoke(
@@ -313,6 +340,246 @@ class TestBatch:
         batch = tmp_path / "cmds.txt"
         batch.write_bytes(b"\xff\xfe")
         assert run(["batch", str(batch)]) == EXIT_IO
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("step,error", [
+        ("write", OSError(errno.ENOSPC, "No space left on device")),
+        ("replace", OSError(errno.EACCES, "Permission denied")),
+    ])
+    def test_failure_keeps_previous_file(self, capsys, tmp_path, monkeypatch, step, error):
+        out = tmp_path / "stats.txt"
+        out.write_bytes(b"previous output\n")
+        if step == "write":
+            write_text = Path.write_text
+
+            def write_half(path, text, *args, **kwargs):
+                write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise error
+
+            monkeypatch.setattr(Path, "write_text", write_half)
+        else:
+            def refuse(src, dst):
+                raise error
+
+            monkeypatch.setattr(os, "replace", refuse)
+        code, _, err = invoke(capsys, "stats", "--dataset", FIXTURES, "--out", str(out))
+        assert code == EXIT_IO
+        assert err == f"error: [Errno {error.errno}] {error.strerror}: '{out}'\n"
+        assert out.read_bytes() == b"previous output\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["stats.txt"]
+
+    def test_replaces_previous_file(self, capsys, tmp_path):
+        out = tmp_path / "stats.txt"
+        out.write_text("previous output, longer than the statistics table " * 40,
+                       encoding="utf-8")
+        assert run(["stats", "--dataset", FIXTURES, "--out", str(out)]) == EXIT_OK
+        code, alone, _ = invoke(capsys, "stats", "--dataset", FIXTURES)
+        assert code == EXIT_OK
+        assert out.read_text(encoding="utf-8") == alone
+        assert [p.name for p in tmp_path.iterdir()] == ["stats.txt"]
+
+
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("previous output\n", encoding="utf-8")
+        real.chmod(0o640)
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        code, out, _ = invoke(capsys, "stats", "--dataset", FIXTURES, "--out", str(link))
+        assert (code, out) == (EXIT_OK, "")
+        _, alone, _ = invoke(capsys, "stats", "--dataset", FIXTURES)
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == alone
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        code, _, err = invoke(capsys, "stats", "--dataset", FIXTURES, "--out", str(fifo))
+        reader.join(timeout=30)
+        assert (code, err) == (EXIT_OK, "")
+        _, alone, _ = invoke(capsys, "stats", "--dataset", FIXTURES)
+        assert received == [alone.encode("utf-8")]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_on_a_pipe(self, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lexmrc.cli", "stats", "--dataset", FIXTURES,
+             "--out", "/dev/stdout"],
+            capture_output=True, text=True, encoding="utf-8",
+        )
+        _, alone, _ = invoke(capsys, "stats", "--dataset", FIXTURES)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, alone, "")
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace `owner.name` with a wrapper that records each call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def one_question_doc(options):
+    """A dataset whose one question `q` has the given options; `sw` picks
+    the option "x"."""
+    return {
+        "texts": [{"id": "t", "grade": 1, "title": None, "body": "x y"}],
+        "questions": [{"id": "q", "text_id": "t", "stem": "z?", "options": options,
+                       "gold": "A", "split": "test"}],
+    }
+
+
+def write_json(path, doc, mtime_ns=None):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if mtime_ns is not None:
+        os.utime(path, ns=(mtime_ns, mtime_ns))
+
+
+class TestInputCache:
+    ANSWERS = [("q-wm", "plain"), ("q-pp", "csv"), ("q-ssr", "json"), ("q-aoi", "plain")]
+
+    def batch_commands(self, tmp_path, resources):
+        commands = [
+            ["answer", "--dataset", FIXTURES, "--question-id", qid, "--method", "sw_d_web",
+             "--format", fmt, "--out", str(tmp_path / f"{qid}.out")] + resources
+            for qid, fmt in self.ANSWERS
+        ]
+        commands.append(["stats", "--dataset", FIXTURES, "--format", "json",
+                         "--out", str(tmp_path / "stats.out")] + resources)
+        return commands
+
+    @pytest.mark.parametrize("lexicon", [True, False], ids=["lexicon-file", "store-lexicon"])
+    def test_batch_parses_each_input_once(self, tmp_path, monkeypatch, lexicon):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("là\n", encoding="utf-8")
+        resources = ["--embeddings", VECTORS, "--stopwords", str(stopwords)]
+        if lexicon:
+            resources += ["--lexicon", LEXICON]
+        commands = self.batch_commands(tmp_path, resources)
+        batch = tmp_path / "cmds.txt"
+        batch.write_text("\n".join(shlex.join(c) for c in commands) + "\n", encoding="utf-8")
+
+        cli._parser.cache_clear()
+        calls = {name: count_calls(monkeypatch, cli, name)
+                 for name in ("load_dataset", "load_embeddings", "load_stopwords",
+                              "load_lexicon", "_build_parser")}
+        calls["multi_syllable_words"] = count_calls(monkeypatch, EmbeddingStore,
+                                                    "multi_syllable_words")
+        assert run(["batch", str(batch)]) == EXIT_OK
+        counts = {name: len(c) for name, c in calls.items()}
+        assert counts == {
+            "load_dataset": 1, "load_embeddings": 1, "load_stopwords": 1,
+            "load_lexicon": 1 if lexicon else 0, "_build_parser": 1,
+            "multi_syllable_words": 0 if lexicon else 1,
+        }
+
+        # each output is byte-identical to the command run alone on a fresh cache
+        for argv in commands:
+            batched = Path(argv[argv.index("--out") + 1])
+            alone = tmp_path / "alone.out"
+            argv[argv.index("--out") + 1] = str(alone)
+            assert run(argv) == EXIT_OK
+            assert batched.read_bytes() == alone.read_bytes()
+
+    def answer(self, cache, dataset, out):
+        argv = ["answer", "--dataset", str(dataset), "--question-id", "q", "--method", "sw",
+                "--format", "json", "--out", str(out)]
+        assert run(argv, cache) == EXIT_OK
+        return json.loads(out.read_text(encoding="utf-8"))["predicted"]
+
+    @pytest.mark.parametrize("change", ["size", "mtime", "same-size-old-mtime",
+                                        "directory-member"])
+    def test_changed_dataset_is_read_again(self, tmp_path, monkeypatch, change):
+        if change == "directory-member":
+            dataset = tmp_path / "splits"
+            dataset.mkdir()
+            write_json(dataset / "dev.json", {"texts": [], "questions": []})
+            member = dataset / "test.json"
+        else:
+            dataset = member = tmp_path / "d.json"
+        write_json(member, one_question_doc(["x", "b", "c", "d"]))
+        loads = count_calls(monkeypatch, cli, "load_dataset")
+        cache = cli._EmbeddingCache()
+        out = tmp_path / "answer.json"
+        assert self.answer(cache, dataset, out) == "A"
+        assert self.answer(cache, dataset, out) == "A"
+        assert len(loads) == 1
+
+        before, size = member.stat().st_mtime_ns, member.stat().st_size
+        if change == "mtime":
+            write_json(member, one_question_doc(["b", "x", "c", "d"]), before + 10**9)
+        elif change == "same-size-old-mtime":
+            # as `cp -p` or `touch -r` leave it: only the change time differs
+            write_json(member, one_question_doc(["b", "x", "c", "d"]), before)
+            assert member.stat().st_size == size
+        else:
+            # a different size alone must be noticed, so keep the old mtime
+            write_json(member, one_question_doc(["bb", "x", "c", "d"]), before)
+        assert self.answer(cache, dataset, out) == "B"
+        assert len(loads) == 2
+        assert len(cache._entries) == 1  # the new dataset replaced the old one
+
+    def test_one_dataset_is_held_at_a_time(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_json(first, one_question_doc(["x", "b", "c", "d"]))
+        write_json(second, one_question_doc(["b", "x", "c", "d"]))
+        cache = cli._EmbeddingCache()
+        out = tmp_path / "answer.json"
+        assert self.answer(cache, first, out) == "A"
+        assert self.answer(cache, second, out) == "B"
+        assert list(cache._entries) == ["dataset"]
+        assert cache._entries["dataset"][0][0] == str(second)
+
+    def test_vector_file_rewritten_mid_batch_is_reloaded(self, tmp_path, monkeypatch):
+        vectors = tmp_path / "vectors.vec"
+        rows = Path(VECTORS).read_text(encoding="utf-8").splitlines()
+        vectors.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        outs = [tmp_path / f"{i}.out" for i in range(3)]
+        commands = [
+            ["answer", "--dataset", FIXTURES, "--question-id", "q-wm", "--method", "sw_d_web",
+             "--embeddings", str(vectors), "--format", "json", "--out", str(out)]
+            for out in outs
+        ]
+        batch = tmp_path / "cmds.txt"
+        batch.write_text("\n".join(shlex.join(c) for c in commands) + "\n", encoding="utf-8")
+
+        real_run = cli.run
+        rewritten = []
+
+        def run_then_rewrite(argv, cache=None):
+            code = real_run(argv, cache)
+            if not rewritten:  # after the first command, keep only the header and 40 rows
+                vectors.write_text(f"40 {rows[0].split()[1]}\n" + "\n".join(rows[1:41]) + "\n",
+                                   encoding="utf-8")
+                rewritten.append(True)
+            return code
+
+        loads = count_calls(monkeypatch, cli, "load_embeddings")
+        lexicons = count_calls(monkeypatch, EmbeddingStore, "multi_syllable_words")
+        monkeypatch.setattr(cli, "run", run_then_rewrite)
+        assert real_run(["batch", str(batch)]) == EXIT_OK
+        assert len(loads) == 2
+        assert len(lexicons) == 2
+        assert outs[1].read_bytes() == outs[2].read_bytes()
+        alone = tmp_path / "alone.out"
+        commands[2][-1] = str(alone)
+        assert real_run(commands[2]) == EXIT_OK
+        assert alone.read_bytes() == outs[2].read_bytes()
 
 
 def test_help_exits_cleanly(capsys):

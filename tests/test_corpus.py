@@ -90,6 +90,22 @@ class TestLoad:
             f"text t1: grade {grade!r} is not an integer",
         ]
 
+    @pytest.mark.parametrize("value", [None, 5, ["x"]])
+    def test_text_fields_must_be_strings(self, tmp_path, value):
+        texts, questions = minimal_doc()
+        texts[0]["body"] = value
+        questions[0]["stem"] = value
+        questions[0]["options"][1] = value
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        with pytest.raises(DatasetValidationError) as err:
+            load_dataset(f)
+        assert err.value.violations == [
+            f"text t1: body {value!r} is not a string",
+            f"question q1: stem {value!r} is not a string",
+            f"question q1: option B {value!r} is not a string",
+        ]
+
     def test_malformed_json(self, tmp_path):
         f = tmp_path / "d.json"
         f.write_text("{not json", encoding="utf-8")
@@ -333,6 +349,18 @@ class TestModelTypes:
         assert fixture_dataset.question_by_id("q-wm").gold == 1
         with pytest.raises(KeyError):
             fixture_dataset.question_by_id("nope")
+
+    def test_question_lookup_first_duplicate_wins(self):
+        first, second = (
+            MCQuestion(id="q", text_id="t", stem=stem, options=("a", "b", "c", "d"), gold=0,
+                       split="dev")
+            for stem in ("first", "second")
+        )
+        ds = Dataset(texts=(), questions=(first, second))
+        assert ds.question_by_id("q") is first
+        assert ds.question_by_id("q") is first
+        with pytest.raises(KeyError):
+            ds.question_by_id("nope")
 
     def test_records_are_immutable(self):
         t = ReadingText(id="t", grade=1, body="x")
