@@ -327,8 +327,31 @@ def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
     return "\n".join(lines) + "\n"
 
 
+class _ParserExit(Exception):
+    """Raised where argparse would end the process: with status 0 after
+    printing `--help`, or with status 2 on a command line that `parser`
+    (the subcommand's, for its own flags) rejects with `message`."""
+
+    def __init__(self, status: int, message: str | None = None, parser=None):
+        super().__init__(message)
+        self.status = status
+        self.message = message
+        self.parser = parser
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises `_ParserExit` instead of exiting, so that a `batch` line it
+    rejects is reported by file and line and the batch process lives on."""
+
+    def exit(self, status=0, message=None):  # argparse calls this after printing --help
+        raise _ParserExit(status)
+
+    def error(self, message):
+        raise _ParserExit(EXIT_CONFIG, message, self)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lexmrc", description=__doc__.strip().splitlines()[0])
+    parser = _ArgumentParser(prog="lexmrc", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -404,8 +427,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def run(argv: list[str], cache: _EmbeddingCache | None = None) -> int:
-    args = _parser().parse_args(argv)
+def run(argv: list[str] | argparse.Namespace, cache: _EmbeddingCache | None = None) -> int:
+    """Run one command line, or one that `batch` has parsed already."""
+    if isinstance(argv, argparse.Namespace):
+        args = argv
+    else:
+        try:
+            args = _parser().parse_args(argv)
+        except _ParserExit as exc:  # argparse's own usage message and exit status
+            if exc.status != 0:
+                exc.parser.print_usage(sys.stderr)
+                print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
+            raise SystemExit(exc.status) from None
     cache = cache or _EmbeddingCache()
     if args.command == "batch":
         return _run_batch(args.file, cache)
@@ -451,7 +484,14 @@ def _run_batch(path: str, cache: _EmbeddingCache) -> int:
         except ValueError as exc:
             print(f"error: {path}:{lineno}: {exc}", file=sys.stderr)
             return EXIT_IO
-        code = run(argv, cache)
+        try:
+            args = _parser().parse_args(argv)
+        except _ParserExit as exc:
+            if exc.status == 0:
+                continue  # the line asked for --help, which is printed
+            print(f"error: {path}:{lineno}: {exc.message}", file=sys.stderr)
+            return exc.status
+        code = run(args, cache)
         if code != EXIT_OK:
             return code
     return EXIT_OK

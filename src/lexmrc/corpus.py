@@ -115,54 +115,81 @@ class Dataset:
 def _validate(texts: Iterable[ReadingText], questions: Iterable[MCQuestion]) -> list[str]:
     problems: list[str] = []
     seen_text_ids: set[str] = set()
-    for t in texts:
-        if not t.id:
+    for position, t in enumerate(texts, start=1):
+        name = t.id
+        if not isinstance(t.id, str):
+            name = f"#{position}"
+            problems.append(f"text {name}: id {t.id!r} is not a string or an integer")
+        elif not t.id:
+            name = f"#{position}"
             problems.append("text with empty id")
-            continue
-        if t.id in seen_text_ids:
-            problems.append(f"text {t.id}: duplicate id")
-        seen_text_ids.add(t.id)
+        else:
+            if t.id in seen_text_ids:
+                problems.append(f"text {name}: duplicate id")
+            seen_text_ids.add(t.id)
         if isinstance(t.grade, bool) or not isinstance(t.grade, int):
-            problems.append(f"text {t.id}: grade {t.grade!r} is not an integer")
+            problems.append(f"text {name}: grade {t.grade!r} is not an integer")
         elif t.grade not in GRADES:
-            problems.append(f"text {t.id}: grade {t.grade} outside 1-5")
+            problems.append(f"text {name}: grade {t.grade} outside 1-5")
         if not isinstance(t.body, str):
-            problems.append(f"text {t.id}: body {t.body!r} is not a string")
+            problems.append(f"text {name}: body {t.body!r} is not a string")
         elif not t.body.strip():
-            problems.append(f"text {t.id}: empty body")
+            problems.append(f"text {name}: empty body")
     seen_question_ids: set[str] = set()
-    for q in questions:
-        if not q.id:
+    for position, q in enumerate(questions, start=1):
+        name = q.id
+        if not isinstance(q.id, str):
+            name = f"#{position}"
+            problems.append(f"question {name}: id {q.id!r} is not a string or an integer")
+        elif not q.id:
+            name = f"#{position}"
             problems.append("question with empty id")
-            continue
-        if q.id in seen_question_ids:
-            problems.append(f"question {q.id}: duplicate id")
-        seen_question_ids.add(q.id)
-        if q.text_id not in seen_text_ids:
-            problems.append(f"question {q.id}: unknown text_id {q.text_id!r}")
+        else:
+            if q.id in seen_question_ids:
+                problems.append(f"question {name}: duplicate id")
+            seen_question_ids.add(q.id)
+        if not isinstance(q.text_id, str):
+            problems.append(f"question {name}: text_id {q.text_id!r} is not a string or an integer")
+        elif q.text_id not in seen_text_ids:
+            problems.append(f"question {name}: unknown text_id {q.text_id!r}")
         if not isinstance(q.stem, str):
-            problems.append(f"question {q.id}: stem {q.stem!r} is not a string")
+            problems.append(f"question {name}: stem {q.stem!r} is not a string")
         for label, option in zip(OPTION_LABELS, q.options):
             if not isinstance(option, str):
-                problems.append(f"question {q.id}: option {label} {option!r} is not a string")
+                problems.append(f"question {name}: option {label} {option!r} is not a string")
         if len(q.options) != 4:
-            problems.append(f"question {q.id}: expected 4 options, found {len(q.options)}")
+            problems.append(f"question {name}: expected 4 options, found {len(q.options)}")
         elif any(isinstance(o, str) and not o.strip() for o in q.options):
-            problems.append(f"question {q.id}: empty option text")
+            problems.append(f"question {name}: empty option text")
         if not (0 <= q.gold <= 3) and q.gold != -1:  # -1 already flagged at parse time
-            problems.append(f"question {q.id}: gold index {q.gold} outside 0-3")
+            problems.append(f"question {name}: gold index {q.gold} outside 0-3")
         if q.split not in SPLITS:
-            problems.append(f"question {q.id}: unknown split {q.split!r}")
+            problems.append(f"question {name}: unknown split {q.split!r}")
         if q.reasoning_type is not None and q.reasoning_type not in REASONING_TYPES:
-            problems.append(f"question {q.id}: unknown reasoning_type {q.reasoning_type!r}")
+            problems.append(f"question {name}: unknown reasoning_type {q.reasoning_type!r}")
     return problems
 
 
-def _parse_gold(raw, question_id: str, problems: list[str]) -> int:
+def _parse_gold(raw, question_id, position: int, problems: list[str]) -> int:
     if isinstance(raw, str) and raw in OPTION_LABELS:
         return OPTION_LABELS.index(raw)
-    problems.append(f"question {question_id}: gold label {raw!r} is not one of A-D")
+    name = _record_name(question_id, position)
+    problems.append(f"question {name}: gold label {raw!r} is not one of A-D")
     return -1
+
+
+def _record_name(rid, position: int) -> str:
+    """How a violation names a record: by its id, or by its position in the
+    file (`#2`) when it has no usable id, as `_validate` does."""
+    return rid if isinstance(rid, str) and rid else f"#{position}"
+
+
+def _as_id(raw):
+    """An id as loaded: an integer becomes its string form; anything else
+    but a string is kept as it is, for `_validate` to report."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return str(raw)
+    return raw
 
 
 _TEXT_KEYS = {"id", "grade", "title", "body"}
@@ -181,7 +208,7 @@ def _parse_document(doc, origin: str, split_assignment: Mapping[str, str] | None
         try:
             texts.append(
                 ReadingText(
-                    id=str(raw["id"]),
+                    id=_as_id(raw["id"]),
                     grade=raw["grade"],
                     title=raw.get("title"),
                     body=raw["body"],
@@ -190,21 +217,23 @@ def _parse_document(doc, origin: str, split_assignment: Mapping[str, str] | None
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetParseError(f"{origin}: malformed text record: {exc}") from exc
-    for raw in doc["questions"]:
+    for position, raw in enumerate(doc["questions"], start=1):
         try:
-            qid = str(raw["id"])
+            qid = _as_id(raw["id"])
             if not isinstance(raw["options"], list):
-                raise DatasetParseError(f"{origin}: question {qid}: options must be a list")
+                raise DatasetParseError(
+                    f"{origin}: question {_record_name(qid, position)}: options must be a list"
+                )
             split = raw.get("split")
-            if split_assignment and qid in split_assignment:
+            if split_assignment and isinstance(qid, str) and qid in split_assignment:
                 split = split_assignment[qid]
             questions.append(
                 MCQuestion(
                     id=qid,
-                    text_id=str(raw["text_id"]),
+                    text_id=_as_id(raw["text_id"]),
                     stem=raw["stem"],
                     options=tuple(raw["options"]),
-                    gold=_parse_gold(raw["gold"], qid, problems),
+                    gold=_parse_gold(raw["gold"], qid, position, problems),
                     split=str(split) if split is not None else "",
                     reasoning_type=raw.get("reasoning_type"),
                     extra={k: v for k, v in raw.items() if k not in _QUESTION_KEYS},

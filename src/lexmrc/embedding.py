@@ -98,51 +98,83 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Parse a text vector file into a store.
 
     The header line is optional; without one the dimension is inferred from
-    the first row. The first occurrence of a duplicated word wins. Rows with
-    the wrong arity or non-numeric components are reported with their line
-    number.
+    the first row. The first occurrence of a duplicated word wins. Components
+    follow `np.loadtxt`'s number grammar, and every row is converted in one
+    pass of it. When a file fails that pass, its rows are parsed again one
+    by one with the same parser, to report the first bad row by line number.
     """
     path = Path(path)
-    words: list[str] = []
-    index: dict[str, int] = {}
-    rows: list[np.ndarray] = []
     dim: int | None = None
+    linenos: list[int] = []
+    words: list[str] = []
+    rests: list[str] = []  # the components of each row, as text
     with path.open(encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split()
+            parts = line.split(None, 1)
             if not parts:
                 continue
-            if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
-                dim = int(parts[1])
-                if dim <= 0:
-                    raise EmbeddingFormatError(f"{path}:1: non-positive dimension in header")
-                continue
-            word = parts[0]
-            try:
-                vec = np.asarray(parts[1:], dtype=np.float64)
-            except ValueError:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: non-numeric vector component"
-                ) from None
-            if not np.isfinite(vec).all():
-                raise EmbeddingFormatError(f"{path}:{lineno}: non-finite vector component")
+            if lineno == 1:
+                header = line.split()
+                if len(header) == 2 and _is_int(header[0]) and _is_int(header[1]):
+                    dim = int(header[1])
+                    if dim <= 0:
+                        raise EmbeddingFormatError(f"{path}:1: non-positive dimension in header")
+                    continue
+            linenos.append(lineno)
+            words.append(parts[0])
+            rests.append(parts[1] if len(parts) == 2 else "")
+    if not rests:
+        if dim is None:
+            raise EmbeddingFormatError(f"{path}: empty vector file")
+        return EmbeddingStore.from_rows(dim, [], np.zeros((0, dim)))
+    matrix = _parse_rows(rests)
+    if (
+        matrix is None
+        or matrix.shape != (len(rests), dim or matrix.shape[1])
+        or not np.isfinite(matrix).all()
+    ):
+        raise _first_bad_row(path, linenos, rests, dim)
+    first = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))  # word -> its first row
+    if len(first) < len(words):
+        keep = sorted(first.values())
+        words = [words[i] for i in keep]
+        matrix = matrix[keep]
+    return EmbeddingStore.from_rows(matrix.shape[1], words, matrix)
+
+
+def _parse_rows(rests: list[str]) -> np.ndarray | None:
+    """Whitespace-separated numbers, one row per string, as a 2-d array;
+    None when a component is not a number or the rows differ in length."""
+    if "" in rests:  # np.loadtxt would skip the row
+        return None
+    try:
+        return np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _first_bad_row(
+    path: Path, linenos: list[int], rests: list[str], dim: int | None
+) -> EmbeddingFormatError:
+    """The error for the first row, in file order, that is not numeric, not
+    finite, or not of the file's dimension (the header's, else the first
+    row's)."""
+    for lineno, rest in zip(linenos, rests):
+        row = _parse_rows([rest]) if rest else np.zeros((1, 0))
+        if row is None:
+            problem = "non-numeric vector component"
+        elif not np.isfinite(row).all():
+            problem = "non-finite vector component"
+        elif dim is None and row.shape[1] == 0:
+            problem = "row has no vector components"
+        else:
             if dim is None:
-                if vec.shape[0] == 0:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: row has no vector components")
-                dim = vec.shape[0]
-            if vec.shape[0] != dim:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: expected {dim} components, found {vec.shape[0]}"
-                )
-            if word in index:
+                dim = row.shape[1]
+            if row.shape[1] == dim:
                 continue
-            index[word] = len(rows)
-            words.append(word)
-            rows.append(vec)
-    if dim is None:
-        raise EmbeddingFormatError(f"{path}: empty vector file")
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim))
-    return EmbeddingStore.from_rows(dim, words, matrix)
+            problem = f"expected {dim} components, found {row.shape[1]}"
+        return EmbeddingFormatError(f"{path}:{lineno}: {problem}")
+    raise AssertionError("the rows parse one by one but not together")
 
 
 def _is_int(token: str) -> bool:

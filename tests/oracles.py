@@ -2,11 +2,17 @@
 
 Everything here is deliberately naive pure Python: windows are enumerated
 one by one, pair distances come from a double loop, and span means are
-computed with list arithmetic. Nothing is shared with the package code.
+computed with list arithmetic. Nothing is shared with the package code
+but `reference_load_embeddings`' error class and the store it fills.
 """
 
 import math
 import random
+from pathlib import Path
+
+import numpy as np
+
+from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore
 
 
 def window_score_oracle(tokens, question, option):
@@ -96,3 +102,58 @@ def random_instance(rng: random.Random, max_tokens=30, max_vocab=10, max_side=3)
     question = [rng.choice(pool) for _ in range(rng.randint(0, max_side))]
     option = [rng.choice(pool) for _ in range(rng.randint(0, max_side))]
     return tokens, question, option
+
+
+def reference_load_embeddings(path):
+    """The vector-file loader as it was before the one-pass parse: every row
+    split into strings and converted on its own, with Python's `float`
+    grammar."""
+    path = Path(path)
+    words: list[str] = []
+    index: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    dim: int | None = None
+    with path.open(encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.rstrip("\n").split()
+            if not parts:
+                continue
+            if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
+                dim = int(parts[1])
+                if dim <= 0:
+                    raise EmbeddingFormatError(f"{path}:1: non-positive dimension in header")
+                continue
+            word = parts[0]
+            try:
+                vec = np.asarray(parts[1:], dtype=np.float64)
+            except ValueError:
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: non-numeric vector component"
+                ) from None
+            if not np.isfinite(vec).all():
+                raise EmbeddingFormatError(f"{path}:{lineno}: non-finite vector component")
+            if dim is None:
+                if vec.shape[0] == 0:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: row has no vector components")
+                dim = vec.shape[0]
+            if vec.shape[0] != dim:
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: expected {dim} components, found {vec.shape[0]}"
+                )
+            if word in index:
+                continue
+            index[word] = len(rows)
+            words.append(word)
+            rows.append(vec)
+    if dim is None:
+        raise EmbeddingFormatError(f"{path}: empty vector file")
+    matrix = np.vstack(rows) if rows else np.zeros((0, dim))
+    return EmbeddingStore.from_rows(dim, words, matrix)
+
+
+def _is_int(token):
+    try:
+        int(token)
+        return True
+    except ValueError:
+        return False

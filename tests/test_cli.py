@@ -88,6 +88,24 @@ class TestAnswer:
         assert "question q: stem None is not a string" in err
         assert "question q: option A None is not a string" in err
 
+    def test_null_ids_are_validation_errors(self, capsys, tmp_path):
+        doc = {
+            "texts": [{"id": None, "grade": 1, "title": None, "body": "x"}],
+            "questions": [{
+                "id": None, "text_id": None, "stem": "x",
+                "options": ["a", "b", "c", "d"], "gold": "A", "split": "test",
+            }],
+        }
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke(
+            capsys, "answer", "--dataset", str(f), "--question-id", "None", "--method", "sw",
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "text #1: id None is not a string or an integer" in err
+        assert "question #1: id None is not a string or an integer" in err
+
     def test_json_format(self, capsys):
         code, out, _ = invoke(
             capsys, "answer", "--dataset", FIXTURES, "--question-id", "q-wm",
@@ -335,6 +353,33 @@ class TestBatch:
         code, _, err = invoke(capsys, "batch", str(batch))
         assert code == EXIT_IO
         assert err.splitlines()[-1] == f"error: {batch}:2: No closing quotation"
+
+    @pytest.mark.parametrize("line,message", [
+        ("stats --dataset d.json --bogus", "unrecognized arguments: --bogus"),
+        ("stats --dataset d.json --format xml", "argument --format: invalid choice: 'xml'"),
+        ("answer --dataset d.json", "the following arguments are required: --question-id"),
+    ])
+    def test_batch_line_rejected_by_argparse(self, capsys, tmp_path, line, message):
+        before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+        batch = tmp_path / "cmds.txt"
+        batch.write_text(f"stats --dataset {FIXTURES} --out {before}\n{line}\n"
+                         f"stats --dataset {FIXTURES} --out {after}\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "batch", str(batch))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: {batch}:2: {message}")
+        assert len(err.splitlines()) == 1
+        assert before.exists() and not after.exists()
+
+    def test_batch_line_asking_for_help(self, capsys, tmp_path):
+        out_file = tmp_path / "stats.txt"
+        batch = tmp_path / "cmds.txt"
+        batch.write_text(f"stats --help\nstats --dataset {FIXTURES} --out {out_file}\n",
+                         encoding="utf-8")
+        code, out, _ = invoke(capsys, "batch", str(batch))
+        assert code == EXIT_OK
+        assert out.startswith("usage: lexmrc stats")
+        assert out_file.exists()
 
     def test_batch_undecodable_file(self, tmp_path):
         batch = tmp_path / "cmds.txt"
@@ -593,6 +638,15 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == EXIT_CONFIG
+
+
+def test_rejected_subcommand_line_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["stats", "--format", "xml"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lexmrc stats [-h]")
+    assert "\nlexmrc stats: error: argument --format: invalid choice: 'xml'" in err
 
 
 def test_console_entry_point(tmp_path):

@@ -106,6 +106,52 @@ class TestLoad:
             f"question q1: option B {value!r} is not a string",
         ]
 
+    @pytest.mark.parametrize("value", [None, True, 1.5, ["t1"]])
+    def test_ids_must_be_strings_or_integers(self, tmp_path, value):
+        texts, questions = minimal_doc()
+        texts.append(dict(texts[0], id=value, body=None))
+        questions.append(dict(questions[0], id=value, stem=None, gold="F"))
+        questions.append(dict(questions[0], id="q3", text_id=value, gold="E"))
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        with pytest.raises(DatasetValidationError) as err:
+            load_dataset(f)
+        assert err.value.violations == [
+            "question #2: gold label 'F' is not one of A-D",
+            "question q3: gold label 'E' is not one of A-D",
+            f"text #2: id {value!r} is not a string or an integer",
+            "text #2: body None is not a string",
+            f"question #2: id {value!r} is not a string or an integer",
+            "question #2: stem None is not a string",
+            f"question q3: text_id {value!r} is not a string or an integer",
+        ]
+
+    def test_records_with_empty_ids_are_still_checked(self, tmp_path):
+        texts, questions = minimal_doc()
+        texts.append(dict(texts[0], id="", grade=9))
+        questions.append(dict(questions[0], id="", split="val", gold="E"))
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        with pytest.raises(DatasetValidationError) as err:
+            load_dataset(f)
+        assert err.value.violations == [
+            "question #2: gold label 'E' is not one of A-D",
+            "text with empty id",
+            "text #2: grade 9 outside 1-5",
+            "question with empty id",
+            "question #2: unknown split 'val'",
+        ]
+
+    def test_integer_ids_load_as_strings(self, tmp_path):
+        texts, questions = minimal_doc()
+        texts[0]["id"] = 7
+        questions[0].update(id=3, text_id=7)
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        ds = load_dataset(f)
+        assert ds.texts[0].id == "7"
+        assert (ds.questions[0].id, ds.questions[0].text_id) == ("3", "7")
+
     def test_malformed_json(self, tmp_path):
         f = tmp_path / "d.json"
         f.write_text("{not json", encoding="utf-8")

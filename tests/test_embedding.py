@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from lexmrc.embedding import (
     cosine_similarity,
     load_embeddings,
 )
+
+from oracles import reference_load_embeddings
 
 # 32 / (sqrt(14) * sqrt(77)) evaluated at 40 decimal digits with mpmath
 COS_123_456 = 0.9746318461970762710785724911261228634989
@@ -87,6 +91,110 @@ class TestLoader:
         f = tmp_path / "v.vec"
         f.write_text("học_sinh 1 0\nhọc 0 1\n", encoding="utf-8")
         assert load_embeddings(f).multi_syllable_words() == frozenset({"học_sinh"})
+
+
+class TestNumberGrammar:
+    # every character `str.split` treats as whitespace; "\n" and "\r" end lines
+    WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+                  "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+    def test_whitespace_list_is_complete(self):
+        every = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+        assert every == self.WHITESPACE
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "\u0661.\u0665"])
+    def test_underscores_and_non_ascii_digits_are_not_numbers(self, tmp_path, token):
+        # Python's float() takes these; the file grammar is np.loadtxt's
+        f = tmp_path / "v.vec"
+        f.write_text(f"a 1 2\nb 3 {token}\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_embeddings(f)
+        assert str(exc.value) == f"{f}:2: non-numeric vector component"
+        assert reference_load_embeddings(f).get("b")[1] == float(token)
+
+    @pytest.mark.parametrize("sep", list(WHITESPACE.replace("\n", "").replace("\r", "")))
+    def test_every_whitespace_character_separates(self, tmp_path, sep):
+        f = tmp_path / "v.vec"
+        f.write_text(f"a{sep}1{sep}{sep}-2.5{sep}\nb 0 1e-3\n", encoding="utf-8")
+        store = load_embeddings(f)
+        assert list(store) == ["a", "b"]
+        assert store.matrix.tolist() == [[1.0, -2.5], [0.0, 0.001]]
+
+
+# components both loaders read alike: Python floats and np.loadtxt agree on
+# these, and on rejecting BAD_TOKENS or reading them as non-finite
+GOOD_TOKENS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "+3", "0.5", ".5", "1.", "1e-3", "2E+2", "0001",
+                     "1e-400", "123456789.123456789", "-9007199254740993"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+BAD_TOKENS = st.one_of(
+    st.sampled_from(["nan", "NaN", "+nan", "inf", "-Infinity", "1e500", "-1e500"]),
+    st.sampled_from(["x", "1,5", "0x10", "--1", "1e", ".", "#", "#1", '"1"', "1.5j", "nan(1)",
+                     "\u22121"]),
+)
+WORDS = st.sampled_from(["a", "b", "c", "x1", "học_sinh", "1", "2", "#"])
+
+
+@st.composite
+def vector_files(draw):
+    """The text of a vector file: a clean one, with rows of one arity and
+    finite numbers only, or a noisy one with bad rows mixed in."""
+    dim = draw(st.integers(1, 4))
+    noisy = draw(st.booleans())
+    seps = TestNumberGrammar.WHITESPACE
+    if not noisy:
+        seps = seps.replace("\n", "").replace("\r", "")
+    sep = st.text(alphabet=seps, min_size=1, max_size=3)
+    kinds = ["row"] * 4 + ["blank"]
+    if noisy:
+        kinds += ["arity", "bad", "bad", "bad", "word only"]
+    lines = []
+    if draw(st.booleans()):
+        header_dim = draw(st.sampled_from([dim, dim, dim, dim + 1, 0])) if noisy else dim
+        lines.append(f"{draw(st.integers(0, 9))} {header_dim}")
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.text(alphabet=" \t\x0b\x0c\x1c\u3000", max_size=2)))
+            continue
+        components = draw(st.lists(GOOD_TOKENS, min_size=dim, max_size=dim))
+        if kind == "arity":
+            components = draw(st.lists(GOOD_TOKENS, min_size=0, max_size=dim + 2))
+        elif kind == "bad":
+            components = draw(st.lists(st.one_of(GOOD_TOKENS, BAD_TOKENS),
+                                       min_size=dim, max_size=dim))
+        elif kind == "word only":
+            components = []
+        tokens = [draw(WORDS)] + components
+        gaps = draw(st.lists(sep, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        lead = draw(st.sampled_from(["", " ", "\u3000"]))
+        lines.append(lead + "".join(t + g for t, g in zip(tokens, gaps)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def load_outcome(load, path):
+    try:
+        store = load(path)
+    except EmbeddingFormatError as exc:
+        return ("error", str(exc))
+    return ("ok", store.dim, list(store), store.matrix.dtype, store.matrix.shape,
+            store.matrix.tobytes())
+
+
+@pytest.fixture(scope="module")
+def vector_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "v.vec"
+
+
+@given(vector_files())
+@settings(max_examples=400, deadline=None)
+def test_loader_matches_reference(vector_path, text):
+    vector_path.write_bytes(text.encode("utf-8"))
+    assert load_outcome(load_embeddings, vector_path) == \
+        load_outcome(reference_load_embeddings, vector_path)
 
 
 class TestAverage:
