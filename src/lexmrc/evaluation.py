@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 from .corpus import Dataset, GRADES, REASONING_TYPES, count_words, filter_dataset
 from .embedding import EmbeddingStore
-from .preprocess import preprocess_sentence, preprocess_text
+from .preprocess import DEFAULT_PUNCTUATION, preprocess_sentence, preprocess_text
 from .scoring import MethodConfig, ScoreBreakdown, TextIndex, predict_indexed
 
 __all__ = [
@@ -138,6 +138,11 @@ def evaluate(
         rng = random.Random(cfg.random_seed)
         random_picks = [rng.randrange(4) for _ in subset.questions]
 
+    # question_length counts the segmented raw stem. Without stopwords and
+    # with the default punctuation that is the cleaned stem itself; removing
+    # stopwords first can create joins the raw stem does not have.
+    stem_is_raw = not cfg.preprocess.stopwords and cfg.preprocess.punctuation == DEFAULT_PUNCTUATION
+
     def score(pos: int) -> PredictionRecord:
         q = subset.questions[pos]
         question_words = preprocess_sentence(q.stem, cfg.preprocess)
@@ -156,7 +161,8 @@ def evaluate(
             gold=q.gold,
             correct=breakdown.predicted == q.gold,
             breakdown=breakdown,
-            question_length=count_words(q.stem, cfg.preprocess.segmenter),
+            question_length=(len(question_words) if stem_is_raw
+                             else count_words(q.stem, cfg.preprocess.segmenter)),
             grade=grades[q.text_id],
             reasoning_type=q.reasoning_type,
         )

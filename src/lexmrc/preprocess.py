@@ -10,10 +10,12 @@ corpora pass through unchanged.
 
 from __future__ import annotations
 
+import functools
+import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DEFAULT_PUNCTUATION",
@@ -38,6 +40,10 @@ WordList = list[str]
 DEFAULT_PUNCTUATION = frozenset(string.punctuation + "“”‘’‚„«»…–—―·¡¿。、，；：！？（）【】「」『』") - {"_"}
 
 SENTENCE_BREAKS = (".", "!", "?", "…", "\n")
+_SENTENCE_SPLIT = re.compile(f"[{re.escape(''.join(SENTENCE_BREAKS))}]")
+
+# a comment runs to the next of str.splitlines' line boundaries
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 Segmenter = Callable[[Sequence[str]], WordList]
 
@@ -48,33 +54,63 @@ class DictionarySegmenter:
     Scans left to right and joins the longest run of syllables (up to
     `max_syllables`) found in the lexicon. Tokens that already contain "_"
     are opaque: they pass through unchanged and no run may span them.
+
+    The lexicon is normalised once (stripped, lowercased, spaces joined
+    with "_"). A frozenset whose entries are already normal, such as
+    `load_lexicon` returns, is kept as it is. Beside it the segmenter keeps
+    every proper prefix of two or more syllables of its entries, so a run
+    is extended only while some entry still starts with it.
     """
 
     def __init__(self, lexicon: Iterable[str] = (), max_syllables: int = 4):
         self.max_syllables = max_syllables
-        self.lexicon = frozenset(w.strip().lower().replace(" ", "_") for w in lexicon if w.strip())
+        if not (isinstance(lexicon, frozenset) and _is_normal(lexicon)):
+            lexicon = frozenset(w.strip().lower().replace(" ", "_") for w in lexicon if w.strip())
+        self.lexicon = lexicon
+        self._prefixes = _run_prefixes(lexicon)
 
     def __call__(self, tokens: Sequence[str]) -> WordList:
+        lexicon, prefixes = self.lexicon, self._prefixes
         out: WordList = []
         n = len(tokens)
         i = 0
         while i < n:
-            if "_" in tokens[i]:
-                out.append(tokens[i])
-                i += 1
-                continue
-            match_len = 1
-            limit = min(self.max_syllables, n - i)
-            for size in range(limit, 1, -1):
-                run = tokens[i : i + size]
-                if any("_" in t for t in run):
-                    continue
-                if "_".join(run) in self.lexicon:
-                    match_len = size
-                    break
-            out.append("_".join(tokens[i : i + match_len]))
-            i += match_len
+            word = run = tokens[i]
+            i += 1
+            if "_" not in word:
+                # extend the run one syllable at a time while it is a
+                # prefix of some entry; the longest entry seen wins
+                j, end = i, min(n, i - 1 + self.max_syllables)
+                while j < end and "_" not in tokens[j]:
+                    run = f"{run}_{tokens[j]}"
+                    j += 1
+                    if run in lexicon:
+                        word, i = run, j
+                    if run not in prefixes:
+                        break
+            out.append(word)
         return out
+
+
+def _is_normal(lexicon: frozenset[str]) -> bool:
+    """True when no entry is empty or holds whitespace, and every cased
+    character is lowercase: normalising would rebuild the same set. A set
+    without any cased character fails and is rebuilt, to the same result.
+    Checked over the concatenation, without copying it lowercased."""
+    if "" in lexicon:
+        return False
+    joined = "".join(lexicon)
+    return joined.split() == [joined] and joined.islower()
+
+
+def _run_prefixes(lexicon: frozenset[str]) -> frozenset[str]:
+    """The proper prefixes of two or more syllables of the entries: the
+    runs worth extending by one more syllable. Built one syllable shorter
+    per round, from the entries of three syllables or more."""
+    levels = [lexicon]
+    while levels[-1]:
+        levels.append({w[: w.rfind("_")] for w in levels[-1] if w.count("_") > 1})
+    return frozenset().union(*levels[1:])
 
 
 @dataclass(frozen=True)
@@ -107,39 +143,27 @@ class ProcessedText:
         return cls(sentences=sents, flat=flat)
 
 
+@functools.lru_cache(maxsize=16)
+def _token_pattern(punctuation: frozenset[str]) -> re.Pattern[str]:
+    marks = "".join(sorted(p for p in punctuation if len(p) == 1))
+    return re.compile(f"[^{re.escape(marks)}\\s]+")
+
+
 def tokenize(text: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> list[str]:
     """Split on whitespace and punctuation characters; punctuation is
-    consumed, everything else is preserved verbatim."""
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if ch.isspace() or ch in punctuation:
-            if current:
-                tokens.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    consumed, everything else is preserved verbatim. A token is a maximal
+    run of characters that are neither `str.isspace` nor a one-character
+    entry of `punctuation`."""
+    if not isinstance(punctuation, frozenset):
+        punctuation = frozenset(punctuation)
+    return _token_pattern(punctuation).findall(text)
 
 
 def split_sentences(text: str) -> list[str]:
     """Split a text on sentence-final marks and newlines. Quote and bracket
     characters stay attached to their tokens; they are stripped later as
     punctuation."""
-    sentences: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if ch in SENTENCE_BREAKS:
-            if current:
-                sentences.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if current:
-        sentences.append("".join(current))
-    return [s for s in sentences if s.strip()]
+    return [s for s in _SENTENCE_SPLIT.split(text) if s.strip()]
 
 
 def preprocess_sentence(sentence: str, cfg: PreprocessConfig) -> WordList:
@@ -168,20 +192,25 @@ def segment_words(tokens: Sequence[str], lexicon: Iterable[str]) -> WordList:
     return DictionarySegmenter(lexicon)(tokens)
 
 
-def _read_word_file(path: str | Path) -> list[str]:
-    words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            words.append(entry)
-    return words
+def _read_word_file(path: str | Path) -> Iterator[str]:
+    """The entries of a word file, stripped and lowercased, blank ones
+    skipped. Comments are cut from the whole text. Lines are lowercased one
+    by one, and only when `str.islower` fails on the whole text: a
+    whole-text `lower` would hold 12 bytes a character at once. Case
+    context (a final sigma) never reaches across the whitespace around an
+    entry, so a line lowercases as its entry does."""
+    text = Path(path).read_text(encoding="utf-8")
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    lines = text.splitlines()
+    return filter(None, map(str.strip, lines if text.islower() else map(str.lower, lines)))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Stopword file: UTF-8, one word per line, '#' starts a comment."""
-    return frozenset(w.lower() for w in _read_word_file(path))
+    return frozenset(_read_word_file(path))
 
 
 def load_lexicon(path: str | Path) -> frozenset[str]:
     """Lexicon file: one word per line, syllables joined by '_' or spaces."""
-    return frozenset(w.lower().replace(" ", "_") for w in _read_word_file(path))
+    return frozenset(w.replace(" ", "_") for w in _read_word_file(path))

@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from lexmrc.corpus import load_dataset
 from lexmrc.embedding import load_embeddings
@@ -7,6 +10,11 @@ from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig, load_lexico
 from pathlib import Path
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# CI runs the property tests with a fixed seed and prints the blob that
+# reproduces a failure with @reproduce_failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,9 @@ Everything here is deliberately naive pure Python: windows are enumerated
 one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
 but `reference_load_embeddings`' error class and the store it fills.
+
+The `reference_*` functions are earlier versions of package code, kept
+unchanged so that differential tests can hold the current code to them.
 """
 
 import math
@@ -157,3 +160,93 @@ def _is_int(token):
         return True
     except ValueError:
         return False
+
+
+# The pre-processing loops as they were before the prefix-walk segmenter
+# and the regex tokenizer: one character or one run size at a time.
+
+class ReferenceDictionarySegmenter:
+    """Greedy longest-match segmenter over a fixed word list.
+
+    Scans left to right and joins the longest run of syllables (up to
+    `max_syllables`) found in the lexicon. Tokens that already contain "_"
+    are opaque: they pass through unchanged and no run may span them.
+    """
+
+    def __init__(self, lexicon=(), max_syllables=4):
+        self.max_syllables = max_syllables
+        self.lexicon = frozenset(w.strip().lower().replace(" ", "_") for w in lexicon if w.strip())
+
+    def __call__(self, tokens):
+        out = []
+        n = len(tokens)
+        i = 0
+        while i < n:
+            if "_" in tokens[i]:
+                out.append(tokens[i])
+                i += 1
+                continue
+            match_len = 1
+            limit = min(self.max_syllables, n - i)
+            for size in range(limit, 1, -1):
+                run = tokens[i : i + size]
+                if any("_" in t for t in run):
+                    continue
+                if "_".join(run) in self.lexicon:
+                    match_len = size
+                    break
+            out.append("_".join(tokens[i : i + match_len]))
+            i += match_len
+        return out
+
+
+def reference_tokenize(text, punctuation):
+    """Split on whitespace and punctuation characters; punctuation is
+    consumed, everything else is preserved verbatim."""
+    tokens = []
+    current = []
+    for ch in text:
+        if ch.isspace() or ch in punctuation:
+            if current:
+                tokens.append("".join(current))
+                current = []
+        else:
+            current.append(ch)
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
+def reference_split_sentences(text, breaks=(".", "!", "?", "…", "\n")):
+    """Split a text on sentence-final marks and newlines."""
+    sentences = []
+    current = []
+    for ch in text:
+        if ch in breaks:
+            if current:
+                sentences.append("".join(current))
+                current = []
+        else:
+            current.append(ch)
+    if current:
+        sentences.append("".join(current))
+    return [s for s in sentences if s.strip()]
+
+
+def _reference_read_word_file(path):
+    words = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        entry = line.split("#", 1)[0].strip()
+        if entry:
+            words.append(entry)
+    return words
+
+
+def reference_load_stopwords(path):
+    """Stopword file: UTF-8, one word per line, '#' starts a comment."""
+    return frozenset(w.lower() for w in _reference_read_word_file(path))
+
+
+def reference_load_lexicon(path):
+    """Lexicon file: one word per line, syllables joined by '_' or spaces."""
+    return frozenset(w.lower().replace(" ", "_") for w in _reference_read_word_file(path))

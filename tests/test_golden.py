@@ -1,0 +1,47 @@
+"""Report bytes on the test fixtures, compared with committed outputs.
+
+Each file under `tests/data/golden/` is the `--out` file of the command
+listed for it below, run from the repository root. A change that alters a
+report on purpose regenerates the file with that command and says which
+bytes changed and why.
+"""
+
+import pytest
+
+from lexmrc.cli import EXIT_OK, run
+
+from conftest import DATA_DIR
+
+GOLDEN_DIR = DATA_DIR / "golden"
+DATASET = ["--dataset", str(DATA_DIR / "reasoning_fixtures.json")]
+LEXICON = ["--lexicon", str(DATA_DIR / "toy_lexicon.txt")]
+VECTORS = ["--embeddings", str(DATA_DIR / "toy_vectors.vec")]
+STOPWORDS = ["--stopwords", str(DATA_DIR / "toy_stopwords.txt")]
+
+
+def evaluate(method, *extra):
+    return ["evaluate", *DATASET, "--split", "dev", "--method", method, *VECTORS, *LEXICON,
+            *extra, "--format", "json"]
+
+
+COMMANDS = {
+    "evaluate_sw.json": evaluate("sw"),
+    "evaluate_sw_d.json": evaluate("sw_d"),
+    "evaluate_sw_d_web.json": evaluate("sw_d_web"),
+    # with stopwords, question_length is counted on the raw stem
+    "evaluate_sw_d_web_stopwords.json": evaluate("sw_d_web", *STOPWORDS),
+    "stats.plain": ["stats", *DATASET, *LEXICON, "--format", "plain"],
+    "stats.csv": ["stats", *DATASET, *LEXICON, "--format", "csv"],
+    "stats.json": ["stats", *DATASET, *LEXICON, "--format", "json"],
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_bytes_match_golden(name, tmp_path):
+    out = tmp_path / name
+    assert run(COMMANDS[name] + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()

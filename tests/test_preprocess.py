@@ -1,4 +1,5 @@
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,14 @@ from lexmrc.preprocess import (
     segment_words,
     split_sentences,
     tokenize,
+)
+
+from oracles import (
+    ReferenceDictionarySegmenter,
+    reference_load_lexicon,
+    reference_load_stopwords,
+    reference_split_sentences,
+    reference_tokenize,
 )
 
 BASIC = PreprocessConfig()
@@ -178,3 +187,101 @@ def test_processed_text_from_sentences_drops_empty():
     out = ProcessedText.from_sentences([["a"], [], ["b", "c"]])
     assert out.sentences == (("a",), ("b", "c"))
     assert out.flat == ("a", "b", "c")
+
+
+# -- the rewritten loops against the character-by-character originals -------
+
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+# every line boundary of str.splitlines, as written to a file
+LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SYLLABLES = st.text(alphabet="abđ_", max_size=3)  # "" and "_" tokens included
+REGEX_MARKS = list("]^\\-[.*+?()|$&~#")
+
+
+@st.composite
+def lexicon_entries(draw):
+    """Syllables joined by "_", a space or a newline, sometimes upper-cased
+    and padded with whitespace."""
+    parts = draw(st.lists(SYLLABLES, min_size=1, max_size=6))
+    entry = parts[0]
+    for part in parts[1:]:
+        entry += draw(st.sampled_from(["_", "_", "_", " ", "\n"])) + part
+    if draw(st.booleans()):
+        entry = entry.upper()
+    pad = st.text(alphabet=WHITESPACE, max_size=2)
+    return draw(pad) + entry + draw(pad)
+
+
+LEXICONS = st.one_of(
+    # normal entries, as load_lexicon returns them
+    st.frozensets(st.lists(st.text(alphabet="abđ", min_size=1, max_size=3), min_size=1,
+                           max_size=6).map("_".join), max_size=12),
+    st.frozensets(lexicon_entries(), max_size=12),
+    st.lists(lexicon_entries(), max_size=12),
+)
+
+
+class TestAgainstReference:
+    @given(LEXICONS, st.lists(SYLLABLES, max_size=14), st.integers(1, 5))
+    @settings(max_examples=500, deadline=None)
+    def test_segmenter(self, lexicon, tokens, max_syllables):
+        ref = ReferenceDictionarySegmenter(lexicon, max_syllables)
+        seg = DictionarySegmenter(lexicon, max_syllables)
+        assert seg.lexicon == ref.lexicon
+        assert seg(tokens) == ref(tokens)
+        # runs drawn from the entries themselves, so that long matches occur
+        planted = [t for w in sorted(ref.lexicon) for t in w.split("_")] + tokens
+        assert seg(planted) == ref(planted)
+
+    def test_normal_lexicon_is_kept(self, tmp_path):
+        f = tmp_path / "lex.txt"
+        f.write_text("học sinh\nđiện_thoại\ncô rét ti\n", encoding="utf-8")
+        lexicon = load_lexicon(f)
+        assert DictionarySegmenter(lexicon).lexicon is lexicon
+
+    def test_context_lowercasing_is_per_entry(self, tmp_path):
+        # a final capital sigma lowercases by its neighbours; each entry is
+        # its own context, also where the file text runs on past it
+        f = tmp_path / "lex.txt"
+        f.write_text("ΑΣ\nΣΑ\nΑΣ#Α\nΑΣ \u2028Α\n", encoding="utf-8")
+        assert load_lexicon(f) == reference_load_lexicon(f) == {"ας", "σα", "α"}
+        assert DictionarySegmenter(["ΑΣ_ΑΣ"]).lexicon == {"ας_ας"}
+
+    def test_islower_text_is_left_as_it_is_by_lower(self):
+        # the normal-lexicon check and the word-file reader skip lowercasing
+        # a text for which str.islower holds, that is, one without any
+        # upper-case or title-case character
+        changed = [c for c in map(chr, range(sys.maxunicode + 1))
+                   if not (c.isupper() or c.istitle()) and c.lower() != c]
+        assert changed == []
+
+    @given(st.text(alphabet="aĐ_…,." + "".join(REGEX_MARKS) + WHITESPACE[:8] + WHITESPACE[-8:],
+                   max_size=30),
+           st.frozensets(st.one_of(st.sampled_from(REGEX_MARKS + [",", "…", "a"]),
+                                   st.text(alphabet="a^]-", min_size=2, max_size=3)),
+                         max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_tokenize(self, text, punctuation):
+        assert tokenize(text, punctuation) == reference_tokenize(text, punctuation)
+        assert tokenize(text) == reference_tokenize(text, DEFAULT_PUNCTUATION)
+
+    def test_tokenize_every_whitespace_character(self):
+        text = "a".join(WHITESPACE) + "b"
+        assert tokenize(text) == reference_tokenize(text, DEFAULT_PUNCTUATION)
+        assert len(tokenize(text)) == len(WHITESPACE)
+
+    @given(st.text(alphabet="a .!?…\n\r\u2028" + WHITESPACE[-4:], max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_split_sentences(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+    @given(st.lists(st.tuples(st.one_of(lexicon_entries(), st.just("")),
+                              st.sampled_from(["", "", "#", "# note", "#x\ry", " #a b"]),
+                              st.sampled_from(LINE_ENDS)),
+                    max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_word_files(self, tmp_path_factory, lines):
+        f = tmp_path_factory.mktemp("words") / "words.txt"
+        f.write_bytes("".join(e + c + end for e, c, end in lines).encode("utf-8"))
+        assert load_lexicon(f) == reference_load_lexicon(f)
+        assert load_stopwords(f) == reference_load_stopwords(f)
