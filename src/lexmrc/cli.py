@@ -25,7 +25,6 @@ from pathlib import Path
 from .corpus import (
     Dataset,
     DatasetParseError,
-    DatasetStats,
     DatasetValidationError,
     OPTION_LABELS,
     SPLITS,
@@ -39,7 +38,9 @@ from .evaluation import (
     FACETS,
     compare_reports,
     evaluate,
+    evaluate_methods,
     render_report,
+    render_stats,
 )
 from .preprocess import (
     DictionarySegmenter,
@@ -268,63 +269,10 @@ def cmd_stats(cfg: RunConfig, cache: _EmbeddingCache) -> str:
 
 def cmd_compare(cfg: RunConfig, baseline: str, candidate: str, facet: str, cache: _EmbeddingCache) -> str:
     dataset, store, preprocess = _build_runtime(cfg, cache)
-    reports = []
-    for method in (baseline, candidate):
-        run_cfg = _method_config(cfg, preprocess, method)
-        reports.append(
-            evaluate(dataset, cfg.split, run_cfg, store if method == "sw_d_web" else None,
-                     workers=cfg.workers)
-        )
+    cfgs = [_method_config(cfg, preprocess, method) for method in (baseline, candidate)]
+    reports = evaluate_methods(dataset, cfg.split, cfgs, store, workers=cfg.workers)
     table = compare_reports(reports[0], reports[1], facet)
     return render_report(table, cfg.format)
-
-
-def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
-    def split_dict(s):
-        return {
-            "texts": s.texts,
-            "questions": s.questions,
-            "avg_text_length": s.avg_text_length,
-            "avg_question_length": s.avg_question_length,
-            "avg_option_length": s.avg_option_length,
-            "avg_correct_length": s.avg_correct_length,
-            "vocabulary": s.vocabulary,
-        }
-
-    if fmt == "json":
-        payload = {
-            "splits": {name: split_dict(s) for name, s in stats.splits.items()},
-            "overall": split_dict(stats.overall),
-            "grades": {
-                str(g): {"texts": s.texts, "questions": s.questions, "vocabulary": s.vocabulary}
-                for g, s in stats.grades.items()
-            },
-        }
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        lines = ["section,name,texts,questions,avg_text_length,avg_question_length,"
-                 "avg_option_length,avg_correct_length,vocabulary"]
-        for name, s in list(stats.splits.items()) + [("all", stats.overall)]:
-            lines.append(
-                f"split,{name},{s.texts},{s.questions},{s.avg_text_length!r},"
-                f"{s.avg_question_length!r},{s.avg_option_length!r},{s.avg_correct_length!r},"
-                f"{s.vocabulary}"
-            )
-        for g, s in stats.grades.items():
-            lines.append(f"grade,{g},{s.texts},{s.questions},,,,,{s.vocabulary}")
-        return "\n".join(lines) + "\n"
-    lines = ["split      texts  questions  avg_text  avg_question  avg_option  avg_correct  vocab"]
-    for name, s in list(stats.splits.items()) + [("all", stats.overall)]:
-        lines.append(
-            f"{name:<9}  {s.texts:>5}  {s.questions:>9}  {s.avg_text_length:>8.1f}"
-            f"  {s.avg_question_length:>12.1f}  {s.avg_option_length:>10.1f}"
-            f"  {s.avg_correct_length:>11.1f}  {s.vocabulary:>5}"
-        )
-    lines.append("")
-    lines.append("grade  texts  questions  vocab")
-    for g, s in stats.grades.items():
-        lines.append(f"{g:<5}  {s.texts:>5}  {s.questions:>9}  {s.vocabulary:>5}")
-    return "\n".join(lines) + "\n"
 
 
 class _ParserExit(Exception):
@@ -385,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--facet", required=True, choices=list(FACETS))
 
     p_batch = sub.add_parser("batch", help="run commands from a file, one per line")
-    p_batch.add_argument("file", help="command file; '#' starts a comment")
+    p_batch.add_argument("file", help="command file; an unquoted '#' starts a comment")
     return parser
 
 
@@ -417,7 +365,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if value is None:
                 continue
             want = int if key in _INT_FIELDS else str
-            if not isinstance(value, want):
+            # bool subclasses int: `true` is not a seed or a worker count
+            if not isinstance(value, want) or isinstance(value, bool):
                 raise ConfigError(f"config key {key!r} must be a {want.__name__}")
             setattr(cfg, key, value)
     for key in _CONFIG_FIELDS:
@@ -476,14 +425,13 @@ def _run_batch(path: str, cache: _EmbeddingCache) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
         try:
-            argv = shlex.split(line)
+            argv = shlex.split(line, comments=True)  # a quoted '#' is no comment
         except ValueError as exc:
             print(f"error: {path}:{lineno}: {exc}", file=sys.stderr)
             return EXIT_IO
+        if not argv:
+            continue
         try:
             args = _parser().parse_args(argv)
         except _ParserExit as exc:

@@ -1,5 +1,5 @@
 """Split evaluation, faceted accuracy tables, method comparison, and
-report rendering.
+report and statistics rendering.
 
 Questions are scored in dataset order; the per-question records keep the
 full score breakdown so analyses never need a re-run. Facets follow the
@@ -16,11 +16,20 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
-from .corpus import Dataset, GRADES, REASONING_TYPES, count_words, filter_dataset
+from .corpus import (
+    Dataset,
+    DatasetStats,
+    GRADES,
+    MCQuestion,
+    REASONING_TYPES,
+    count_words,
+    filter_dataset,
+)
 from .embedding import EmbeddingStore
 from .preprocess import DEFAULT_PUNCTUATION, preprocess_sentence, preprocess_text
-from .scoring import MethodConfig, ScoreBreakdown, TextIndex, predict_indexed
+from .scoring import MethodConfig, OptionScores, ScoreBreakdown, TextIndex, decide, score_options
 
 __all__ = [
     "EmptySplitError",
@@ -31,8 +40,10 @@ __all__ = [
     "PredictionRecord",
     "compare_reports",
     "evaluate",
+    "evaluate_methods",
     "facet_breakdown",
     "render_report",
+    "render_stats",
 ]
 
 FACETS = ("question_length", "grade", "reasoning_type")
@@ -113,74 +124,88 @@ def evaluate(
     store: EmbeddingStore | None = None,
     workers: int = 1,
 ) -> EvaluationReport:
-    """Predict every question of `split` and compute the accuracy.
+    """Predict every question of `split` and compute the accuracy; see
+    `evaluate_methods`."""
+    return evaluate_methods(dataset, split, (cfg,), store, workers)[0]
 
-    Reading texts are pre-processed once and shared. With workers > 1 the
-    questions are scored in a thread pool; records always come back in
-    dataset order, so the report is identical for any worker count.
+
+def evaluate_methods(
+    dataset: Dataset,
+    split: str,
+    cfgs: Sequence[MethodConfig],
+    store: EmbeddingStore | None = None,
+    workers: int = 1,
+) -> tuple[EvaluationReport, ...]:
+    """One report per config in `cfgs`, each equal to what `evaluate`
+    gives for it alone, from one pass over the split.
+
+    The configs share one pre-processing config. Each text is pre-processed
+    and indexed once, each stem and option is pre-processed once, and each
+    component score is computed once for all configs (`score_options`).
+    With workers > 1 the questions are scored in a thread pool; records
+    always come back in dataset order, and a random config draws from its
+    own generator in question order, so the reports are identical for any
+    worker count.
     """
+    preprocess = cfgs[0].preprocess
+    if any(cfg.preprocess != preprocess for cfg in cfgs):
+        raise ValueError("method configs must share one pre-processing config")
     subset = filter_dataset(dataset, split=split)
     if not subset.questions:
         raise EmptySplitError(f"split {split!r} contains no questions")
-    if cfg.method == "sw_d_web" and store is None:
+    need_web = any(cfg.method == "sw_d_web" for cfg in cfgs)
+    if need_web and store is None:
         raise ValueError("method 'sw_d_web' requires an embedding store")
 
-    need_store = store if cfg.method == "sw_d_web" else None
     indexes = {
-        t.id: TextIndex(preprocess_text(t.body, cfg.preprocess), need_store)
+        t.id: TextIndex(preprocess_text(t.body, preprocess), store if need_web else None)
         for t in subset.texts
     }
     grades = {t.id: t.grade for t in subset.texts}
 
-    # the random method draws in question order from one run-owned generator
-    random_picks = None
-    if cfg.method == "random":
-        rng = random.Random(cfg.random_seed)
-        random_picks = [rng.randrange(4) for _ in subset.questions]
-
     # question_length counts the segmented raw stem. Without stopwords and
     # with the default punctuation that is the cleaned stem itself; removing
     # stopwords first can create joins the raw stem does not have.
-    stem_is_raw = not cfg.preprocess.stopwords and cfg.preprocess.punctuation == DEFAULT_PUNCTUATION
+    stem_is_raw = not preprocess.stopwords and preprocess.punctuation == DEFAULT_PUNCTUATION
 
-    def score(pos: int) -> PredictionRecord:
-        q = subset.questions[pos]
-        question_words = preprocess_sentence(q.stem, cfg.preprocess)
-        option_words = [preprocess_sentence(o, cfg.preprocess) for o in q.options]
-        if random_picks is not None:
-            zeros = (0.0, 0.0, 0.0, 0.0)
-            breakdown = ScoreBreakdown(
-                sw=zeros, dist=zeros, web=zeros, final=zeros,
-                predicted=random_picks[pos], method=cfg.method,
-            )
-        else:
-            breakdown = predict_indexed(indexes[q.text_id], question_words, option_words, cfg)
-        return PredictionRecord(
-            question_id=q.id,
-            predicted=breakdown.predicted,
-            gold=q.gold,
-            correct=breakdown.predicted == q.gold,
-            breakdown=breakdown,
-            question_length=(len(question_words) if stem_is_raw
-                             else count_words(q.stem, cfg.preprocess.segmenter)),
-            grade=grades[q.text_id],
-            reasoning_type=q.reasoning_type,
-        )
+    def score(q: MCQuestion) -> tuple[int, OptionScores]:
+        question_words = preprocess_sentence(q.stem, preprocess)
+        option_words = [preprocess_sentence(o, preprocess) for o in q.options]
+        length = (len(question_words) if stem_is_raw
+                  else count_words(q.stem, preprocess.segmenter))
+        return length, score_options(indexes[q.text_id], question_words, option_words, cfgs)
 
-    positions = range(len(subset.questions))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(score, positions))
+            scored = list(pool.map(score, subset.questions))
     else:
-        records = tuple(score(i) for i in positions)
-    accuracy = sum(r.correct for r in records) / len(records)
-    config = {
-        "method": cfg.method,
-        "distance_aggregation": cfg.distance_aggregation,
-        "random_seed": cfg.random_seed,
-        "split": split,
-    }
-    return EvaluationReport(config=config, records=records, accuracy=accuracy)
+        scored = [score(q) for q in subset.questions]
+
+    reports = []
+    for cfg in cfgs:
+        rng = random.Random(cfg.random_seed) if cfg.method == "random" else None
+        records = []
+        for q, (length, scores) in zip(subset.questions, scored):
+            breakdown = decide(scores, cfg, rng)
+            records.append(PredictionRecord(
+                question_id=q.id,
+                predicted=breakdown.predicted,
+                gold=q.gold,
+                correct=breakdown.predicted == q.gold,
+                breakdown=breakdown,
+                question_length=length,
+                grade=grades[q.text_id],
+                reasoning_type=q.reasoning_type,
+            ))
+        config = {
+            "method": cfg.method,
+            "distance_aggregation": cfg.distance_aggregation,
+            "random_seed": cfg.random_seed,
+            "split": split,
+        }
+        accuracy = sum(r.correct for r in records) / len(records)
+        reports.append(EvaluationReport(config=config, records=tuple(records), accuracy=accuracy))
+    return tuple(reports)
 
 
 def _length_bin(words: int) -> str:
@@ -370,3 +395,53 @@ def render_report(obj, fmt: str = "plain") -> str:
             )
         return json.dumps(_improvement_dict(obj), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
     raise TypeError(f"cannot render {type(obj).__name__}")
+
+
+def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
+    """Deterministic rendering of dataset statistics as plain text, CSV,
+    or JSON."""
+    def split_dict(s):
+        return {
+            "texts": s.texts,
+            "questions": s.questions,
+            "avg_text_length": s.avg_text_length,
+            "avg_question_length": s.avg_question_length,
+            "avg_option_length": s.avg_option_length,
+            "avg_correct_length": s.avg_correct_length,
+            "vocabulary": s.vocabulary,
+        }
+
+    if fmt == "json":
+        payload = {
+            "splits": {name: split_dict(s) for name, s in stats.splits.items()},
+            "overall": split_dict(stats.overall),
+            "grades": {
+                str(g): {"texts": s.texts, "questions": s.questions, "vocabulary": s.vocabulary}
+                for g, s in stats.grades.items()
+            },
+        }
+        return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["section,name,texts,questions,avg_text_length,avg_question_length,"
+                 "avg_option_length,avg_correct_length,vocabulary"]
+        for name, s in list(stats.splits.items()) + [("all", stats.overall)]:
+            lines.append(
+                f"split,{name},{s.texts},{s.questions},{s.avg_text_length!r},"
+                f"{s.avg_question_length!r},{s.avg_option_length!r},{s.avg_correct_length!r},"
+                f"{s.vocabulary}"
+            )
+        for g, s in stats.grades.items():
+            lines.append(f"grade,{g},{s.texts},{s.questions},,,,,{s.vocabulary}")
+        return "\n".join(lines) + "\n"
+    lines = ["split      texts  questions  avg_text  avg_question  avg_option  avg_correct  vocab"]
+    for name, s in list(stats.splits.items()) + [("all", stats.overall)]:
+        lines.append(
+            f"{name:<9}  {s.texts:>5}  {s.questions:>9}  {s.avg_text_length:>8.1f}"
+            f"  {s.avg_question_length:>12.1f}  {s.avg_option_length:>10.1f}"
+            f"  {s.avg_correct_length:>11.1f}  {s.vocabulary:>5}"
+        )
+    lines.append("")
+    lines.append("grade  texts  questions  vocab")
+    for g, s in stats.grades.items():
+        lines.append(f"{g:<5}  {s.texts:>5}  {s.questions:>9}  {s.vocabulary:>5}")
+    return "\n".join(lines) + "\n"

@@ -34,12 +34,14 @@ from .preprocess import PreprocessConfig, ProcessedText, WordList
 __all__ = [
     "METHODS",
     "MethodConfig",
+    "OptionScores",
     "ScoreBreakdown",
     "TextIndex",
     "boosted_score",
+    "decide",
     "distance_score",
     "predict",
-    "predict_indexed",
+    "score_options",
     "sliding_window_score",
     "term_counts",
 ]
@@ -193,18 +195,52 @@ def predict(
     if cfg.method == "sw_d_web" and store is None:
         raise ValueError("method 'sw_d_web' requires an embedding store")
     index = TextIndex(text, store if cfg.method == "sw_d_web" else None)
-    return predict_indexed(index, question, options, cfg, rng)
+    return decide(score_options(index, question, options, (cfg,)), cfg, rng)
 
 
-def predict_indexed(
+@dataclass(frozen=True)
+class OptionScores:
+    """The component scores of a question's four options: `sw`, `d` per
+    distance aggregation, and `web`; a component no config asked for is
+    None (`d`: absent)."""
+
+    sw: tuple[float, float, float, float] | None
+    dist: dict[str, tuple[float, float, float, float]]
+    web: tuple[float, float, float, float] | None
+
+
+def score_options(
     index: TextIndex,
     question: WordList,
     options: Sequence[WordList],
-    cfg: MethodConfig,
-    rng: random.Random | None = None,
-) -> ScoreBreakdown:
+    cfgs: Sequence[MethodConfig],
+) -> OptionScores:
+    """Every component score that some config in `cfgs` needs, each
+    computed once: `sw` for any non-random method, `d` once per distinct
+    aggregation of the sw_d and sw_d_web configs, and `web` for sw_d_web."""
     if len(options) != 4:
         raise ValueError(f"expected exactly 4 options, got {len(options)}")
+    methods = {cfg.method for cfg in cfgs}
+    if methods <= {"random"}:
+        return OptionScores(sw=None, dist={}, web=None)
+    question_set = set(question)
+    option_sets = [set(o) for o in options]
+    sw = tuple(index.window_score(question_set | o) for o in option_sets)
+    aggregations = dict.fromkeys(
+        cfg.distance_aggregation for cfg in cfgs if cfg.method in ("sw_d", "sw_d_web")
+    )
+    dist = {
+        agg: tuple(index.distance(question_set, o, agg) for o in option_sets)
+        for agg in aggregations
+    }
+    web = tuple(index.boost(o) for o in options) if "sw_d_web" in methods else None
+    return OptionScores(sw=sw, dist=dist, web=web)
+
+
+def decide(scores: OptionScores, cfg: MethodConfig, rng: random.Random | None = None) -> ScoreBreakdown:
+    """The final scores of `cfg`'s method and its winner, the lowest index
+    among equal finals. The random method draws from `rng`, or from a
+    fresh generator seeded with cfg.random_seed."""
     zeros = (0.0, 0.0, 0.0, 0.0)
     if cfg.method == "random":
         if rng is None:
@@ -213,16 +249,9 @@ def predict_indexed(
             sw=zeros, dist=zeros, web=zeros, final=zeros,
             predicted=rng.randrange(4), method=cfg.method,
         )
-    question_set = set(question)
-    sw = tuple(index.window_score(question_set | set(o)) for o in options)
-    dist = zeros
-    web = zeros
-    if cfg.method in ("sw_d", "sw_d_web"):
-        dist = tuple(
-            index.distance(question_set, set(o), cfg.distance_aggregation) for o in options
-        )
-    if cfg.method == "sw_d_web":
-        web = tuple(index.boost(o) for o in options)
+    sw = scores.sw
+    dist = zeros if cfg.method == "sw" else scores.dist[cfg.distance_aggregation]
+    web = scores.web if cfg.method == "sw_d_web" else zeros
     if cfg.method == "sw":
         final = sw
     elif cfg.method == "sw_d":

@@ -3,7 +3,9 @@
 Everything here is deliberately naive pure Python: windows are enumerated
 one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
-but `reference_load_embeddings`' error class and the store it fills.
+but `reference_load_embeddings`' error class and the store it fills, and
+the pre-processing, `TextIndex` and report types `reference_evaluate`
+runs on.
 
 The `reference_*` functions are earlier versions of package code, kept
 unchanged so that differential tests can hold the current code to them.
@@ -15,7 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from lexmrc.corpus import count_words, filter_dataset
 from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore
+from lexmrc.evaluation import EvaluationReport, PredictionRecord
+from lexmrc.preprocess import preprocess_sentence, preprocess_text
+from lexmrc.scoring import ScoreBreakdown, TextIndex
 
 
 def window_score_oracle(tokens, question, option):
@@ -250,3 +256,62 @@ def reference_load_stopwords(path):
 def reference_load_lexicon(path):
     """Lexicon file: one word per line, syllables joined by '_' or spaces."""
     return frozenset(w.lower().replace(" ", "_") for w in _reference_read_word_file(path))
+
+
+def _reference_predict_indexed(index, question, options, cfg):
+    zeros = (0.0, 0.0, 0.0, 0.0)
+    question_set = set(question)
+    sw = tuple(index.window_score(question_set | set(o)) for o in options)
+    dist = zeros
+    web = zeros
+    if cfg.method in ("sw_d", "sw_d_web"):
+        dist = tuple(
+            index.distance(question_set, set(o), cfg.distance_aggregation) for o in options
+        )
+    if cfg.method == "sw_d_web":
+        web = tuple(index.boost(o) for o in options)
+    if cfg.method == "sw":
+        final = sw
+    elif cfg.method == "sw_d":
+        final = tuple(s - d for s, d in zip(sw, dist))
+    else:
+        final = tuple(s - d + w for s, d, w in zip(sw, dist, web))
+    best = 0
+    for i in range(1, 4):
+        if final[i] > final[best]:
+            best = i
+    return ScoreBreakdown(sw=sw, dist=dist, web=web, final=final, predicted=best,
+                          method=cfg.method)
+
+
+def reference_evaluate(dataset, split, cfg, store=None):
+    """One method's report, the way `evaluate` made it before the methods
+    of a comparison shared one pass: its own pre-processing, its own
+    indexes and its own component scores."""
+    subset = filter_dataset(dataset, split=split)
+    need_store = store if cfg.method == "sw_d_web" else None
+    indexes = {t.id: TextIndex(preprocess_text(t.body, cfg.preprocess), need_store)
+               for t in subset.texts}
+    grades = {t.id: t.grade for t in subset.texts}
+    rng = random.Random(cfg.random_seed) if cfg.method == "random" else None
+    records = []
+    for q in subset.questions:
+        question_words = preprocess_sentence(q.stem, cfg.preprocess)
+        option_words = [preprocess_sentence(o, cfg.preprocess) for o in q.options]
+        if rng is not None:
+            zeros = (0.0, 0.0, 0.0, 0.0)
+            breakdown = ScoreBreakdown(sw=zeros, dist=zeros, web=zeros, final=zeros,
+                                       predicted=rng.randrange(4), method=cfg.method)
+        else:
+            breakdown = _reference_predict_indexed(indexes[q.text_id], question_words,
+                                                   option_words, cfg)
+        records.append(PredictionRecord(
+            question_id=q.id, predicted=breakdown.predicted, gold=q.gold,
+            correct=breakdown.predicted == q.gold, breakdown=breakdown,
+            question_length=count_words(q.stem, cfg.preprocess.segmenter),
+            grade=grades[q.text_id], reasoning_type=q.reasoning_type,
+        ))
+    config = {"method": cfg.method, "distance_aggregation": cfg.distance_aggregation,
+              "random_seed": cfg.random_seed, "split": split}
+    accuracy = sum(r.correct for r in records) / len(records)
+    return EvaluationReport(config=config, records=tuple(records), accuracy=accuracy)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from lexmrc import cli
+from lexmrc import cli, evaluation, scoring
 from lexmrc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, run
+from lexmrc.corpus import load_dataset
 from lexmrc.embedding import EmbeddingStore
 
 from conftest import DATA_DIR
@@ -259,6 +260,24 @@ class TestCompare:
         payload = json.loads(out)
         assert all(row["improvement"] >= 0.0 for row in payload["rows"])
 
+    def test_each_question_is_scored_once(self, monkeypatch, tmp_path):
+        builds = count_calls(monkeypatch, scoring.TextIndex, "__init__")
+        sentences = count_calls(monkeypatch, evaluation, "preprocess_sentence")
+        windows = count_calls(monkeypatch, scoring.TextIndex, "window_score")
+        assert run(["compare", "--dataset", FIXTURES, "--split", "dev", "--baseline", "sw",
+                    "--candidate", "sw_d_web", "--facet", "grade", "--embeddings", VECTORS,
+                    "--lexicon", LEXICON, "--out", str(tmp_path / "table.txt")]) == EXIT_OK
+        dataset = load_dataset(FIXTURES)
+        questions = [q for q in dataset.questions if q.split == "dev"]
+        texts = {q.text_id for q in questions}
+        # one index per text, built with the store the sw_d_web side needs
+        assert len(builds) == len({args[1].flat for args in builds}) == len(texts)
+        assert all(isinstance(args[2], EmbeddingStore) for args in builds)
+        # one pre-processing of each stem and option, one sw per option
+        assert [args[0] for args in sentences] == [
+            s for q in questions for s in (q.stem, *q.options)]
+        assert len(windows) == 4 * len(questions)
+
 
 class TestConfigFile:
     def test_config_defaults_with_flag_override(self, capsys, tmp_path):
@@ -280,6 +299,18 @@ class TestConfigFile:
         code, _, err = invoke(capsys, "evaluate", "--config", str(f))
         assert code == EXIT_CONFIG
         assert "no_such_key" in err
+
+    @pytest.mark.parametrize("values", [
+        {"seed": True, "workers": True}, {"seed": True}, {"workers": True}, {"seed": False},
+    ])
+    def test_boolean_is_not_an_integer(self, capsys, tmp_path, values):
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps(values), encoding="utf-8")
+        code, out, err = invoke(capsys, "evaluate", "--config", str(f), "--dataset", FIXTURES,
+                                "--split", "dev", "--method", "random", "--seed", "1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: config key {next(iter(values))!r} must be a int\n"
 
     def test_wrongly_typed_config_value(self, capsys, tmp_path):
         f = tmp_path / "run.json"
@@ -370,6 +401,25 @@ class TestBatch:
         assert err.startswith(f"error: {batch}:2: {message}")
         assert len(err.splitlines()) == 1
         assert before.exists() and not after.exists()
+
+    def test_quoted_hash_is_no_comment(self, capsys, tmp_path):
+        folder = tmp_path / "h#dir"
+        folder.mkdir()
+        (folder / "d.json").write_bytes(Path(FIXTURES).read_bytes())
+        quoted, cut = tmp_path / "quoted.txt", tmp_path / "cut.txt"
+        batch = tmp_path / "cmds.txt"
+        batch.write_text(
+            "# it's a comment line, with an unbalanced quote\n"
+            f"stats --dataset \"{folder}/d.json\" --out {quoted}  # trailing comment\n"
+            f"stats --dataset '{folder}/d.json' --out {cut}#an unquoted '#' still cuts\n"
+            "   # an indented comment\n",
+            encoding="utf-8",
+        )
+        code, out, err = invoke(capsys, "batch", str(batch))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        _, alone, _ = invoke(capsys, "stats", "--dataset", FIXTURES)
+        assert quoted.read_text(encoding="utf-8") == alone
+        assert cut.read_text(encoding="utf-8") == alone
 
     def test_batch_line_asking_for_help(self, capsys, tmp_path):
         out_file = tmp_path / "stats.txt"

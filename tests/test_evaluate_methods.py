@@ -1,0 +1,132 @@
+"""`evaluate_methods` scores a split once for several methods; each of its
+reports must be what a separate `evaluate` gives, byte for byte, and what
+the earlier one-method evaluate (`oracles.reference_evaluate`) gives."""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from lexmrc.corpus import Dataset, MCQuestion, ReadingText
+from lexmrc.embedding import EmbeddingStore
+from lexmrc.evaluation import evaluate, evaluate_methods, render_report
+from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig, preprocess_text
+from lexmrc.scoring import METHODS, MethodConfig, TextIndex, score_options
+
+from oracles import reference_evaluate
+
+SYLLABLES = ("mèo", "chó", "ngủ", "chạy", "sân", "ghế", "học", "sinh", "giáo", "viên",
+             "nhà", "trường", "và", "là", "của", "Mèo", "Học")
+LEXICON = frozenset({"học_sinh", "giáo_viên", "nhà_trường", "mèo_chó"})
+STOPWORDS = frozenset({"và", "là", "của"})
+REASONING = ("WM", "PP", "SSR", "MSR", "AoI", None)
+
+
+def build_dataset():
+    """Small texts over a small vocabulary, so sw ties, neutral distances,
+    segmenter joins, stopword-only options and zero-support boosts all
+    occur."""
+    rng = random.Random(20131018)
+
+    def words(low, high):
+        return " ".join(rng.choice(SYLLABLES) for _ in range(rng.randint(low, high)))
+
+    texts = tuple(
+        ReadingText(id=f"t{i}", grade=i % 5 + 1,
+                    body=". ".join(words(0, 9) for _ in range(rng.randint(1, 4))) + "!")
+        for i in range(7)
+    )
+    questions = tuple(
+        MCQuestion(
+            id=f"q{i}", text_id=f"t{i % len(texts)}", stem=words(1, 8) + "?",
+            options=tuple(words(0, 4) or "…" for _ in range(4)), gold=rng.randrange(4),
+            split="dev" if i % 5 else "test", reasoning_type=REASONING[i % len(REASONING)],
+        )
+        for i in range(60)
+    )
+    return Dataset(texts=texts, questions=questions)
+
+
+def build_store():
+    rng = np.random.default_rng(5)
+    vocab = sorted({s.lower() for s in SYLLABLES} | LEXICON)
+    # a few words stay out of the store: spans and options without support
+    return EmbeddingStore(3, {w: rng.normal(size=3) for w in vocab if w not in ("sân", "học_sinh")})
+
+
+DATASET = build_dataset()
+STORE = build_store()
+SEGMENTER = DictionarySegmenter(LEXICON)
+PREPROCESS = {
+    False: PreprocessConfig(segmenter=SEGMENTER),
+    True: PreprocessConfig(stopwords=STOPWORDS, segmenter=SEGMENTER),
+}
+
+
+def config(method, aggregation, stopwords):
+    return MethodConfig(method=method, distance_aggregation=aggregation,
+                        random_seed=11 if method == "random" else None,
+                        preprocess=PREPROCESS[stopwords])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stopwords", [False, True], ids=["plain", "stopwords"])
+@pytest.mark.parametrize("aggregation", ["min", "max"])
+@pytest.mark.parametrize("baseline,candidate", list(itertools.product(METHODS, repeat=2)))
+def test_shared_pass_equals_separate_evaluates(baseline, candidate, aggregation, stopwords,
+                                               workers):
+    cfgs = [config(m, aggregation, stopwords) for m in (baseline, candidate)]
+    shared = evaluate_methods(DATASET, "dev", cfgs, STORE, workers=workers)
+    assert len(shared) == 2
+    for cfg, report in zip(cfgs, shared):
+        alone = evaluate(DATASET, "dev", cfg, STORE, workers=workers)
+        assert report.records == alone.records
+        assert report == alone
+        assert report == reference_evaluate(DATASET, "dev", cfg, STORE)
+        for fmt in ("plain", "csv", "json"):
+            assert render_report(report, fmt) == render_report(alone, fmt)
+
+
+def test_every_method_and_aggregation_in_one_pass():
+    cfgs = [config(m, agg, True) for m in METHODS for agg in ("min", "max")]
+    shared = evaluate_methods(DATASET, "dev", cfgs, STORE)
+    for cfg, report in zip(cfgs, shared):
+        assert render_report(report, "json") == render_report(
+            reference_evaluate(DATASET, "dev", cfg, STORE), "json")
+
+
+def test_text_indexes_carry_the_store_only_for_web(monkeypatch):
+    stores = []
+    real = TextIndex.__init__
+
+    def counted(self, text, store=None):
+        stores.append(store)
+        real(self, text, store)
+
+    monkeypatch.setattr(TextIndex, "__init__", counted)
+    evaluate_methods(DATASET, "dev", [config("sw", "min", False), config("sw_d", "max", False)],
+                     STORE)
+    assert stores and all(s is None for s in stores)
+    stores.clear()
+    evaluate_methods(DATASET, "dev", [config("sw", "min", False), config("sw_d_web", "max", False)],
+                     STORE)
+    assert stores and all(s is STORE for s in stores)
+
+
+def test_random_only_computes_no_component():
+    index = TextIndex(preprocess_text("mèo ngủ", PREPROCESS[False]))
+    scores = score_options(index, ["mèo"], [["mèo"], [], ["chó"], ["ngủ"]],
+                           [config("random", "min", False)])
+    assert (scores.sw, scores.dist, scores.web) == (None, {}, None)
+
+
+def test_configs_must_share_preprocessing():
+    with pytest.raises(ValueError, match="pre-processing"):
+        evaluate_methods(DATASET, "dev", [config("sw", "min", False), config("sw", "min", True)])
+
+
+def test_web_config_requires_a_store():
+    with pytest.raises(ValueError, match="embedding store"):
+        evaluate_methods(DATASET, "dev", [config("sw", "min", False),
+                                          config("sw_d_web", "min", False)])

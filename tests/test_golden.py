@@ -24,12 +24,24 @@ def evaluate(method, *extra):
             *extra, "--format", "json"]
 
 
+def compare(baseline, candidate, facet, fmt, *extra):
+    return ["compare", *DATASET, "--split", "dev", "--baseline", baseline,
+            "--candidate", candidate, "--facet", facet, *VECTORS, *LEXICON, *extra,
+            "--format", fmt]
+
+
 COMMANDS = {
     "evaluate_sw.json": evaluate("sw"),
     "evaluate_sw_d.json": evaluate("sw_d"),
     "evaluate_sw_d_web.json": evaluate("sw_d_web"),
     # with stopwords, question_length is counted on the raw stem
     "evaluate_sw_d_web_stopwords.json": evaluate("sw_d_web", *STOPWORDS),
+    "compare_sw_sw_d.json": compare("sw", "sw_d", "reasoning_type", "json"),
+    "compare_sw_d_sw_d_web.plain": compare("sw_d", "sw_d_web", "question_length", "plain"),
+    "compare_sw_d_sw_d_web.csv": compare("sw_d", "sw_d_web", "grade", "csv"),
+    "compare_sw_sw_d_web_stopwords.json": compare("sw", "sw_d_web", "question_length", "json",
+                                                  *STOPWORDS),
+    "compare_random_sw.plain": compare("random", "sw", "reasoning_type", "plain", "--seed", "7"),
     "stats.plain": ["stats", *DATASET, *LEXICON, "--format", "plain"],
     "stats.csv": ["stats", *DATASET, *LEXICON, "--format", "csv"],
     "stats.json": ["stats", *DATASET, *LEXICON, "--format", "json"],
