@@ -93,6 +93,10 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.workers < 1:
             raise ConfigError("--workers must be >= 1")
+        for flag, path in (("--dataset", self.dataset), ("--embeddings", self.embeddings),
+                           ("--stopwords", self.stopwords), ("--lexicon", self.lexicon),
+                           ("--out", self.out)):
+            _check_path(flag, path)
         for method in methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}")
@@ -100,6 +104,13 @@ class RunConfig:
                 raise ConfigError("method sw_d_web requires --embeddings")
             if method == "random" and self.seed is None:
                 raise ConfigError("method random requires --seed")
+
+
+def _check_path(flag: str, path: str | None) -> None:
+    """The OS takes no path with a NUL byte in it; say so as a config
+    error rather than let the open fail with a ValueError."""
+    if path and "\0" in path:
+        raise ConfigError(f"{flag} path contains a NUL byte")
 
 
 def _stamp(files) -> tuple:
@@ -353,6 +364,7 @@ _INT_FIELDS = ("seed", "workers")
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
+        _check_path("--config", args.config)
         try:
             defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -364,10 +376,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             if value is None:
                 continue
-            want = int if key in _INT_FIELDS else str
+            want, noun = (int, "an integer") if key in _INT_FIELDS else (str, "a string")
             # bool subclasses int: `true` is not a seed or a worker count
             if not isinstance(value, want) or isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be a {want.__name__}")
+                raise ConfigError(f"config key {key!r} must be {noun}")
             setattr(cfg, key, value)
     for key in _CONFIG_FIELDS:
         value = getattr(args, key, None)
@@ -413,12 +425,15 @@ def run(argv: list[str] | argparse.Namespace, cache: _EmbeddingCache | None = No
     except (DatasetParseError, EmbeddingFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 
 def _run_batch(path: str, cache: _EmbeddingCache) -> int:
+    if "\0" in path:
+        print("error: batch file path contains a NUL byte", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:

@@ -15,7 +15,7 @@ import io
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import (
@@ -56,6 +56,10 @@ LENGTH_BINS = (
     ("21-25", 21, 25),
     (">=26", 26, None),
 )
+
+
+# the component scores of a question when every config is random
+_NO_SCORES = OptionScores(sw=None, dist={}, web=None)
 
 
 class EmptySplitError(ValueError):
@@ -157,10 +161,12 @@ def evaluate_methods(
     if need_web and store is None:
         raise ValueError("method 'sw_d_web' requires an embedding store")
 
+    # the random method reads no index: a random-only run skips the texts
+    need_index = any(cfg.method != "random" for cfg in cfgs)
     indexes = {
         t.id: TextIndex(preprocess_text(t.body, preprocess), store if need_web else None)
         for t in subset.texts
-    }
+    } if need_index else {}
     grades = {t.id: t.grade for t in subset.texts}
 
     # question_length counts the segmented raw stem. Without stopwords and
@@ -170,9 +176,11 @@ def evaluate_methods(
 
     def score(q: MCQuestion) -> tuple[int, OptionScores]:
         question_words = preprocess_sentence(q.stem, preprocess)
-        option_words = [preprocess_sentence(o, preprocess) for o in q.options]
         length = (len(question_words) if stem_is_raw
                   else count_words(q.stem, preprocess.segmenter))
+        if not need_index:
+            return length, _NO_SCORES
+        option_words = [preprocess_sentence(o, preprocess) for o in q.options]
         return length, score_options(indexes[q.text_id], question_words, option_words, cfgs)
 
     if workers > 1:
@@ -281,11 +289,28 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}%"
 
 
+def _record_dict(r: PredictionRecord) -> dict:
+    b = r.breakdown
+    return {
+        "question_id": r.question_id,
+        "predicted": r.predicted,
+        "gold": r.gold,
+        "correct": r.correct,
+        "breakdown": {
+            "sw": b.sw, "dist": b.dist, "web": b.web, "final": b.final,
+            "predicted": b.predicted, "method": b.method,
+        },
+        "question_length": r.question_length,
+        "grade": r.grade,
+        "reasoning_type": r.reasoning_type,
+    }
+
+
 def _report_dict(report: EvaluationReport) -> dict:
     return {
         "config": report.config,
         "accuracy": report.accuracy,
-        "records": [asdict(r) for r in report.records],
+        "records": [_record_dict(r) for r in report.records],
     }
 
 
@@ -301,7 +326,14 @@ def _facet_dict(table: FacetTable) -> dict:
 
 
 def _improvement_dict(table: ImprovementTable) -> dict:
-    return {"facet": table.facet, "rows": [asdict(r) for r in table.rows]}
+    return {
+        "facet": table.facet,
+        "rows": [
+            {"label": r.label, "ratio": r.ratio, "baseline_accuracy": r.baseline_accuracy,
+             "method_accuracy": r.method_accuracy, "improvement": r.improvement}
+            for r in table.rows
+        ],
+    }
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

@@ -3,18 +3,23 @@
 One vectorized numpy function per job: the best window sum of token
 weights (`sw`), the extreme distance between two sets of positions (`d`)
 and the best cosine between a target vector and a window's mean vector
-(`web`). `BACKEND` names the build for reports that record it.
+(`web`), over window means that `window_means` forms once per text and
+width. `BACKEND` names the build for reports that record it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
+    "WindowMeans",
     "extreme_pair_distance",
     "max_window_cosine",
     "max_window_sum",
+    "window_means",
 ]
 
 BACKEND = "numpy"
@@ -50,32 +55,55 @@ def extreme_pair_distance(pos_a: np.ndarray, pos_b: np.ndarray, use_max: bool) -
     return int(dist[valid].max() if use_max else dist[valid].min())
 
 
-def max_window_cosine(
-    vec_prefix: np.ndarray,
-    cnt_prefix: np.ndarray,
-    target: np.ndarray,
-    width: int,
-) -> float:
-    """Best cosine between `target` and the mean vector of any window.
+class WindowMeans(NamedTuple):
+    """The window means of one text at one width, as `max_window_cosine`
+    scores them: the mean vectors and norms of the valid windows (at least
+    one known token, nonzero norm) and which windows those are."""
+
+    means: np.ndarray  # (valid windows, dim)
+    norms: np.ndarray  # (valid windows,)
+    valid: np.ndarray  # (windows,) bool
+
+
+def window_means(vec_prefix: np.ndarray, cnt_prefix: np.ndarray, width: int) -> WindowMeans:
+    """The mean vector of every window of `width` tokens (all n tokens when
+    `width` >= n), from the running sums of a text.
 
     `vec_prefix` is the (n+1, dim) running sum of per-token vectors (zero
     rows for unknown tokens) and `cnt_prefix` the (n+1,) running count of
-    known tokens. Windows with no known token or a zero-norm mean count as
-    similarity 0. Returns 0.0 when there are no windows or `target` has
-    zero norm.
+    known tokens. An empty text or a width <= 0 has no windows. The arrays
+    are read-only, so a caller may cache them.
     """
     n = cnt_prefix.shape[0] - 1
     if n == 0 or width <= 0:
+        means = np.zeros((0, vec_prefix.shape[1]))
+        norms = np.zeros(0)
+        valid = np.zeros(0, dtype=bool)
+    else:
+        w = min(width, n)
+        sums = vec_prefix[w:] - vec_prefix[:-w]
+        cnts = (cnt_prefix[w:] - cnt_prefix[:-w]).astype(np.float64)
+        means = sums / np.maximum(cnts, 1.0)[:, None]
+        norms = np.sqrt((means * means).sum(axis=1))
+        valid = (cnts > 0) & (norms > 0)
+        means, norms = means[valid], norms[valid]
+    for array in (means, norms, valid):
+        array.setflags(write=False)
+    return WindowMeans(means, norms, valid)
+
+
+def max_window_cosine(windows: WindowMeans, target: np.ndarray) -> float:
+    """Best cosine between `target` and the mean vector of any window of
+    `windows` (see `window_means`).
+
+    Windows with no known token or a zero-norm mean count as similarity 0.
+    Returns 0.0 when there are no windows or `target` has zero norm.
+    """
+    if windows.valid.shape[0] == 0:
         return 0.0
     target_norm = float(np.sqrt(target @ target))
     if target_norm == 0.0:
         return 0.0
-    w = min(width, n)
-    sums = vec_prefix[w:] - vec_prefix[:-w]
-    cnts = (cnt_prefix[w:] - cnt_prefix[:-w]).astype(np.float64)
-    means = sums / np.maximum(cnts, 1.0)[:, None]
-    norms = np.sqrt((means * means).sum(axis=1))
-    scores = np.zeros(cnts.shape[0])
-    valid = (cnts > 0) & (norms > 0)
-    scores[valid] = (means[valid] @ target) / (norms[valid] * target_norm)
+    scores = np.zeros(windows.valid.shape[0])
+    scores[windows.valid] = (windows.means @ target) / (windows.norms * target_norm)
     return float(scores.max())

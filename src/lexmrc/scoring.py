@@ -23,12 +23,18 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embedding import EmbeddingStore, average_embedding
-from .kernels import extreme_pair_distance, max_window_cosine, max_window_sum
+from .kernels import (
+    WindowMeans,
+    extreme_pair_distance,
+    max_window_cosine,
+    max_window_sum,
+    window_means,
+)
 from .preprocess import PreprocessConfig, ProcessedText, WordList
 
 __all__ = [
@@ -86,53 +92,66 @@ def term_counts(text: ProcessedText) -> dict[str, int]:
 
 
 class TextIndex:
-    """Per-text arrays the scorers share: token log-weights, occurrence
-    positions, and (when an embedding store is given) prefix sums of the
-    per-token vectors for span averaging."""
+    """Per-text arrays the scorers share, over integer token ids.
+
+    `vocab` lists the text's distinct words in `term_counts` order, and
+    `ids[i]` is the vocabulary id of token i. `counts` keeps the int count
+    of each word. Per-id tables are gathered through `ids` once per text:
+    the token log-weights of `sw` and, when an embedding store is given,
+    the prefix sums of the per-token vectors and known-token counts that
+    `web` averages spans from. The tokens a word set hits, the `sw` mask
+    and the `d` positions, are one gather of a per-word membership array.
+    `boost` caches the window means of each width it sees on the index,
+    so they live as long as the index does.
+    """
 
     def __init__(self, text: ProcessedText, store: EmbeddingStore | None = None):
         self.text = text
         self.tokens = text.flat
         self.counts = term_counts(text)
+        self.vocab = tuple(self.counts)
+        self.word_ids = {w: i for i, w in enumerate(self.vocab)}
         n = len(self.tokens)
-        self.log_weights = np.empty(n)
-        for i, tok in enumerate(self.tokens):
-            self.log_weights[i] = math.log(1.0 + 1.0 / self.counts[tok])
-        positions: dict[str, list[int]] = {}
-        for i, tok in enumerate(self.tokens):
-            positions.setdefault(tok, []).append(i)
-        self.positions = {w: np.asarray(p, dtype=np.int64) for w, p in positions.items()}
+        self.ids = np.fromiter(map(self.word_ids.__getitem__, self.tokens), dtype=np.intp, count=n)
+        id_weights = np.array([math.log(1.0 + 1.0 / c) for c in self.counts.values()])
+        self.log_weights = id_weights[self.ids]
         self.store = store
+        self.vec_prefix = None
+        self.cnt_prefix = None
+        self._windows: dict[int, WindowMeans] = {}
         if store is not None:
-            vec_prefix = np.zeros((n + 1, store.dim))
-            cnt_prefix = np.zeros(n + 1, dtype=np.int64)
-            for i, tok in enumerate(self.tokens):
-                vec = store.get(tok)
-                vec_prefix[i + 1] = vec_prefix[i] if vec is None else vec_prefix[i] + vec
-                cnt_prefix[i + 1] = cnt_prefix[i] + (0 if vec is None else 1)
-            self.vec_prefix = vec_prefix
-            self.cnt_prefix = cnt_prefix
-        else:
-            self.vec_prefix = None
-            self.cnt_prefix = None
+            # row i + 1 of the tables is vocabulary word i; row 0 is the
+            # prefix start, a zero vector that is no known token, so one
+            # cumsum gives the running sums from +0.0 as sequential adds
+            rows = [store.row_index(w) for w in self.vocab]
+            known = np.array([False] + [r is not None for r in rows])
+            table = np.zeros((len(rows) + 1, store.dim))
+            table[known] = store.matrix[[r for r in rows if r is not None]]
+            token_rows = np.concatenate(([0], self.ids + 1))
+            self.vec_prefix = np.cumsum(table[token_rows], axis=0)
+            self.cnt_prefix = np.cumsum(known[token_rows], dtype=np.int64)
+
+    def token_mask(self, words: Iterable[str]) -> np.ndarray:
+        """Which tokens of the text are in `words`: a membership array over
+        the vocabulary, gathered through `ids`."""
+        member = np.zeros(len(self.vocab), dtype=bool)
+        member[[self.word_ids[w] for w in words if w in self.word_ids]] = True
+        return member[self.ids]
 
     def window_score(self, word_set: frozenset[str] | set[str]) -> float:
         if not word_set or not self.tokens:
             return 0.0
-        mask = np.fromiter((tok in word_set for tok in self.tokens), dtype=bool, count=len(self.tokens))
-        weights = np.where(mask, self.log_weights, 0.0)
+        weights = np.where(self.token_mask(word_set), self.log_weights, 0.0)
         return max_window_sum(weights, len(word_set))
 
     def distance(self, question_words: set[str], option_words: set[str], aggregation: str) -> float:
         n = len(self.tokens)
         if n <= 1:
             return 1.0
-        sq = [w for w in question_words if w in self.positions]
-        so = [w for w in option_words if w in self.positions]
-        if not sq or not so:
+        pos_q = np.flatnonzero(self.token_mask(question_words))
+        pos_o = np.flatnonzero(self.token_mask(option_words))
+        if pos_q.shape[0] == 0 or pos_o.shape[0] == 0:
             return 1.0
-        pos_q = np.concatenate([self.positions[w] for w in sorted(sq)])
-        pos_o = np.concatenate([self.positions[w] for w in sorted(so)])
         extreme = extreme_pair_distance(pos_q, pos_o, aggregation == "max")
         if extreme < 0:
             return 1.0
@@ -146,7 +165,13 @@ class TextIndex:
         span = average_embedding(self.store, option)
         if span.support == 0:
             return 0.0
-        return max_window_cosine(self.vec_prefix, self.cnt_prefix, span.vector, len(option))
+        width = min(len(option), len(self.tokens))
+        windows = self._windows.get(width)
+        if windows is None:
+            # scorer threads may race to fill a width; every racer stores
+            # the same read-only arrays, so no lock is needed
+            windows = self._windows[width] = window_means(self.vec_prefix, self.cnt_prefix, width)
+        return max_window_cosine(windows, span.vector)
 
 
 def sliding_window_score(text: ProcessedText, question: WordList, option: WordList) -> float:

@@ -3,13 +3,16 @@
 Everything here is deliberately naive pure Python: windows are enumerated
 one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
-but `reference_load_embeddings`' error class and the store it fills, and
-the pre-processing, `TextIndex` and report types `reference_evaluate`
-runs on.
+but `reference_load_embeddings`' error class and the store it fills, the
+pre-processing, `TextIndex` and report types `reference_evaluate` runs
+on, and the unchanged helpers `ReferenceTextIndex` calls (`term_counts`,
+`average_embedding`, and the `sw` and `d` kernels).
 
 The `reference_*` functions are earlier versions of package code, kept
 unchanged so that differential tests can hold the current code to them.
 """
+
+from __future__ import annotations
 
 import math
 import random
@@ -18,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from lexmrc.corpus import count_words, filter_dataset
-from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore
+from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, average_embedding
 from lexmrc.evaluation import EvaluationReport, PredictionRecord
+from lexmrc.kernels import extreme_pair_distance, max_window_sum
 from lexmrc.preprocess import preprocess_sentence, preprocess_text
-from lexmrc.scoring import ScoreBreakdown, TextIndex
+from lexmrc.scoring import ScoreBreakdown, TextIndex, term_counts
 
 
 def window_score_oracle(tokens, question, option):
@@ -315,3 +319,108 @@ def reference_evaluate(dataset, split, cfg, store=None):
               "random_seed": cfg.random_seed, "split": split}
     accuracy = sum(r.correct for r in records) / len(records)
     return EvaluationReport(config=config, records=tuple(records), accuracy=accuracy)
+
+
+# The scoring index and the `web` kernel as they were before integer token
+# ids and the per-width cache of window means.
+
+class ReferenceTextIndex:
+    """`TextIndex` as it was before integer token ids: per-token Python
+    loops for the log-weights, positions and prefix sums, a generator for
+    each `sw` mask, and every window mean formed again on each `boost`.
+
+    Per-text arrays the scorers share: token log-weights, occurrence
+    positions, and (when an embedding store is given) prefix sums of the
+    per-token vectors for span averaging."""
+
+    def __init__(self, text: ProcessedText, store: EmbeddingStore | None = None):
+        self.text = text
+        self.tokens = text.flat
+        self.counts = term_counts(text)
+        n = len(self.tokens)
+        self.log_weights = np.empty(n)
+        for i, tok in enumerate(self.tokens):
+            self.log_weights[i] = math.log(1.0 + 1.0 / self.counts[tok])
+        positions: dict[str, list[int]] = {}
+        for i, tok in enumerate(self.tokens):
+            positions.setdefault(tok, []).append(i)
+        self.positions = {w: np.asarray(p, dtype=np.int64) for w, p in positions.items()}
+        self.store = store
+        if store is not None:
+            vec_prefix = np.zeros((n + 1, store.dim))
+            cnt_prefix = np.zeros(n + 1, dtype=np.int64)
+            for i, tok in enumerate(self.tokens):
+                vec = store.get(tok)
+                vec_prefix[i + 1] = vec_prefix[i] if vec is None else vec_prefix[i] + vec
+                cnt_prefix[i + 1] = cnt_prefix[i] + (0 if vec is None else 1)
+            self.vec_prefix = vec_prefix
+            self.cnt_prefix = cnt_prefix
+        else:
+            self.vec_prefix = None
+            self.cnt_prefix = None
+
+    def window_score(self, word_set: frozenset[str] | set[str]) -> float:
+        if not word_set or not self.tokens:
+            return 0.0
+        mask = np.fromiter((tok in word_set for tok in self.tokens), dtype=bool, count=len(self.tokens))
+        weights = np.where(mask, self.log_weights, 0.0)
+        return max_window_sum(weights, len(word_set))
+
+    def distance(self, question_words: set[str], option_words: set[str], aggregation: str) -> float:
+        n = len(self.tokens)
+        if n <= 1:
+            return 1.0
+        sq = [w for w in question_words if w in self.positions]
+        so = [w for w in option_words if w in self.positions]
+        if not sq or not so:
+            return 1.0
+        pos_q = np.concatenate([self.positions[w] for w in sorted(sq)])
+        pos_o = np.concatenate([self.positions[w] for w in sorted(so)])
+        extreme = extreme_pair_distance(pos_q, pos_o, aggregation == "max")
+        if extreme < 0:
+            return 1.0
+        return float(extreme) / (n - 1)
+
+    def boost(self, option: WordList) -> float:
+        if self.store is None:
+            raise ValueError("text index was built without an embedding store")
+        if not option or not self.tokens:
+            return 0.0
+        span = average_embedding(self.store, option)
+        if span.support == 0:
+            return 0.0
+        return reference_max_window_cosine(self.vec_prefix, self.cnt_prefix, span.vector, len(option))
+
+
+def reference_max_window_cosine(
+    vec_prefix: np.ndarray,
+    cnt_prefix: np.ndarray,
+    target: np.ndarray,
+    width: int,
+) -> float:
+    """The `web` kernel as it was before the window means were cached:
+    every window mean of the text is formed again on each call.
+
+    Best cosine between `target` and the mean vector of any window.
+
+    `vec_prefix` is the (n+1, dim) running sum of per-token vectors (zero
+    rows for unknown tokens) and `cnt_prefix` the (n+1,) running count of
+    known tokens. Windows with no known token or a zero-norm mean count as
+    similarity 0. Returns 0.0 when there are no windows or `target` has
+    zero norm.
+    """
+    n = cnt_prefix.shape[0] - 1
+    if n == 0 or width <= 0:
+        return 0.0
+    target_norm = float(np.sqrt(target @ target))
+    if target_norm == 0.0:
+        return 0.0
+    w = min(width, n)
+    sums = vec_prefix[w:] - vec_prefix[:-w]
+    cnts = (cnt_prefix[w:] - cnt_prefix[:-w]).astype(np.float64)
+    means = sums / np.maximum(cnts, 1.0)[:, None]
+    norms = np.sqrt((means * means).sum(axis=1))
+    scores = np.zeros(cnts.shape[0])
+    valid = (cnts > 0) & (norms > 0)
+    scores[valid] = (means[valid] @ target) / (norms[valid] * target_norm)
+    return float(scores.max())

@@ -310,7 +310,7 @@ class TestConfigFile:
                                 "--split", "dev", "--method", "random", "--seed", "1")
         assert code == EXIT_CONFIG
         assert out == ""
-        assert err == f"error: config key {next(iter(values))!r} must be a int\n"
+        assert err == f"error: config key {next(iter(values))!r} must be an integer\n"
 
     def test_wrongly_typed_config_value(self, capsys, tmp_path):
         f = tmp_path / "run.json"
@@ -318,6 +318,48 @@ class TestConfigFile:
         code, _, err = invoke(capsys, "evaluate", "--config", str(f))
         assert code == EXIT_CONFIG
         assert "workers" in err
+
+    def test_string_key_with_a_number(self, capsys, tmp_path):
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({"method": 3}), encoding="utf-8")
+        code, out, err = invoke(capsys, "evaluate", "--config", str(f), "--dataset", FIXTURES)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: config key 'method' must be a string\n"
+
+    @pytest.mark.parametrize("key", ["dataset", "embeddings", "stopwords", "lexicon", "out"])
+    def test_nul_byte_in_a_config_path(self, capsys, tmp_path, key):
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({"dataset": FIXTURES, key: "a\u0000b"}), encoding="utf-8")
+        code, out, err = invoke(capsys, "evaluate", "--config", str(f), "--split", "dev",
+                                "--method", "sw")
+        assert (code, out) == (EXIT_CONFIG, "")
+        flag = "--" + key
+        assert err == f"error: {flag} path contains a NUL byte\n"
+
+
+class TestNulBytePaths:
+    """The OS takes no path with a NUL byte; each one is a config error
+    (exit 2), not a ValueError escaping `run`."""
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--embeddings", "--lexicon", "--out",
+                                      "--config"])
+    def test_flag(self, capsys, flag):
+        argv = ["evaluate", "--dataset", FIXTURES, "--split", "dev", "--method", "sw"]
+        code, out, err = invoke(capsys, *argv, flag, "x\0y")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {flag} path contains a NUL byte\n"
+
+    def test_batch_file(self, capsys):
+        code, out, err = invoke(capsys, "batch", "x\0y")
+        assert (code, out, err) == (EXIT_CONFIG, "", "error: batch file path contains a NUL byte\n")
+
+    def test_batch_line(self, capsys, tmp_path):
+        f = tmp_path / "b.txt"
+        f.write_text(f"evaluate --dataset {FIXTURES} --split dev --method sw --out 'a\0b'\n",
+                     encoding="utf-8")
+        code, out, err = invoke(capsys, "batch", str(f))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: --out path contains a NUL byte\n"
 
 
 class TestStopwordsFlag:

@@ -1,0 +1,163 @@
+"""Malformed input files through `cli.run`: every run ends in a documented
+exit status (0 ok, 2 config, 3 input/output, 4 data) with a one-line
+error, never in an exception.
+
+Each example writes a dataset, a vector file, a config file and a batch
+file, some of them mutated or replaced by junk, and runs one command line
+that reads them, or the batch file that lists several.
+"""
+
+import contextlib
+import io
+import json
+import shlex
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lexmrc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, run
+
+EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
+
+BASE_DATASET = {
+    "texts": [
+        {"id": "t1", "grade": 1, "title": "a", "body": "mèo đen ngủ. chó vàng chạy nhanh!"},
+        {"id": "t2", "grade": 3, "title": None, "body": "trời mưa to\nem ở nhà đọc sách."},
+    ],
+    "questions": [
+        {"id": "q1", "text_id": "t1", "stem": "Con gì ngủ?",
+         "options": ["mèo đen", "chó vàng", "trời mưa", "em"], "gold": "A",
+         "reasoning_type": "WM", "split": "test"},
+        {"id": "q2", "text_id": "t2", "stem": "Em làm gì?",
+         "options": ["đọc sách", "ngủ", "chạy", "mưa"], "gold": "A", "split": "dev"},
+    ],
+}
+BASE_VECTORS = "4 3\nmèo 1 0 0\nđen 0 1 0\nchó 0 0 1\nđọc_sách 0.5 0.5 0\n"
+BASE_CONFIG = {"split": "test", "method": "sw_d_web", "seed": 1}
+CONFIG_KEYS = ["split", "method", "distance_agg", "seed", "format", "workers", "no_such_key"]
+PATH_KEYS = ["dataset", "embeddings", "stopwords", "lexicon", "out"]
+
+# JSON values that fit no field, or fit the wrong one
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+junk_text = st.lists(
+    st.sampled_from(list("ab _\n\t#.-e0123456789\"'{}[]:,\x00é") + ["nan", "inf"]),
+    max_size=40,
+).map("".join)
+
+
+def _paths(doc, prefix=()):
+    """Every path to a value inside a JSON document."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, prefix + (i,))
+
+
+def path_values(root):
+    """Paths a flag may name: the example's own files, a directory, a file
+    that does not exist, and names the OS refuses."""
+    names = ["d.json", "v.vec", "c.json", "lex.txt", "b.txt", "", "missing/x", "a\x00b"]
+    return st.sampled_from([str(root / name) for name in names] + ["", "\x00"])
+
+
+def mutate_json(data, doc, new_keys=None):
+    """`doc` with a few values replaced or removed, and perhaps some keys of
+    `new_keys` (key -> strategy) added at the top level."""
+    doc = json.loads(json.dumps(doc))
+    for key in data.draw(st.lists(st.sampled_from(sorted(new_keys)), max_size=3)) if new_keys else ():
+        doc[key] = data.draw(new_keys[key])
+    for _ in range(data.draw(st.integers(0, 3))):
+        paths = [p for p in _paths(doc) if p]
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(json_values)
+    return doc
+
+
+def file_bytes(data, text):
+    """`text` as UTF-8, sometimes cut short or with an invalid byte in it."""
+    raw = text.encode("utf-8")
+    how = data.draw(st.sampled_from(["keep", "keep", "keep", "cut", "bad byte"]))
+    if how == "cut" and raw:
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif how == "bad byte":
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+def command_line(data, root):
+    files = {name: str(root / name) for name in ("d.json", "v.vec", "c.json", "lex.txt")}
+    command = data.draw(st.sampled_from(["evaluate", "compare", "answer", "stats"]))
+    argv = [command, "--dataset", files["d.json"]]
+    if command == "compare":
+        argv += ["--baseline", data.draw(st.sampled_from(["sw", "random"])),
+                 "--candidate", data.draw(st.sampled_from(["sw_d", "sw_d_web"])),
+                 "--facet", "grade"]
+    if command == "answer":
+        argv += ["--question-id", data.draw(st.sampled_from(["q1", "q2", "nope"]))]
+    for flag, value in (("--embeddings", files["v.vec"]), ("--config", files["c.json"]),
+                        ("--lexicon", files["lex.txt"]), ("--seed", "3"),
+                        ("--format", data.draw(st.sampled_from(["plain", "csv", "json"])))):
+        if data.draw(st.booleans()):
+            argv += [flag, value]
+    if data.draw(st.booleans()):
+        argv += ["--out", data.draw(path_values(root) | st.just(str(root / "out.txt")))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_malformed_inputs_end_in_a_documented_exit(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        dataset = json.dumps(mutate_json(data, BASE_DATASET), ensure_ascii=False)
+        if data.draw(st.integers(0, 5)) == 0:
+            dataset = data.draw(junk_text)
+        (root / "d.json").write_bytes(file_bytes(data, dataset))
+        vectors = BASE_VECTORS
+        if data.draw(st.booleans()):
+            vectors += data.draw(junk_text)
+        (root / "v.vec").write_bytes(file_bytes(data, vectors))
+        new_keys = {key: json_values | junk_text for key in CONFIG_KEYS}
+        new_keys.update({key: path_values(root) for key in PATH_KEYS})
+        config = json.dumps(mutate_json(data, BASE_CONFIG, new_keys), ensure_ascii=False)
+        if data.draw(st.integers(0, 5)) == 0:
+            config = data.draw(junk_text)
+        (root / "c.json").write_bytes(file_bytes(data, config))
+        (root / "lex.txt").write_bytes(file_bytes(data, "mèo_đen\nđọc sách\n"))
+        if data.draw(st.booleans()):
+            argv = command_line(data, root)
+        else:
+            lines = [shlex.join(command_line(data, root))
+                     for _ in range(data.draw(st.integers(1, 3)))]
+            if data.draw(st.booleans()):
+                lines.append(data.draw(junk_text))
+            (root / "b.txt").write_bytes(file_bytes(data, "\n".join(lines)))
+            argv = ["batch", data.draw(st.sampled_from([str(root / "b.txt"), "a\x00b"]))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in EXITS, (argv, err.getvalue())
+        if code == EXIT_OK:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().startswith("error: ")

@@ -114,6 +114,27 @@ def test_text_indexes_carry_the_store_only_for_web(monkeypatch):
     assert stores and all(s is STORE for s in stores)
 
 
+@pytest.mark.parametrize("stopwords", [False, True], ids=["plain", "stopwords"])
+def test_random_only_builds_no_index(monkeypatch, stopwords):
+    """No config reads an index, so no text is indexed; the report, its
+    question lengths included, is what the earlier evaluate gives."""
+    builds = []
+    real = TextIndex.__init__
+
+    def counted(self, text, store=None):
+        builds.append(text)
+        real(self, text, store)
+
+    cfg = config("random", "min", stopwords)
+    want = render_report(reference_evaluate(DATASET, "dev", cfg, STORE), "json")
+    monkeypatch.setattr(TextIndex, "__init__", counted)
+    got = render_report(evaluate(DATASET, "dev", cfg, STORE), "json")
+    assert builds == []
+    assert got == want
+    evaluate_methods(DATASET, "dev", [cfg, config("sw", "min", stopwords)], STORE)
+    assert len(builds) == len(DATASET.texts)
+
+
 def test_random_only_computes_no_component():
     index = TextIndex(preprocess_text("mèo ngủ", PREPROCESS[False]))
     scores = score_options(index, ["mèo"], [["mèo"], [], ["chó"], ["ngủ"]],

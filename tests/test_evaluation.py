@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -12,6 +13,7 @@ from lexmrc.evaluation import (
     FacetTable,
     compare_reports,
     evaluate,
+    evaluate_methods,
     facet_breakdown,
     render_report,
 )
@@ -265,6 +267,10 @@ class TestCompare:
             assert sum(row.ratio for row in table.rows) == pytest.approx(100.0)
 
 
+def dump(payload):
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
 class TestRender:
     def test_empty_facet_table_renders_header_only(self):
         table = FacetTable(facet="grade", rows=())
@@ -304,6 +310,20 @@ class TestRender:
         first = parsed["records"][0]
         assert first["question_id"] == report.records[0].question_id
         assert tuple(first["breakdown"]["sw"]) == report.records[0].breakdown.sw
+
+    def test_json_dicts_are_the_dataclass_fields(self, fixture_dataset, toy_store,
+                                                 toy_preprocess):
+        """The JSON renderers build their dicts by hand; they must hold every
+        field of the record and row dataclasses, nested ones included."""
+        cfgs = [MethodConfig(method=m, preprocess=toy_preprocess) for m in ("sw", "sw_d_web")]
+        base, method = evaluate_methods(fixture_dataset, "dev", cfgs, toy_store)
+        for report in (base, method):
+            want = {"config": report.config, "accuracy": report.accuracy,
+                    "records": [dataclasses.asdict(r) for r in report.records]}
+            assert render_report(report, "json") == dump(want)
+        table = compare_reports(base, method, "grade")
+        want = {"facet": table.facet, "rows": [dataclasses.asdict(r) for r in table.rows]}
+        assert render_report(table, "json") == dump(want)
 
     def test_improvement_rendering(self, toy_dataset):
         a = evaluate(toy_dataset, "dev", SW)

@@ -84,20 +84,29 @@ def prefixes(rows, known):
     return vec, cnt
 
 
+def window_cosine(vec_prefix, cnt_prefix, target, width):
+    """The best window cosine as a scorer forms it: the window means of one
+    width, then the cosine of `target` against them."""
+    return kernels.max_window_cosine(kernels.window_means(vec_prefix, cnt_prefix, width), target)
+
+
+window_cosine.__name__ = "max_window_cosine"
+
+
 class TestMaxWindowCosine:
-    @both_call_forms(kernels.max_window_cosine)
+    @both_call_forms(window_cosine)
     def test_exact_match_window(self, impl):
         rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         vec, cnt = prefixes(rows, [1, 1, 1])
         target = np.array([0.0, 1.0])
         assert impl(vec, cnt, target, 1) == pytest.approx(1.0)
 
-    @both_call_forms(kernels.max_window_cosine)
+    @both_call_forms(window_cosine)
     def test_zero_target_undefined(self, impl):
         vec, cnt = prefixes([[1.0, 0.0]], [1])
         assert impl(vec, cnt, np.zeros(2), 1) == 0.0
 
-    @both_call_forms(kernels.max_window_cosine)
+    @both_call_forms(window_cosine)
     def test_unknown_windows_count_as_zero(self, impl):
         # one all-unknown window, one negative-similarity window: the
         # undefined window's 0 wins
@@ -106,7 +115,7 @@ class TestMaxWindowCosine:
         target = np.array([1.0, 0.0])
         assert impl(vec, cnt, target, 1) == pytest.approx(0.0)
 
-    @both_call_forms(kernels.max_window_cosine)
+    @both_call_forms(window_cosine)
     def test_all_windows_negative(self, impl):
         rows = [[-1.0, 0.0], [-1.0, -1.0]]
         vec, cnt = prefixes(rows, [1, 1])
@@ -114,3 +123,33 @@ class TestMaxWindowCosine:
         got = impl(vec, cnt, target, 1)
         assert got == pytest.approx(-np.sqrt(0.5))
 
+
+    @both_call_forms(window_cosine)
+    def test_no_windows(self, impl):
+        vec, cnt = prefixes(np.zeros((0, 2)), [])
+        assert impl(vec, cnt, np.array([1.0, 0.0]), 1) == 0.0
+        vec, cnt = prefixes([[1.0, 0.0]], [1])
+        assert impl(vec, cnt, np.array([1.0, 0.0]), 0) == 0.0
+
+
+class TestWindowMeans:
+    def test_cached_arrays_are_read_only(self):
+        vec, cnt = prefixes([[1.0, 0.0], [0.0, 0.0]], [1, 1])
+        windows = kernels.window_means(vec, cnt, 1)
+        for array in windows:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_keeps_only_valid_windows(self):
+        # an unknown token and a known zero vector give no valid window
+        vec, cnt = prefixes([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [1, 0, 1])
+        windows = kernels.window_means(vec, cnt, 1)
+        assert windows.valid.tolist() == [True, False, False]
+        assert windows.means.tolist() == [[1.0, 0.0]]
+        assert windows.norms.tolist() == [1.0]
+
+    def test_width_past_the_end_is_one_window(self):
+        vec, cnt = prefixes([[1.0, 0.0], [0.0, 1.0]], [1, 1])
+        windows = kernels.window_means(vec, cnt, 5)
+        assert windows.valid.tolist() == [True]
+        assert windows.means.tolist() == [[0.5, 0.5]]
