@@ -27,7 +27,7 @@ from .corpus import (
     count_words,
     filter_dataset,
 )
-from .embedding import EmbeddingStore
+from .embedding import EmbeddingStore, usable_cpus
 from .preprocess import DEFAULT_PUNCTUATION, preprocess_sentence, preprocess_text
 from .scoring import MethodConfig, OptionScores, ScoreBreakdown, TextIndex, decide, score_options
 
@@ -146,10 +146,10 @@ def evaluate_methods(
     The configs share one pre-processing config. Each text is pre-processed
     and indexed once, each stem and option is pre-processed once, and each
     component score is computed once for all configs (`score_options`).
-    With workers > 1 the questions are scored in a thread pool; records
-    always come back in dataset order, and a random config draws from its
-    own generator in question order, so the reports are identical for any
-    worker count.
+    The questions are scored in a pool of min(workers, usable CPUs,
+    questions) threads when that is above 1; records always come back in
+    dataset order, and a random config draws from its own generator in
+    question order, so the reports are identical for any worker count.
     """
     preprocess = cfgs[0].preprocess
     if any(cfg.preprocess != preprocess for cfg in cfgs):
@@ -183,6 +183,7 @@ def evaluate_methods(
         option_words = [preprocess_sentence(o, preprocess) for o in q.options]
         return length, score_options(indexes[q.text_id], question_words, option_words, cfgs)
 
+    workers = min(workers, usable_cpus(), len(subset.questions))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             scored = list(pool.map(score, subset.questions))

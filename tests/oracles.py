@@ -3,10 +3,11 @@
 Everything here is deliberately naive pure Python: windows are enumerated
 one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
-but `reference_load_embeddings`' error class and the store it fills, the
-pre-processing, `TextIndex` and report types `reference_evaluate` runs
-on, and the unchanged helpers `ReferenceTextIndex` calls (`term_counts`,
-`average_embedding`, and the `sw` and `d` kernels).
+but `reference_load_embeddings`' error class and the store it fills,
+`reference_average_embedding`'s result type, the pre-processing,
+`TextIndex` and report types `reference_evaluate` runs on, and the
+unchanged helpers `ReferenceTextIndex` calls (`term_counts` and the `sw`
+and `d` kernels).
 
 The `reference_*` functions are earlier versions of package code, kept
 unchanged so that differential tests can hold the current code to them.
@@ -16,12 +17,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from lexmrc.corpus import count_words, filter_dataset
-from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, average_embedding
+from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, SpanVector
 from lexmrc.evaluation import EvaluationReport, PredictionRecord
 from lexmrc.kernels import extreme_pair_distance, max_window_sum
 from lexmrc.preprocess import preprocess_sentence, preprocess_text
@@ -162,6 +164,20 @@ def reference_load_embeddings(path):
         raise EmbeddingFormatError(f"{path}: empty vector file")
     matrix = np.vstack(rows) if rows else np.zeros((0, dim))
     return EmbeddingStore.from_rows(dim, words, matrix)
+
+
+def reference_average_embedding(store, words):
+    """`average_embedding` as it was before the one-gather sum: one numpy
+    multiply and add per distinct word, in sorted word order."""
+    counts = Counter(w for w in words if w in store)
+    total = np.zeros(store.dim)
+    found = 0
+    for word in sorted(counts):
+        total += counts[word] * store.get(word)
+        found += counts[word]
+    if found == 0:
+        return SpanVector(vector=total, support=0)
+    return SpanVector(vector=total / found, support=found)
 
 
 def _is_int(token):
@@ -386,7 +402,7 @@ class ReferenceTextIndex:
             raise ValueError("text index was built without an embedding store")
         if not option or not self.tokens:
             return 0.0
-        span = average_embedding(self.store, option)
+        span = reference_average_embedding(self.store, option)
         if span.support == 0:
             return 0.0
         return reference_max_window_cosine(self.vec_prefix, self.cnt_prefix, span.vector, len(option))

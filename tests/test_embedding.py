@@ -1,10 +1,13 @@
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexmrc import embedding
 from lexmrc.embedding import (
     EmbeddingFormatError,
     EmbeddingStore,
@@ -14,7 +17,7 @@ from lexmrc.embedding import (
     load_embeddings,
 )
 
-from oracles import reference_load_embeddings
+from oracles import reference_average_embedding, reference_load_embeddings
 
 # 32 / (sqrt(14) * sqrt(77)) evaluated at 40 decimal digits with mpmath
 COS_123_456 = 0.9746318461970762710785724911261228634989
@@ -197,6 +200,196 @@ def test_loader_matches_reference(vector_path, text):
         load_outcome(reference_load_embeddings, vector_path)
 
 
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    """Cut every vector file of a few dozen bytes or more into up to three
+    chunks, whatever the host's CPU count."""
+    monkeypatch.setattr(embedding, "MIN_CHUNK_BYTES", 8)
+    monkeypatch.setattr(embedding, "usable_cpus", lambda: 3)
+
+
+@given(vector_files())
+@settings(max_examples=400, deadline=None)
+def test_chunked_loader_matches_reference(vector_path, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "MIN_CHUNK_BYTES", max(1, len(text.encode("utf-8")) // 3))
+        patch.setattr(embedding, "usable_cpus", lambda: 3)
+        vector_path.write_bytes(text.encode("utf-8"))
+        outcome = load_outcome(load_embeddings, vector_path)
+    assert_no_children()
+    assert outcome == load_outcome(reference_load_embeddings, vector_path)
+
+
+def serial_outcome(path):
+    """What the loader gives for `path` as one chunk, in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "MIN_CHUNK_BYTES", 1 << 62)
+        return load_outcome(load_embeddings, path)
+
+
+class TestChunkedLoader:
+    ROWS = "".join(f"w{i} {i} -{i}.5\n" for i in range(30))
+
+    def write(self, tmp_path, data: bytes, chunks=3):
+        f = tmp_path / "v.vec"
+        f.write_bytes(data)
+        assert len(embedding._cut_points(f)) == chunks + 1
+        return f
+
+    def chunk_of(self, f, offset):
+        cuts = embedding._cut_points(f)
+        return sum(cut <= offset for cut in cuts[1:-1])
+
+    def test_splits_and_matches_serial(self, tmp_path, small_chunks):
+        f = self.write(tmp_path, b"30 2\n" + self.ROWS.encode())
+        store = load_embeddings(f)
+        assert_no_children()
+        assert len(store) == 30 and store.dim == 2
+        assert load_outcome(load_embeddings, f) == serial_outcome(f)
+        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
+
+    @pytest.mark.parametrize("row, problem", [
+        ("bad 1 x", "non-numeric vector component"),
+        ("bad 1 inf", "non-finite vector component"),
+        ("bad 1 2 3", "expected 2 components, found 3"),
+        ("bad", "expected 2 components, found 0"),
+    ])
+    def test_bad_row_in_a_later_chunk(self, tmp_path, small_chunks, row, problem):
+        data = (self.ROWS + row + "\n" + self.ROWS).encode()
+        f = self.write(tmp_path, data)
+        assert self.chunk_of(f, data.index(b"bad")) == 1
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_embeddings(f)
+        assert_no_children()
+        assert str(exc.value) == f"{f}:31: {problem}"
+        assert serial_outcome(f) == ("error", str(exc.value))
+
+    def test_decode_error_in_a_later_chunk(self, tmp_path, small_chunks):
+        data = (self.ROWS * 2).encode() + b"w\xff 1 2\n"
+        f = self.write(tmp_path, data)
+        assert self.chunk_of(f, data.index(b"\xff")) == 2
+        with pytest.raises(UnicodeDecodeError) as chunked:
+            load_embeddings(f)
+        assert_no_children()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "MIN_CHUNK_BYTES", 1 << 62)
+            with pytest.raises(UnicodeDecodeError) as serial:
+                load_embeddings(f)
+        assert str(chunked.value) == str(serial.value)
+
+    def test_header_shaped_line_in_a_later_chunk_is_a_row(self, tmp_path, small_chunks):
+        # every line is header-shaped, so each chunk starts with one
+        rows = "".join(f"{100 + i} {100 + i}\n" for i in range(60))
+        f = self.write(tmp_path, ("60 1\n" + rows).encode())
+        store = load_embeddings(f)
+        assert len(store) == 60
+        assert store.get("100").tolist() == [100.0]
+        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
+        f = self.write(tmp_path, ("41 2\n" + self.ROWS + "100 100\n").encode())
+        with pytest.raises(EmbeddingFormatError, match=r":32: expected 2 components, found 1$"):
+            load_embeddings(f)
+        assert_no_children()
+
+    def test_first_duplicate_wins_across_chunks(self, tmp_path, small_chunks):
+        data = ("dup 7 7\n" + self.ROWS + self.ROWS + "dup 9 9\n").encode()
+        f = self.write(tmp_path, data)
+        store = load_embeddings(f)
+        assert store.get("dup").tolist() == [7.0, 7.0]
+        assert list(store) == ["dup"] + [f"w{i}" for i in range(30)]
+        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
+
+    def test_crlf_file(self, tmp_path, small_chunks):
+        f = self.write(tmp_path, self.ROWS.replace("\n", "\r\n").encode())
+        assert all(cut == 0 or f.read_bytes()[cut - 2:cut] == b"\r\n"
+                   for cut in embedding._cut_points(f)[:-1])
+        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
+
+    def test_bare_cr_file_is_one_chunk(self, tmp_path, small_chunks):
+        f = self.write(tmp_path, self.ROWS.replace("\n", "\r").encode(), chunks=1)
+        assert len(load_embeddings(f)) == 30
+        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
+
+    def test_file_without_newline_is_one_chunk(self, tmp_path, small_chunks):
+        f = self.write(tmp_path, b"a " + b"1 " * 200, chunks=1)
+        assert load_embeddings(f).dim == 200
+
+    def test_chunk_of_blank_lines_only(self, tmp_path, small_chunks):
+        blank = " \n" * (len(self.ROWS) // 2)
+        data = ("30 2\n" + self.ROWS[:len(self.ROWS) // 2].rsplit("\n", 1)[0] + "\n" + blank
+                + blank + self.ROWS[len(self.ROWS) // 2:].split("\n", 1)[1]).encode()
+        f = self.write(tmp_path, data)
+        cuts = embedding._cut_points(f)
+        assert not data[cuts[1]:cuts[2]].strip()
+        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
+
+    def test_header_only_chunk(self, tmp_path, small_chunks):
+        f = self.write(tmp_path, b"0 3\n" + b"\n" * 60)
+        store = load_embeddings(f)
+        assert (len(store), store.dim) == (0, 3)
+        assert_no_children()
+
+    def test_stays_in_process_while_another_thread_runs(self, tmp_path, small_chunks, monkeypatch):
+        f = self.write(tmp_path, self.ROWS.encode())
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait)
+        worker.start()
+        try:
+            assert load_outcome(load_embeddings, f) == serial_outcome(f)
+        finally:
+            stop.set()
+            worker.join()
+
+    def test_stays_in_process_without_fork(self, tmp_path, small_chunks, monkeypatch):
+        f = self.write(tmp_path, self.ROWS.encode())
+        monkeypatch.delattr(os, "fork")
+        assert len(embedding._cut_points(f)) == 2
+        assert load_outcome(load_embeddings, f) == serial_outcome(f)
+
+    def test_failed_fork_falls_back_to_one_chunk(self, tmp_path, small_chunks, monkeypatch):
+        f = self.write(tmp_path, self.ROWS.encode())
+
+        def fork_fails():
+            raise BlockingIOError("no more processes")
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        assert load_outcome(load_embeddings, f) == serial_outcome(f)
+
+    @pytest.mark.parametrize("sent", [0, 10, 40, -8])
+    def test_child_that_dies_early_falls_back_to_one_chunk(self, tmp_path, small_chunks,
+                                                           monkeypatch, sent):
+        # a child that sends only `[:sent]` of its message: a short header,
+        # short words or short rows
+        f = self.write(tmp_path, self.ROWS.encode())
+        send = embedding._send_chunk
+
+        def send_part(path, start, stop, write):
+            try:
+                read, full = os.pipe()
+                if os.fork() == 0:
+                    send(path, start, stop, full)
+                os.close(full)
+                with open(read, "rb") as src, open(write, "wb") as out:
+                    out.write(src.read()[:sent])
+                os.wait()
+            finally:
+                os._exit(0)
+
+        monkeypatch.setattr(embedding, "_send_chunk", send_part)
+        assert load_outcome(load_embeddings, f) == serial_outcome(f)
+        assert_no_children()
+
+
 class TestAverage:
     def test_singleton(self):
         store = make_store(a=(1.0, 0.0, 0.0))
@@ -241,6 +434,27 @@ class TestAverage:
         other = average_embedding(store, list(words))
         assert other.support == base.support
         assert np.array_equal(other.vector, base.vector)
+
+
+# sevenths, whose sums round differently in another order, and signed zeros
+VALUES = st.one_of(st.integers(-10**9, 10**9).map(lambda k: k / 7), st.floats(-1e6, 1e6),
+                   st.just(-0.0), st.just(0.0))
+
+
+@given(dim=st.integers(1, 4), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_average_matches_reference(dim, data):
+    vocab = data.draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
+    vectors = {w: data.draw(st.one_of(st.lists(VALUES, min_size=dim, max_size=dim),
+                                      st.just([0.0] * dim)))
+               for w in vocab}
+    store = EmbeddingStore(dim, vectors)
+    words = data.draw(st.lists(st.sampled_from(vocab + ["oov"]), max_size=16))
+    got = average_embedding(store, words)
+    want = reference_average_embedding(store, words)
+    assert got.support == want.support
+    assert got.vector.shape == want.vector.shape
+    assert got.vector.tobytes() == want.vector.tobytes()
 
 
 def span(*components):

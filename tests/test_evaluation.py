@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lexmrc import evaluation
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText
 from lexmrc.embedding import EmbeddingStore
 from lexmrc.evaluation import (
@@ -65,16 +66,44 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(toy_dataset, "dev", MethodConfig(method="sw_d_web"))
 
-    def test_worker_count_does_not_change_report(self, toy_dataset):
+    def test_worker_count_does_not_change_report(self, toy_dataset, monkeypatch):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 8)  # a pool on any host
         sequential = evaluate(toy_dataset, "dev", SW, workers=1)
         parallel = evaluate(toy_dataset, "dev", SW, workers=4)
         assert render_report(sequential, "json") == render_report(parallel, "json")
 
-    def test_worker_count_with_store(self, fixture_dataset, toy_store, toy_preprocess):
+    def test_worker_count_with_store(self, fixture_dataset, toy_store, toy_preprocess,
+                                     monkeypatch):
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: 8)
         cfg = MethodConfig(method="sw_d_web", preprocess=toy_preprocess)
         sequential = evaluate(fixture_dataset, "dev", cfg, toy_store, workers=1)
         parallel = evaluate(fixture_dataset, "dev", cfg, toy_store, workers=3)
         assert render_report(sequential, "json") == render_report(parallel, "json")
+
+    def test_thread_pool_is_bounded(self, toy_dataset, monkeypatch):
+        # min(workers, usable CPUs, questions), asked of a pool that starts no thread
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Pool)
+        expected = render_report(evaluate(toy_dataset, "dev", SW), "json")
+        for cpus, workers in [(3, 10**20), (3, 2), (64, 10**20), (1, 10**20), (8, 1)]:
+            monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+            report = evaluate(toy_dataset, "dev", SW, workers=workers)
+            assert render_report(report, "json") == expected
+        assert sizes == [3, 2, 4]  # the split has 4 questions; a pool of 1 is no pool
 
     def test_repeated_runs_render_identically(self, toy_dataset):
         for fmt in ("plain", "csv", "json"):
