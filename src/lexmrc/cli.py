@@ -19,7 +19,7 @@ import os
 import shlex
 import stat
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import (
@@ -36,6 +36,8 @@ from .embedding import EmbeddingFormatError, EmbeddingStore, load_embeddings
 from .evaluation import (
     EmptySplitError,
     FACETS,
+    _csv_text,
+    _json_text,
     compare_reports,
     evaluate,
     evaluate_methods,
@@ -78,7 +80,7 @@ class RunConfig:
     seed: int | None = None
     format: str = "plain"
     out: str | None = None
-    workers: int = 1
+    workers: int = 1  # accepted and checked; scoring runs on one thread
 
     def validate(self, methods: tuple[str, ...] = ()) -> None:
         """Check the flag combination; `methods` lists every decision
@@ -244,16 +246,15 @@ def cmd_answer(cfg: RunConfig, question_id: str, cache: _EmbeddingCache) -> str:
             "final": list(breakdown.final),
             "predicted": OPTION_LABELS[breakdown.predicted],
         }
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        return _json_text(payload)
     if cfg.format == "csv":
-        lines = ["option,sw,dist,web,final"]
-        for i in range(4):
-            lines.append(
-                f"{OPTION_LABELS[i]},{breakdown.sw[i]!r},{breakdown.dist[i]!r},"
-                f"{breakdown.web[i]!r},{breakdown.final[i]!r}"
-            )
-        lines.append(f"predicted,{OPTION_LABELS[breakdown.predicted]},,,")
-        return "\n".join(lines) + "\n"
+        rows = [
+            [OPTION_LABELS[i], repr(breakdown.sw[i]), repr(breakdown.dist[i]),
+             repr(breakdown.web[i]), repr(breakdown.final[i])]
+            for i in range(4)
+        ]
+        rows.append(["predicted", OPTION_LABELS[breakdown.predicted], "", "", ""])
+        return _csv_text(["option", "sw", "dist", "web", "final"], rows)
     lines = [f"question: {question_id}", f"method: {breakdown.method}"]
     lines.append("option        sw      dist       web     final")
     for i in range(4):
@@ -268,7 +269,7 @@ def cmd_answer(cfg: RunConfig, question_id: str, cache: _EmbeddingCache) -> str:
 def cmd_evaluate(cfg: RunConfig, cache: _EmbeddingCache) -> str:
     dataset, store, preprocess = _build_runtime(cfg, cache)
     method_cfg = _method_config(cfg, preprocess)
-    report = evaluate(dataset, cfg.split, method_cfg, store, workers=cfg.workers)
+    report = evaluate(dataset, cfg.split, method_cfg, store)
     return render_report(report, cfg.format)
 
 
@@ -281,7 +282,7 @@ def cmd_stats(cfg: RunConfig, cache: _EmbeddingCache) -> str:
 def cmd_compare(cfg: RunConfig, baseline: str, candidate: str, facet: str, cache: _EmbeddingCache) -> str:
     dataset, store, preprocess = _build_runtime(cfg, cache)
     cfgs = [_method_config(cfg, preprocess, method) for method in (baseline, candidate)]
-    reports = evaluate_methods(dataset, cfg.split, cfgs, store, workers=cfg.workers)
+    reports = evaluate_methods(dataset, cfg.split, cfgs, store)
     table = compare_reports(reports[0], reports[1], facet)
     return render_report(table, cfg.format)
 
@@ -325,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--format", choices=["plain", "csv", "json"])
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int, help="accepted and has no effect")
 
     p_answer = sub.add_parser("answer", help="score one question and print the decision")
     add_common(p_answer)
@@ -354,10 +355,7 @@ def _parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
-_CONFIG_FIELDS = (
-    "dataset", "split", "method", "embeddings", "stopwords", "lexicon",
-    "distance_agg", "seed", "format", "out", "workers",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
 _INT_FIELDS = ("seed", "workers")
 
 
@@ -367,7 +365,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         _check_path("--config", args.config)
         try:
             defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(defaults, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -454,6 +452,11 @@ def _run_batch(path: str, cache: _EmbeddingCache) -> int:
                 continue  # the line asked for --help, which is printed
             print(f"error: {path}:{lineno}: {exc.message}", file=sys.stderr)
             return exc.status
+        # the batch already shares one input cache, so nesting gains nothing,
+        # and a file that names itself would recurse without end
+        if args.command == "batch":
+            print(f"error: {path}:{lineno}: a batch file cannot run another batch", file=sys.stderr)
+            return EXIT_CONFIG
         code = run(args, cache)
         if code != EXIT_OK:
             return code

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .preprocess import DEFAULT_PUNCTUATION, Segmenter, tokenize
+from .preprocess import Segmenter, tokenize
 
 __all__ = [
     "GRADES",
@@ -271,7 +271,7 @@ def load_dataset(path: str | Path, split_assignment: Mapping[str, str] | None = 
             doc = json.loads(file.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise DatasetParseError(f"{file}: {exc}") from exc
         file_texts, file_questions, file_problems = _parse_document(doc, str(file), split_assignment)
         texts.extend(file_texts)
@@ -368,7 +368,7 @@ class DatasetStats:
 
 
 def _segment_raw(text: str, segmenter: Segmenter) -> list[str]:
-    return segmenter([t.lower() for t in tokenize(text, DEFAULT_PUNCTUATION)])
+    return segmenter([t.lower() for t in tokenize(text)])
 
 
 def count_words(text: str, segmenter: Segmenter) -> int:

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,8 +26,8 @@ from .corpus import (
     count_words,
     filter_dataset,
 )
-from .embedding import EmbeddingStore, usable_cpus
-from .preprocess import DEFAULT_PUNCTUATION, preprocess_sentence, preprocess_text
+from .embedding import EmbeddingStore
+from .preprocess import preprocess_sentence, preprocess_text
 from .scoring import MethodConfig, OptionScores, ScoreBreakdown, TextIndex, decide, score_options
 
 __all__ = [
@@ -129,8 +128,9 @@ def evaluate(
     workers: int = 1,
 ) -> EvaluationReport:
     """Predict every question of `split` and compute the accuracy; see
-    `evaluate_methods`."""
-    return evaluate_methods(dataset, split, (cfg,), store, workers)[0]
+    `evaluate_methods`. `workers` is accepted and has no effect: every
+    question is scored on the calling thread."""
+    return evaluate_methods(dataset, split, (cfg,), store)[0]
 
 
 def evaluate_methods(
@@ -138,7 +138,6 @@ def evaluate_methods(
     split: str,
     cfgs: Sequence[MethodConfig],
     store: EmbeddingStore | None = None,
-    workers: int = 1,
 ) -> tuple[EvaluationReport, ...]:
     """One report per config in `cfgs`, each equal to what `evaluate`
     gives for it alone, from one pass over the split.
@@ -146,10 +145,8 @@ def evaluate_methods(
     The configs share one pre-processing config. Each text is pre-processed
     and indexed once, each stem and option is pre-processed once, and each
     component score is computed once for all configs (`score_options`).
-    The questions are scored in a pool of min(workers, usable CPUs,
-    questions) threads when that is above 1; records always come back in
-    dataset order, and a random config draws from its own generator in
-    question order, so the reports are identical for any worker count.
+    Questions are scored in dataset order, and a random config draws from
+    its own generator in question order.
     """
     preprocess = cfgs[0].preprocess
     if any(cfg.preprocess != preprocess for cfg in cfgs):
@@ -169,10 +166,10 @@ def evaluate_methods(
     } if need_index else {}
     grades = {t.id: t.grade for t in subset.texts}
 
-    # question_length counts the segmented raw stem. Without stopwords and
-    # with the default punctuation that is the cleaned stem itself; removing
-    # stopwords first can create joins the raw stem does not have.
-    stem_is_raw = not preprocess.stopwords and preprocess.punctuation == DEFAULT_PUNCTUATION
+    # question_length counts the segmented raw stem. Without stopwords that
+    # is the cleaned stem itself; removing stopwords first can create joins
+    # the raw stem does not have.
+    stem_is_raw = not preprocess.stopwords
 
     def score(q: MCQuestion) -> tuple[int, OptionScores]:
         question_words = preprocess_sentence(q.stem, preprocess)
@@ -183,12 +180,7 @@ def evaluate_methods(
         option_words = [preprocess_sentence(o, preprocess) for o in q.options]
         return length, score_options(indexes[q.text_id], question_words, option_words, cfgs)
 
-    workers = min(workers, usable_cpus(), len(subset.questions))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(score, subset.questions))
-    else:
-        scored = [score(q) for q in subset.questions]
+    scored = [score(q) for q in subset.questions]
 
     reports = []
     for cfg in cfgs:
@@ -337,6 +329,10 @@ def _improvement_dict(table: ImprovementTable) -> dict:
     }
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -407,14 +403,14 @@ def render_report(obj, fmt: str = "plain") -> str:
             return _render_report_plain(obj)
         if fmt == "csv":
             return _csv_text(*_record_csv_rows(obj))
-        return json.dumps(_report_dict(obj), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        return _json_text(_report_dict(obj))
     if isinstance(obj, FacetTable):
         if fmt == "plain":
             return _render_facet_plain(obj)
         if fmt == "csv":
             rows = [[r.label, r.correct, r.total, repr(r.accuracy)] for r in obj.rows]
             return _csv_text(["label", "correct", "total", "accuracy"], rows)
-        return json.dumps(_facet_dict(obj), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        return _json_text(_facet_dict(obj))
     if isinstance(obj, ImprovementTable):
         if fmt == "plain":
             return _render_improvement_plain(obj)
@@ -426,7 +422,7 @@ def render_report(obj, fmt: str = "plain") -> str:
             return _csv_text(
                 ["label", "ratio", "baseline_accuracy", "method_accuracy", "improvement"], rows
             )
-        return json.dumps(_improvement_dict(obj), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        return _json_text(_improvement_dict(obj))
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -453,19 +449,18 @@ def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
                 for g, s in stats.grades.items()
             },
         }
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        return _json_text(payload)
     if fmt == "csv":
-        lines = ["section,name,texts,questions,avg_text_length,avg_question_length,"
-                 "avg_option_length,avg_correct_length,vocabulary"]
-        for name, s in list(stats.splits.items()) + [("all", stats.overall)]:
-            lines.append(
-                f"split,{name},{s.texts},{s.questions},{s.avg_text_length!r},"
-                f"{s.avg_question_length!r},{s.avg_option_length!r},{s.avg_correct_length!r},"
-                f"{s.vocabulary}"
-            )
-        for g, s in stats.grades.items():
-            lines.append(f"grade,{g},{s.texts},{s.questions},,,,,{s.vocabulary}")
-        return "\n".join(lines) + "\n"
+        header = ["section", "name", "texts", "questions", "avg_text_length", "avg_question_length",
+                  "avg_option_length", "avg_correct_length", "vocabulary"]
+        rows = [
+            ["split", name, s.texts, s.questions, repr(s.avg_text_length), repr(s.avg_question_length),
+             repr(s.avg_option_length), repr(s.avg_correct_length), s.vocabulary]
+            for name, s in list(stats.splits.items()) + [("all", stats.overall)]
+        ]
+        rows += [["grade", g, s.texts, s.questions, "", "", "", "", s.vocabulary]
+                 for g, s in stats.grades.items()]
+        return _csv_text(header, rows)
     lines = ["split      texts  questions  avg_text  avg_question  avg_option  avg_correct  vocab"]
     for name, s in list(stats.splits.items()) + [("all", stats.overall)]:
         lines.append(

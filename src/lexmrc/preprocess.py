@@ -118,12 +118,9 @@ class PreprocessConfig:
     """Cleaning configuration shared by every pipeline stage."""
 
     stopwords: frozenset[str] = frozenset()
-    punctuation: frozenset[str] = DEFAULT_PUNCTUATION
     segmenter: Segmenter = field(default_factory=DictionarySegmenter)
 
     def __post_init__(self):
-        if not self.punctuation:
-            raise ValueError("punctuation set must not be empty")
         # stopwords are matched case-insensitively
         object.__setattr__(self, "stopwords", frozenset(w.lower() for w in self.stopwords))
 
@@ -172,7 +169,7 @@ def preprocess_sentence(sentence: str, cfg: PreprocessConfig) -> WordList:
     Degenerate input (empty, punctuation-only, all stopwords) yields an
     empty list.
     """
-    tokens = tokenize(sentence, cfg.punctuation)
+    tokens = tokenize(sentence)
     if cfg.stopwords:
         tokens = [t for t in tokens if t.lower() not in cfg.stopwords]
     tokens = [t.lower() for t in tokens]

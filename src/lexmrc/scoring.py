@@ -168,8 +168,6 @@ class TextIndex:
         width = min(len(option), len(self.tokens))
         windows = self._windows.get(width)
         if windows is None:
-            # scorer threads may race to fill a width; every racer stores
-            # the same read-only arrays, so no lock is needed
             windows = self._windows[width] = window_means(self.vec_prefix, self.cnt_prefix, width)
         return max_window_cosine(windows, span.vector)
 

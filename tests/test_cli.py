@@ -20,6 +20,8 @@ from conftest import DATA_DIR
 FIXTURES = str(DATA_DIR / "reasoning_fixtures.json")
 VECTORS = str(DATA_DIR / "toy_vectors.vec")
 LEXICON = str(DATA_DIR / "toy_lexicon.txt")
+# JSON nested far deeper than the decoder's recursion limit
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def invoke(capsys, *argv):
@@ -153,6 +155,21 @@ class TestEvaluate:
             results.append(out)
         assert results[0] == results[1]
 
+    def test_workers_start_no_thread(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        dataset = load_dataset(FIXTURES)
+        cfg = scoring.MethodConfig(method="sw")
+        assert evaluation.evaluate(dataset, "dev", cfg, workers=4) == evaluation.evaluate(
+            dataset, "dev", cfg)
+        code, _, err = invoke(
+            capsys, "evaluate", "--dataset", FIXTURES, "--split", "dev",
+            "--method", "sw", "--lexicon", LEXICON, "--workers", "4",
+        )
+        assert (code, err) == (EXIT_OK, "")
+
     def test_empty_split(self, capsys):
         code, _, err = invoke(
             capsys, "evaluate", "--dataset", FIXTURES, "--split", "train",
@@ -183,6 +200,16 @@ class TestEvaluate:
             capsys, "evaluate", "--dataset", str(f), "--split", "dev", "--method", "sw",
         )
         assert code == EXIT_IO
+
+    def test_deeply_nested_dataset_file(self, capsys, tmp_path):
+        f = tmp_path / "nested.json"
+        f.write_text(NESTED_JSON, encoding="utf-8")
+        code, _, err = invoke(
+            capsys, "evaluate", "--dataset", str(f), "--split", "dev", "--method", "sw",
+        )
+        assert code == EXIT_IO
+        assert err.startswith(f"error: {f}: ")
+        assert len(err.splitlines()) == 1
 
     def test_invalid_dataset(self, capsys, tmp_path):
         doc = {
@@ -292,6 +319,14 @@ class TestConfigFile:
         assert code2 == EXIT_OK
         assert "method: sw\n" in out
         assert "method: sw_d\n" in out2
+
+    def test_deeply_nested_config_file(self, capsys, tmp_path):
+        f = tmp_path / "run.json"
+        f.write_text(NESTED_JSON, encoding="utf-8")
+        code, _, err = invoke(capsys, "evaluate", "--dataset", FIXTURES, "--config", str(f))
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: cannot read config file: ")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_config_key(self, capsys, tmp_path):
         f = tmp_path / "run.json"
@@ -472,6 +507,17 @@ class TestBatch:
         assert code == EXIT_OK
         assert out.startswith("usage: lexmrc stats")
         assert out_file.exists()
+
+    def test_batch_line_running_a_batch(self, capsys, tmp_path):
+        before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+        batch = tmp_path / "cmds.txt"
+        batch.write_text(f"stats --dataset {FIXTURES} --out {before}\nbatch {batch}\n"
+                         f"stats --dataset {FIXTURES} --out {after}\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "batch", str(batch))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: {batch}:2: a batch file cannot run another batch\n"
+        assert before.exists() and not after.exists()
 
     def test_batch_undecodable_file(self, tmp_path):
         batch = tmp_path / "cmds.txt"

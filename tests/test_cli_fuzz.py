@@ -3,8 +3,9 @@ exit status (0 ok, 2 config, 3 input/output, 4 data) with a one-line
 error, never in an exception.
 
 Each example writes a dataset, a vector file, a config file and a batch
-file, some of them mutated or replaced by junk, and runs one command line
-that reads them, or the batch file that lists several.
+file, some of them mutated or replaced by junk or by JSON nested past the
+decoder's recursion limit, and runs one command line that reads them, or
+the batch file that lists several (and perhaps itself).
 """
 
 import contextlib
@@ -51,6 +52,7 @@ junk_text = st.lists(
     st.sampled_from(list("ab _\n\t#.-e0123456789\"'{}[]:,\x00é") + ["nan", "inf"]),
     max_size=40,
 ).map("".join)
+deep_json = st.integers(1_000, 100_000).map(lambda depth: "[" * depth + "]" * depth)
 
 
 def _paths(doc, prefix=()):
@@ -131,7 +133,7 @@ def test_malformed_inputs_end_in_a_documented_exit(data):
         root = Path(tmp)
         dataset = json.dumps(mutate_json(data, BASE_DATASET), ensure_ascii=False)
         if data.draw(st.integers(0, 5)) == 0:
-            dataset = data.draw(junk_text)
+            dataset = data.draw(junk_text | deep_json)
         (root / "d.json").write_bytes(file_bytes(data, dataset))
         vectors = BASE_VECTORS
         if data.draw(st.booleans()):
@@ -141,7 +143,7 @@ def test_malformed_inputs_end_in_a_documented_exit(data):
         new_keys.update({key: path_values(root) for key in PATH_KEYS})
         config = json.dumps(mutate_json(data, BASE_CONFIG, new_keys), ensure_ascii=False)
         if data.draw(st.integers(0, 5)) == 0:
-            config = data.draw(junk_text)
+            config = data.draw(junk_text | deep_json)
         (root / "c.json").write_bytes(file_bytes(data, config))
         (root / "lex.txt").write_bytes(file_bytes(data, "mèo_đen\nđọc sách\n"))
         if data.draw(st.booleans()):
@@ -151,6 +153,9 @@ def test_malformed_inputs_end_in_a_documented_exit(data):
                      for _ in range(data.draw(st.integers(1, 3)))]
             if data.draw(st.booleans()):
                 lines.append(data.draw(junk_text))
+            if data.draw(st.booleans()):
+                lines.insert(data.draw(st.integers(0, len(lines))),
+                             shlex.join(["batch", str(root / "b.txt")]))
             (root / "b.txt").write_bytes(file_bytes(data, "\n".join(lines)))
             argv = ["batch", data.draw(st.sampled_from([str(root / "b.txt"), "a\x00b"]))]
         out, err = io.StringIO(), io.StringIO()

@@ -77,7 +77,7 @@ def config(method, aggregation, stopwords):
 def test_shared_pass_equals_separate_evaluates(baseline, candidate, aggregation, stopwords,
                                                workers):
     cfgs = [config(m, aggregation, stopwords) for m in (baseline, candidate)]
-    shared = evaluate_methods(DATASET, "dev", cfgs, STORE, workers=workers)
+    shared = evaluate_methods(DATASET, "dev", cfgs, STORE)
     assert len(shared) == 2
     for cfg, report in zip(cfgs, shared):
         alone = evaluate(DATASET, "dev", cfg, STORE, workers=workers)

@@ -1,7 +1,6 @@
 import string
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +155,7 @@ class TestProperties:
         # without pre-segmented input, splitting the output on "_" must
         # reproduce the cleaned token stream exactly
         cfg = PreprocessConfig(segmenter=DictionarySegmenter(["a_b", "b_a_cđ"]))
-        cleaned = [t.lower() for t in tokenize(s, cfg.punctuation)]
+        cleaned = [t.lower() for t in tokenize(s)]
         out = preprocess_sentence(s, cfg)
         assert [syl for w in out for syl in w.split("_")] == cleaned
 
@@ -174,10 +173,6 @@ class TestWordFiles:
 
 
 class TestConfig:
-    def test_empty_punctuation_rejected(self):
-        with pytest.raises(ValueError):
-            PreprocessConfig(punctuation=frozenset())
-
     def test_default_punctuation_covers_ascii_except_join_marker(self):
         assert set(string.punctuation) - {"_"} <= DEFAULT_PUNCTUATION
         assert "_" not in DEFAULT_PUNCTUATION

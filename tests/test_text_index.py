@@ -168,8 +168,8 @@ class TestWindowCache:
 
 
 def test_threads_sharing_one_index_get_the_reference_floats():
-    """Scorer threads (`--workers`) share each text's index and race to
-    fill its cache; every boost must still be the reference float."""
+    """Threads that share one text's index race to fill its cache; every
+    boost must still be the reference float."""
     rng = np.random.default_rng(3)
     words = [f"w{i}" for i in range(40)]
     store = EmbeddingStore(8, {w: rng.normal(size=8) for w in words[:30]})
