@@ -365,7 +365,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         _check_path("--config", args.config)
         try:
             defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # also bad JSON or UTF-8
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(defaults, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .preprocess import Segmenter, tokenize
 
@@ -112,135 +112,129 @@ class Dataset:
         return index[question_id]
 
 
-def _validate(texts: Iterable[ReadingText], questions: Iterable[MCQuestion]) -> list[str]:
-    problems: list[str] = []
-    seen_text_ids: set[str] = set()
-    for position, t in enumerate(texts, start=1):
-        name = t.id
-        if not isinstance(t.id, str):
-            name = f"#{position}"
-            problems.append(f"text {name}: id {t.id!r} is not a string or an integer")
-        elif not t.id:
-            name = f"#{position}"
-            problems.append("text with empty id")
-        else:
-            if t.id in seen_text_ids:
-                problems.append(f"text {name}: duplicate id")
-            seen_text_ids.add(t.id)
-        if isinstance(t.grade, bool) or not isinstance(t.grade, int):
-            problems.append(f"text {name}: grade {t.grade!r} is not an integer")
-        elif t.grade not in GRADES:
-            problems.append(f"text {name}: grade {t.grade} outside 1-5")
-        if not isinstance(t.body, str):
-            problems.append(f"text {name}: body {t.body!r} is not a string")
-        elif not t.body.strip():
-            problems.append(f"text {name}: empty body")
-    seen_question_ids: set[str] = set()
-    for position, q in enumerate(questions, start=1):
-        name = q.id
-        if not isinstance(q.id, str):
-            name = f"#{position}"
-            problems.append(f"question {name}: id {q.id!r} is not a string or an integer")
-        elif not q.id:
-            name = f"#{position}"
-            problems.append("question with empty id")
-        else:
-            if q.id in seen_question_ids:
-                problems.append(f"question {name}: duplicate id")
-            seen_question_ids.add(q.id)
-        if not isinstance(q.text_id, str):
-            problems.append(f"question {name}: text_id {q.text_id!r} is not a string or an integer")
-        elif q.text_id not in seen_text_ids:
-            problems.append(f"question {name}: unknown text_id {q.text_id!r}")
-        if not isinstance(q.stem, str):
-            problems.append(f"question {name}: stem {q.stem!r} is not a string")
-        for label, option in zip(OPTION_LABELS, q.options):
-            if not isinstance(option, str):
-                problems.append(f"question {name}: option {label} {option!r} is not a string")
-        if len(q.options) != 4:
-            problems.append(f"question {name}: expected 4 options, found {len(q.options)}")
-        elif any(isinstance(o, str) and not o.strip() for o in q.options):
-            problems.append(f"question {name}: empty option text")
-        if not (0 <= q.gold <= 3) and q.gold != -1:  # -1 already flagged at parse time
-            problems.append(f"question {name}: gold index {q.gold} outside 0-3")
-        if q.split not in SPLITS:
-            problems.append(f"question {name}: unknown split {q.split!r}")
-        if q.reasoning_type is not None and q.reasoning_type not in REASONING_TYPES:
-            problems.append(f"question {name}: unknown reasoning_type {q.reasoning_type!r}")
-    return problems
-
-
-def _parse_gold(raw, question_id, position: int, problems: list[str]) -> int:
-    if isinstance(raw, str) and raw in OPTION_LABELS:
-        return OPTION_LABELS.index(raw)
-    name = _record_name(question_id, position)
-    problems.append(f"question {name}: gold label {raw!r} is not one of A-D")
-    return -1
-
-
-def _record_name(rid, position: int) -> str:
-    """How a violation names a record: by its id, or by its position in the
-    file (`#2`) when it has no usable id, as `_validate` does."""
-    return rid if isinstance(rid, str) and rid else f"#{position}"
+def _excerpt(value) -> str:
+    """`repr(value)`, cut to its first 40 and last 37 characters around
+    "..." when it is longer than 80, so a message stays short whatever a
+    file holds."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:40] + "..." + text[-37:]
 
 
 def _as_id(raw):
     """An id as loaded: an integer becomes its string form; anything else
-    but a string is kept as it is, for `_validate` to report."""
+    but a string is kept as it is, for `_check_id` to report."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return str(raw)
     return raw
+
+
+def _check_id(kind: str, rid, position: int, seen: set[str], problems: list[str]) -> str:
+    """Check a record's id and give the name every message about the
+    record uses: the id itself, or `#<position>` when it has no usable id.
+    Positions count the records of one kind from 1 across all files."""
+    if isinstance(rid, str) and rid:
+        if rid in seen:
+            problems.append(f"{kind} {rid}: duplicate id")
+        seen.add(rid)
+        return rid
+    name = f"#{position}"
+    if isinstance(rid, str):
+        problems.append(f"{kind} with empty id")
+    else:
+        problems.append(f"{kind} {name}: id {_excerpt(rid)} is not a string or an integer")
+    return name
 
 
 _TEXT_KEYS = {"id", "grade", "title", "body"}
 _QUESTION_KEYS = {"id", "text_id", "stem", "options", "gold", "reasoning_type", "split"}
 
 
-def _parse_document(doc, origin: str, split_assignment: Mapping[str, str] | None):
+def _read_document(file: Path) -> dict:
+    """One dataset file, decoded and checked to hold lists of texts and
+    questions."""
+    try:
+        doc = json.loads(file.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too many digits
+        raise DatasetParseError(f"{file}: {exc}") from exc
     if not isinstance(doc, dict) or "texts" not in doc or "questions" not in doc:
-        raise DatasetParseError(f"{origin}: expected an object with 'texts' and 'questions'")
+        raise DatasetParseError(f"{file}: expected an object with 'texts' and 'questions'")
     if not isinstance(doc["texts"], list) or not isinstance(doc["questions"], list):
-        raise DatasetParseError(f"{origin}: 'texts' and 'questions' must be lists")
+        raise DatasetParseError(f"{file}: 'texts' and 'questions' must be lists")
+    return doc
+
+
+def _build_records(docs: dict[str, dict], split_assignment: Mapping[str, str] | None):
+    """The texts of every file, then the questions of every file, each
+    record checked field by field as it is built, and the violations."""
     problems: list[str] = []
     texts: list[ReadingText] = []
+    text_ids: set[str] = set()
+    for origin, doc in docs.items():
+        for raw in doc["texts"]:
+            try:
+                rid, grade, title = _as_id(raw["id"]), raw["grade"], raw.get("title")
+                body = raw["body"]
+            except (KeyError, TypeError) as exc:
+                raise DatasetParseError(f"{origin}: malformed text record: {exc}") from exc
+            name = _check_id("text", rid, len(texts) + 1, text_ids, problems)
+            if isinstance(grade, bool) or not isinstance(grade, int):
+                problems.append(f"text {name}: grade {_excerpt(grade)} is not an integer")
+            elif grade not in GRADES:
+                problems.append(f"text {name}: grade {_excerpt(grade)} outside 1-5")
+            if not isinstance(body, str):
+                problems.append(f"text {name}: body {_excerpt(body)} is not a string")
+            elif not body.strip():
+                problems.append(f"text {name}: empty body")
+            extra = {k: v for k, v in raw.items() if k not in _TEXT_KEYS}
+            texts.append(ReadingText(id=rid, grade=grade, title=title, body=body, extra=extra))
     questions: list[MCQuestion] = []
-    for raw in doc["texts"]:
-        try:
-            texts.append(
-                ReadingText(
-                    id=_as_id(raw["id"]),
-                    grade=raw["grade"],
-                    title=raw.get("title"),
-                    body=raw["body"],
-                    extra={k: v for k, v in raw.items() if k not in _TEXT_KEYS},
+    question_ids: set[str] = set()
+    for origin, doc in docs.items():
+        for raw in doc["questions"]:
+            try:
+                rid, options = _as_id(raw["id"]), raw["options"]
+                name = _check_id("question", rid, len(questions) + 1, question_ids, problems)
+                if not isinstance(options, list):
+                    raise DatasetParseError(f"{origin}: question {name}: options must be a list")
+                text_id, stem, gold = _as_id(raw["text_id"]), raw["stem"], raw["gold"]
+            except (KeyError, TypeError) as exc:
+                raise DatasetParseError(f"{origin}: malformed question record: {exc}") from exc
+            split, reasoning_type = raw.get("split"), raw.get("reasoning_type")
+            if split_assignment and isinstance(rid, str) and rid in split_assignment:
+                split = split_assignment[rid]
+            split = "" if split is None else str(split)
+            if not isinstance(text_id, str):
+                problems.append(
+                    f"question {name}: text_id {_excerpt(text_id)} is not a string or an integer"
                 )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetParseError(f"{origin}: malformed text record: {exc}") from exc
-    for position, raw in enumerate(doc["questions"], start=1):
-        try:
-            qid = _as_id(raw["id"])
-            if not isinstance(raw["options"], list):
-                raise DatasetParseError(
-                    f"{origin}: question {_record_name(qid, position)}: options must be a list"
+            elif text_id not in text_ids:
+                problems.append(f"question {name}: unknown text_id {_excerpt(text_id)}")
+            if not isinstance(stem, str):
+                problems.append(f"question {name}: stem {_excerpt(stem)} is not a string")
+            for label, option in zip(OPTION_LABELS, options):
+                if not isinstance(option, str):
+                    problems.append(
+                        f"question {name}: option {label} {_excerpt(option)} is not a string"
+                    )
+            if len(options) != 4:
+                problems.append(f"question {name}: expected 4 options, found {len(options)}")
+            elif any(isinstance(o, str) and not o.strip() for o in options):
+                problems.append(f"question {name}: empty option text")
+            if gold in OPTION_LABELS:  # only a string can equal a label
+                gold = OPTION_LABELS.index(gold)
+            else:
+                problems.append(f"question {name}: gold label {_excerpt(gold)} is not one of A-D")
+            if split not in SPLITS:
+                problems.append(f"question {name}: unknown split {_excerpt(split)}")
+            if reasoning_type is not None and reasoning_type not in REASONING_TYPES:
+                problems.append(
+                    f"question {name}: unknown reasoning_type {_excerpt(reasoning_type)}"
                 )
-            split = raw.get("split")
-            if split_assignment and isinstance(qid, str) and qid in split_assignment:
-                split = split_assignment[qid]
-            questions.append(
-                MCQuestion(
-                    id=qid,
-                    text_id=_as_id(raw["text_id"]),
-                    stem=raw["stem"],
-                    options=tuple(raw["options"]),
-                    gold=_parse_gold(raw["gold"], qid, position, problems),
-                    split=str(split) if split is not None else "",
-                    reasoning_type=raw.get("reasoning_type"),
-                    extra={k: v for k, v in raw.items() if k not in _QUESTION_KEYS},
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise DatasetParseError(f"{origin}: malformed question record: {exc}") from exc
+            extra = {k: v for k, v in raw.items() if k not in _QUESTION_KEYS}
+            questions.append(MCQuestion(
+                id=rid, text_id=text_id, stem=stem, options=tuple(options), gold=gold,
+                split=split, reasoning_type=reasoning_type, extra=extra,
+            ))
     return texts, questions, problems
 
 
@@ -260,24 +254,14 @@ def load_dataset(path: str | Path, split_assignment: Mapping[str, str] | None = 
     """Load and validate a dataset file, or a directory of per-split files.
 
     `split_assignment` optionally remaps question ids to splits, overriding
-    the file contents. Every invariant violation is reported at once in the
-    raised `DatasetValidationError`.
+    the file contents. Every file is read and shape-checked first; then the
+    texts of all files and the questions of all files are built and
+    checked in one walk. Every invariant violation is reported at once in
+    the raised `DatasetValidationError`, texts before questions, records in
+    file order and each record's checks in field order.
     """
-    texts: list[ReadingText] = []
-    questions: list[MCQuestion] = []
-    problems: list[str] = []
-    for file in dataset_files(path):
-        try:
-            doc = json.loads(file.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise
-        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
-            raise DatasetParseError(f"{file}: {exc}") from exc
-        file_texts, file_questions, file_problems = _parse_document(doc, str(file), split_assignment)
-        texts.extend(file_texts)
-        questions.extend(file_questions)
-        problems.extend(file_problems)
-    problems.extend(_validate(texts, questions))
+    docs = {str(file): _read_document(file) for file in dataset_files(path)}
+    texts, questions, problems = _build_records(docs, split_assignment)
     if problems:
         raise DatasetValidationError(problems)
     return Dataset(texts=tuple(texts), questions=tuple(questions))

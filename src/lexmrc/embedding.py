@@ -57,9 +57,8 @@ class EmbeddingStore:
                 raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dim},)")
             if not np.isfinite(arr).all():
                 raise ValueError(f"vector for {word!r} has non-finite components")
-            if word not in self._index:
-                self._index[word] = len(rows)
-                rows.append(arr)
+            self._index[word] = len(rows)
+            rows.append(arr)
         self._matrix = np.vstack(rows) if rows else np.zeros((0, dim))
 
     @classmethod

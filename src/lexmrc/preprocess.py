@@ -10,7 +10,6 @@ corpora pass through unchanged.
 
 from __future__ import annotations
 
-import functools
 import re
 import string
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ WordList = list[str]
 # "_" is reserved as the segmentation join marker and must never be treated
 # as punctuation, otherwise segmented words would be torn apart again.
 DEFAULT_PUNCTUATION = frozenset(string.punctuation + "“”‘’‚„«»…–—―·¡¿。、，；：！？（）【】「」『』") - {"_"}
+_TOKEN = re.compile(f"[^{re.escape(''.join(sorted(DEFAULT_PUNCTUATION)))}\\s]+")
 
 SENTENCE_BREAKS = (".", "!", "?", "…", "\n")
 _SENTENCE_SPLIT = re.compile(f"[{re.escape(''.join(SENTENCE_BREAKS))}]")
@@ -140,20 +140,12 @@ class ProcessedText:
         return cls(sentences=sents, flat=flat)
 
 
-@functools.lru_cache(maxsize=16)
-def _token_pattern(punctuation: frozenset[str]) -> re.Pattern[str]:
-    marks = "".join(sorted(p for p in punctuation if len(p) == 1))
-    return re.compile(f"[^{re.escape(marks)}\\s]+")
-
-
-def tokenize(text: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Split on whitespace and punctuation characters; punctuation is
     consumed, everything else is preserved verbatim. A token is a maximal
-    run of characters that are neither `str.isspace` nor a one-character
-    entry of `punctuation`."""
-    if not isinstance(punctuation, frozenset):
-        punctuation = frozenset(punctuation)
-    return _token_pattern(punctuation).findall(text)
+    run of characters that are neither `str.isspace` nor in
+    `DEFAULT_PUNCTUATION`."""
+    return _TOKEN.findall(text)
 
 
 def split_sentences(text: str) -> list[str]:

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import random
 import shlex
 import stat
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 from lexmrc import cli, evaluation, scoring
 from lexmrc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, run
-from lexmrc.corpus import load_dataset
+from lexmrc.corpus import OPTION_LABELS, load_dataset
 from lexmrc.embedding import EmbeddingStore
 
 from conftest import DATA_DIR
@@ -20,6 +21,8 @@ from conftest import DATA_DIR
 FIXTURES = str(DATA_DIR / "reasoning_fixtures.json")
 VECTORS = str(DATA_DIR / "toy_vectors.vec")
 LEXICON = str(DATA_DIR / "toy_lexicon.txt")
+# a two-file dataset whose violations span both files; CI checks its bytes too
+INVALID_DATASET = str(DATA_DIR / "invalid_dataset")
 # JSON nested far deeper than the decoder's recursion limit
 NESTED_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -108,6 +111,16 @@ class TestAnswer:
         assert out == ""
         assert "text #1: id None is not a string or an integer" in err
         assert "question #1: id None is not a string or an integer" in err
+
+    @pytest.mark.parametrize("seed", [0, 2, 5, 11])
+    def test_random_method_draws_from_its_seed(self, capsys, seed):
+        argv = ["answer", "--dataset", FIXTURES, "--question-id", "q-wm", "--method", "random",
+                "--seed", str(seed), "--format", "json"]
+        first, second = invoke(capsys, *argv), invoke(capsys, *argv)
+        assert first == second
+        code, out, err = first
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["predicted"] == OPTION_LABELS[random.Random(seed).randrange(4)]
 
     def test_json_format(self, capsys):
         code, out, _ = invoke(
@@ -210,6 +223,38 @@ class TestEvaluate:
         assert code == EXIT_IO
         assert err.startswith(f"error: {f}: ")
         assert len(err.splitlines()) == 1
+
+    def test_missing_dataset_flag(self, capsys):
+        code, out, err = invoke(capsys, "evaluate", "--split", "dev", "--method", "sw")
+        assert (code, out, err) == (EXIT_CONFIG, "", "error: --dataset is required\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer string conversion limit")
+    def test_integer_too_long_in_dataset_file(self, capsys, tmp_path):
+        f = tmp_path / "d.json"
+        f.write_text('{"texts": [], "questions": [], "n": ' + "1" * 5000 + "}", encoding="utf-8")
+        code, out, err = invoke(capsys, "stats", "--dataset", str(f))
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith(f"error: {f}: Exceeds the limit")
+        assert len(err.splitlines()) == 1
+
+    def test_long_value_message_is_cut(self, capsys, tmp_path):
+        doc = {
+            "texts": [{"id": "t1", "grade": 1, "title": None, "body": list(range(200_000))}],
+            "questions": [],
+        }
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke(capsys, "stats", "--dataset", str(f))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error: invalid dataset:\n  - text t1: body [0, 1, 2")
+        assert err.endswith(", 199998, 199999] is not a string\n")
+        assert len(err.encode("utf-8")) < 1024
+
+    def test_invalid_dataset_directory(self, capsys):
+        code, out, err = invoke(capsys, "stats", "--dataset", INVALID_DATASET)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == (DATA_DIR / "invalid_dataset.stderr").read_text(encoding="utf-8")
 
     def test_invalid_dataset(self, capsys, tmp_path):
         doc = {
@@ -327,6 +372,26 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert err.startswith("error: cannot read config file: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer string conversion limit")
+    def test_integer_too_long_in_config_file(self, capsys, tmp_path):
+        f = tmp_path / "run.json"
+        f.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        code, out, err = invoke(capsys, "stats", "--dataset", FIXTURES, "--config", str(f))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error: cannot read config file: Exceeds the limit")
+
+    def test_null_value_keeps_the_default(self, capsys, tmp_path):
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({"dataset": FIXTURES, "format": None, "split": None}),
+                     encoding="utf-8")
+        code, out, err = invoke(capsys, "stats", "--config", str(f))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == invoke(capsys, "stats", "--dataset", FIXTURES, "--format", "plain")[1]
+        code, out, err = invoke(capsys, "evaluate", "--config", str(f), "--method", "sw")
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == "error: split 'test' contains no questions\n"
 
     def test_unknown_config_key(self, capsys, tmp_path):
         f = tmp_path / "run.json"

@@ -86,8 +86,8 @@ class TestLoad:
         with pytest.raises(DatasetValidationError) as err:
             load_dataset(f)
         assert err.value.violations == [
-            "question q1: gold label 'E' is not one of A-D",
             f"text t1: grade {grade!r} is not an integer",
+            "question q1: gold label 'E' is not one of A-D",
         ]
 
     @pytest.mark.parametrize("value", [None, 5, ["x"]])
@@ -117,13 +117,13 @@ class TestLoad:
         with pytest.raises(DatasetValidationError) as err:
             load_dataset(f)
         assert err.value.violations == [
-            "question #2: gold label 'F' is not one of A-D",
-            "question q3: gold label 'E' is not one of A-D",
             f"text #2: id {value!r} is not a string or an integer",
             "text #2: body None is not a string",
             f"question #2: id {value!r} is not a string or an integer",
             "question #2: stem None is not a string",
+            "question #2: gold label 'F' is not one of A-D",
             f"question q3: text_id {value!r} is not a string or an integer",
+            "question q3: gold label 'E' is not one of A-D",
         ]
 
     def test_records_with_empty_ids_are_still_checked(self, tmp_path):
@@ -135,12 +135,96 @@ class TestLoad:
         with pytest.raises(DatasetValidationError) as err:
             load_dataset(f)
         assert err.value.violations == [
-            "question #2: gold label 'E' is not one of A-D",
             "text with empty id",
             "text #2: grade 9 outside 1-5",
             "question with empty id",
+            "question #2: gold label 'E' is not one of A-D",
             "question #2: unknown split 'val'",
         ]
+
+    def violations(self, tmp_path, texts, questions):
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        with pytest.raises(DatasetValidationError) as err:
+            load_dataset(f)
+        return err.value.violations
+
+    def test_duplicate_text_id(self, tmp_path):
+        texts, questions = minimal_doc()
+        texts.append(dict(texts[0], grade=0))
+        assert self.violations(tmp_path, texts, questions) == [
+            "text t1: duplicate id",
+            "text t1: grade 0 outside 1-5",
+        ]
+
+    def test_duplicate_question_id(self, tmp_path):
+        texts, questions = minimal_doc()
+        questions.append(dict(questions[0], split="val"))
+        assert self.violations(tmp_path, texts, questions) == [
+            "question q1: duplicate id",
+            "question q1: unknown split 'val'",
+        ]
+
+    def test_empty_option_text(self, tmp_path):
+        texts, questions = minimal_doc()
+        questions[0]["options"][2] = " \t"
+        assert self.violations(tmp_path, texts, questions) == ["question q1: empty option text"]
+
+    def test_long_values_are_cut(self, tmp_path):
+        long_list, long_text = list(range(1000)), "x" * 1000
+        texts = [{"id": "t1", "grade": long_text, "title": None, "body": long_list},
+                 {"id": long_list, "grade": 10**100, "title": None, "body": "a"}]
+        questions = [{"id": "q1", "text_id": long_list, "stem": long_list,
+                      "options": [long_list, "b", "c", "d"], "gold": long_text,
+                      "split": long_text, "reasoning_type": long_text},
+                     {"id": "q2", "text_id": long_text, "stem": "s",
+                      "options": ["a", "b", "c", "d"], "gold": "A", "split": "dev"}]
+        cut_list = repr(long_list)[:40] + "..." + repr(long_list)[-37:]
+        cut_text = repr(long_text)[:40] + "..." + repr(long_text)[-37:]
+        cut_int = repr(10**100)[:40] + "..." + repr(10**100)[-37:]
+        assert len(cut_list) == len(cut_text) == len(cut_int) == 80
+        assert self.violations(tmp_path, texts, questions) == [
+            f"text t1: grade {cut_text} is not an integer",
+            f"text t1: body {cut_list} is not a string",
+            f"text #2: id {cut_list} is not a string or an integer",
+            f"text #2: grade {cut_int} outside 1-5",
+            f"question q1: text_id {cut_list} is not a string or an integer",
+            f"question q1: stem {cut_list} is not a string",
+            f"question q1: option A {cut_list} is not a string",
+            f"question q1: gold label {cut_text} is not one of A-D",
+            f"question q1: unknown split {cut_text}",
+            f"question q1: unknown reasoning_type {cut_text}",
+            f"question q2: unknown text_id {cut_text}",
+        ]
+
+    def test_records_are_numbered_across_files(self, tmp_path):
+        texts, questions = minimal_doc()
+        write_dataset(tmp_path / "a.json", texts, [questions[0], dict(questions[0], id="q2")])
+        write_dataset(tmp_path / "b.json", [dict(texts[0], id=None)],
+                      [dict(questions[0], id=None, gold="E")])
+        with pytest.raises(DatasetValidationError) as err:
+            load_dataset(tmp_path)
+        assert err.value.violations == [
+            "text #2: id None is not a string or an integer",
+            "question #3: id None is not a string or an integer",
+            "question #3: gold label 'E' is not one of A-D",
+        ]
+
+    def test_options_error_uses_the_same_name(self, tmp_path):
+        texts, questions = minimal_doc()
+        write_dataset(tmp_path / "a.json", texts, questions)
+        write_dataset(tmp_path / "b.json", [], [dict(questions[0], id=None, options="abcd")])
+        with pytest.raises(DatasetParseError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'b.json'}: question #2: options must be a list"
+
+    def test_every_file_is_read_before_any_record_is_built(self, tmp_path):
+        texts, questions = minimal_doc()
+        del questions[0]["stem"]
+        write_dataset(tmp_path / "a.json", texts, questions)
+        (tmp_path / "b.json").write_text("{not json", encoding="utf-8")
+        with pytest.raises(DatasetParseError, match="b.json"):
+            load_dataset(tmp_path)
 
     def test_integer_ids_load_as_strings(self, tmp_path):
         texts, questions = minimal_doc()

@@ -279,6 +279,30 @@ class TestRender:
         as_csv = render_report(table, "csv")
         assert as_csv.splitlines() == ["label,correct,total,accuracy"]
 
+    def test_facet_table_json_bytes(self):
+        table = FacetTable(facet="grade", rows=(FacetRow("1", 2, 3), FacetRow("Lớp 5", 0, 0)),
+                           skipped=1)
+        assert render_report(table, "json") == (
+            '{\n'
+            '  "facet": "grade",\n'
+            '  "rows": [\n'
+            '    {\n'
+            '      "accuracy": 0.6666666666666666,\n'
+            '      "correct": 2,\n'
+            '      "label": "1",\n'
+            '      "total": 3\n'
+            '    },\n'
+            '    {\n'
+            '      "accuracy": 0.0,\n'
+            '      "correct": 0,\n'
+            '      "label": "Lớp 5",\n'
+            '      "total": 0\n'
+            '    }\n'
+            '  ],\n'
+            '  "skipped": 1\n'
+            '}\n'
+        )
+
     def test_plain_report_contains_percentage(self, toy_dataset):
         report = evaluate(toy_dataset, "dev", SW)
         plain = render_report(report, "plain")

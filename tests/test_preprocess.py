@@ -251,13 +251,9 @@ class TestAgainstReference:
         assert changed == []
 
     @given(st.text(alphabet="aĐ_…,." + "".join(REGEX_MARKS) + WHITESPACE[:8] + WHITESPACE[-8:],
-                   max_size=30),
-           st.frozensets(st.one_of(st.sampled_from(REGEX_MARKS + [",", "…", "a"]),
-                                   st.text(alphabet="a^]-", min_size=2, max_size=3)),
-                         max_size=8))
+                   max_size=30))
     @settings(max_examples=500, deadline=None)
-    def test_tokenize(self, text, punctuation):
-        assert tokenize(text, punctuation) == reference_tokenize(text, punctuation)
+    def test_tokenize(self, text):
         assert tokenize(text) == reference_tokenize(text, DEFAULT_PUNCTUATION)
 
     def test_tokenize_every_whitespace_character(self):
