@@ -32,7 +32,7 @@ from .corpus import (
     dataset_files,
     load_dataset,
 )
-from .embedding import EmbeddingFormatError, EmbeddingStore, load_embeddings
+from .embedding import EmbeddingFormatError, EmbeddingStore, file_stamp, load_embeddings
 from .evaluation import (
     EmptySplitError,
     FACETS,
@@ -116,14 +116,8 @@ def _check_path(flag: str, path: str | None) -> None:
 
 
 def _stamp(files) -> tuple:
-    """Path, size, modification and change time and inode of each file.
-    The change time and the inode catch a same-size rewrite whose
-    modification time was set back (`cp -p`, `touch -r`)."""
-    stamp = []
-    for file in files:
-        st = os.stat(file)
-        stamp.append((str(file), st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino))
-    return tuple(stamp)
+    """Path and `file_stamp` of each file."""
+    return tuple((str(file),) + file_stamp(file) for file in files)
 
 
 class _EmbeddingCache:

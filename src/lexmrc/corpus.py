@@ -112,12 +112,15 @@ class Dataset:
         return index[question_id]
 
 
-def _excerpt(value) -> str:
-    """`repr(value)`, cut to its first 40 and last 37 characters around
-    "..." when it is longer than 80, so a message stays short whatever a
-    file holds."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """`text` cut to its first 40 and last 37 characters around "..." when
+    it is longer than 80, so a message stays short whatever a file holds."""
     return text if len(text) <= 80 else text[:40] + "..." + text[-37:]
+
+
+def _excerpt(value) -> str:
+    """`repr(value)`, cut as `_cut` does."""
+    return _cut(repr(value))
 
 
 def _as_id(raw):
@@ -130,13 +133,15 @@ def _as_id(raw):
 
 def _check_id(kind: str, rid, position: int, seen: set[str], problems: list[str]) -> str:
     """Check a record's id and give the name every message about the
-    record uses: the id itself, or `#<position>` when it has no usable id.
-    Positions count the records of one kind from 1 across all files."""
+    record uses: the id itself, cut as `_cut` does, or `#<position>` when
+    it has no usable id. Positions count the records of one kind from 1
+    across all files."""
     if isinstance(rid, str) and rid:
+        name = _cut(rid)
         if rid in seen:
-            problems.append(f"{kind} {rid}: duplicate id")
+            problems.append(f"{kind} {name}: duplicate id")
         seen.add(rid)
-        return rid
+        return name
     name = f"#{position}"
     if isinstance(rid, str):
         problems.append(f"{kind} with empty id")
@@ -147,6 +152,20 @@ def _check_id(kind: str, rid, position: int, seen: set[str], problems: list[str]
 
 _TEXT_KEYS = {"id", "grade", "title", "body"}
 _QUESTION_KEYS = {"id", "text_id", "stem", "options", "gold", "reasoning_type", "split"}
+
+
+def _open_record(origin: str, kind: str, raw, position: int, seen: set[str],
+                 problems: list[str], required: tuple[str, ...]) -> str:
+    """Check that record `raw` is a JSON object holding every key of
+    `required`, then its id (`_check_id`); its name. A record that is not
+    an object, or lacks a key, is a parse error."""
+    if not isinstance(raw, dict):
+        raise DatasetParseError(f"{origin}: {kind} #{position} is not a JSON object")
+    name = _check_id(kind, _as_id(raw.get("id")), position, seen, problems)
+    for key in required:
+        if key not in raw:
+            raise DatasetParseError(f"{origin}: {kind} {name}: missing key {key!r}")
+    return name
 
 
 def _read_document(file: Path) -> dict:
@@ -171,12 +190,9 @@ def _build_records(docs: dict[str, dict], split_assignment: Mapping[str, str] | 
     text_ids: set[str] = set()
     for origin, doc in docs.items():
         for raw in doc["texts"]:
-            try:
-                rid, grade, title = _as_id(raw["id"]), raw["grade"], raw.get("title")
-                body = raw["body"]
-            except (KeyError, TypeError) as exc:
-                raise DatasetParseError(f"{origin}: malformed text record: {exc}") from exc
-            name = _check_id("text", rid, len(texts) + 1, text_ids, problems)
+            name = _open_record(origin, "text", raw, len(texts) + 1, text_ids, problems,
+                                ("id", "grade", "body"))
+            rid, grade, body = _as_id(raw["id"]), raw["grade"], raw["body"]
             if isinstance(grade, bool) or not isinstance(grade, int):
                 problems.append(f"text {name}: grade {_excerpt(grade)} is not an integer")
             elif grade not in GRADES:
@@ -186,19 +202,18 @@ def _build_records(docs: dict[str, dict], split_assignment: Mapping[str, str] | 
             elif not body.strip():
                 problems.append(f"text {name}: empty body")
             extra = {k: v for k, v in raw.items() if k not in _TEXT_KEYS}
-            texts.append(ReadingText(id=rid, grade=grade, title=title, body=body, extra=extra))
+            texts.append(ReadingText(id=rid, grade=grade, title=raw.get("title"), body=body,
+                                     extra=extra))
     questions: list[MCQuestion] = []
     question_ids: set[str] = set()
     for origin, doc in docs.items():
         for raw in doc["questions"]:
-            try:
-                rid, options = _as_id(raw["id"]), raw["options"]
-                name = _check_id("question", rid, len(questions) + 1, question_ids, problems)
-                if not isinstance(options, list):
-                    raise DatasetParseError(f"{origin}: question {name}: options must be a list")
-                text_id, stem, gold = _as_id(raw["text_id"]), raw["stem"], raw["gold"]
-            except (KeyError, TypeError) as exc:
-                raise DatasetParseError(f"{origin}: malformed question record: {exc}") from exc
+            name = _open_record(origin, "question", raw, len(questions) + 1, question_ids,
+                                problems, ("id", "options", "text_id", "stem", "gold"))
+            rid, options = _as_id(raw["id"]), raw["options"]
+            if not isinstance(options, list):
+                raise DatasetParseError(f"{origin}: question {name}: options must be a list")
+            text_id, stem, gold = _as_id(raw["text_id"]), raw["stem"], raw["gold"]
             split, reasoning_type = raw.get("split"), raw.get("reasoning_type")
             if split_assignment and isinstance(rid, str) and rid in split_assignment:
                 split = split_assignment[rid]

@@ -1,21 +1,19 @@
 """Read-only word-vector store plus the span-similarity primitives.
 
 Vector files are word2vec-style UTF-8 text: an optional "count dim" header
-line followed by one "word c1 ... cd" row per word. Vocabulary lookups are
+line followed by one "word c1 ... cd" row per word. A loaded store converts
+a row's components when a lookup first needs them. Vocabulary lookups are
 exact; words missing from the store are skipped when averaging spans.
 """
 
 from __future__ import annotations
 
-import io
 import os
-import signal
-import struct
-import threading
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +23,7 @@ __all__ = [
     "SpanVector",
     "average_embedding",
     "cosine_similarity",
+    "file_stamp",
     "load_embeddings",
 ]
 
@@ -42,8 +41,61 @@ class SpanVector:
     support: int
 
 
+def file_stamp(file: str | Path | int) -> tuple[int, int, int, int]:
+    """Size, modification and change time and inode of a file, named by
+    its path or an open descriptor. The change time and the inode catch a
+    same-size rewrite whose modification time was set back (`cp -p`,
+    `touch -r`)."""
+    st = os.stat(file)
+    return st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino
+
+
+@dataclass(frozen=True, eq=False)
+class _RowSource:
+    """Where the rows of a loaded store are: the vector file, its stamp at
+    load, and the byte offset, byte length (with a "\n" line end, without
+    a "\r" or "\r\n" one) and line number of each kept row, in row id
+    order."""
+
+    path: Path
+    stamp: tuple[int, int, int, int]
+    starts: np.ndarray
+    sizes: np.ndarray
+    linenos: np.ndarray
+
+    def read(self, ids: np.ndarray, dim: int | None) -> np.ndarray:
+        """Rows `ids` (ascending, distinct) converted in one `np.loadtxt`
+        pass. Raises for the first bad one of them, by line number, and
+        for a file whose stamp is not the one it was loaded with, so rows
+        of two files never mix."""
+        rests = []
+        with open(self.path, "rb", buffering=0) as raw:
+            if file_stamp(raw.fileno()) != self.stamp:
+                raise EmbeddingFormatError(f"{self.path}: file changed since it was loaded")
+            for start, size in zip(self.starts[ids].tolist(), self.sizes[ids].tolist()):
+                raw.seek(start)
+                parts = raw.read(size).decode("utf-8").split(None, 1)
+                rests.append(parts[1] if len(parts) == 2 else "")
+        matrix = _parse_rows(rests)
+        if (
+            matrix is None
+            or matrix.shape != (len(rests), dim or matrix.shape[1])
+            or not np.isfinite(matrix).all()
+        ):
+            raise _first_bad_row(self.path, self.linenos[ids].tolist(), rests, dim)
+        return matrix
+
+
 class EmbeddingStore:
-    """Immutable word -> dense vector table of fixed dimension."""
+    """Immutable word -> dense vector table of fixed dimension.
+
+    A store built from a mapping holds every row. A store that
+    `load_embeddings` reads holds its words and converts a row's
+    components when `rows` first asks for it: the rows converted so far
+    fill a table in the order they were converted, and `_slot` maps a row
+    id to its place there (-1 for a row not converted yet). Once every row
+    is converted the table is put in row id order and `_slot` dropped.
+    """
 
     def __init__(self, dim: int, vectors: Mapping[str, Sequence[float]] | None = None):
         if dim <= 0:
@@ -60,13 +112,18 @@ class EmbeddingStore:
             self._index[word] = len(rows)
             rows.append(arr)
         self._matrix = np.vstack(rows) if rows else np.zeros((0, dim))
+        self._slot: np.ndarray | None = None
+        self._source: _RowSource | None = None
 
     @classmethod
-    def from_rows(cls, dim: int, words: list[str], matrix: np.ndarray) -> "EmbeddingStore":
-        store = cls.__new__(cls)
-        store.dim = dim
-        store._index = {w: i for i, w in enumerate(words)}
-        store._matrix = matrix
+    def _from_file(cls, dim: int, index: dict[str, int], source: _RowSource) -> "EmbeddingStore":
+        """A store of the words `index` whose rows are all still in `source`."""
+        store = cls(dim)
+        if index:
+            store._index = index
+            store._slot = np.full(len(index), -1, dtype=np.intp)
+            store._source = source
+            store._filled = 0  # rows in the table
         return store
 
     def __len__(self) -> int:
@@ -84,228 +141,111 @@ class EmbeddingStore:
         row = self._index.get(word)
         if row is None:
             return None
-        return self._matrix[row]
+        return self.rows([row])[0]
 
     def row_index(self, word: str) -> int | None:
         return self._index.get(word)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
+    def rows(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The vectors of row ids `ids` (a list, range or array), in order,
+        as one array. The rows
+        among them not converted yet are converted first, in one pass; a
+        bad one raises `EmbeddingFormatError` and leaves the store as it
+        was."""
+        if self._slot is None:
+            return self._matrix[ids]
+        slots = self._slot[ids]
+        if slots.size and slots.min() < 0:
+            todo = np.unique(np.asarray(ids, dtype=np.intp)[slots < 0])
+            self._add(todo, self._source.read(todo, self.dim))
+            return self.rows(ids)
+        return self._matrix[slots]
+
+    def _add(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Put the converted `rows` of row ids `ids` in the next free slots,
+        doubling the table when it is full."""
+        end = self._filled + len(ids)
+        if end > len(self._matrix):
+            table = np.empty((max(end, 2 * len(self._matrix)), self.dim))
+            table[:self._filled] = self._matrix[:self._filled]
+            self._matrix = table
+        self._matrix[self._filled:end] = rows
+        self._slot[ids] = np.arange(self._filled, end)
+        self._filled = end
+        if end == len(self._slot):
+            self._matrix = self._matrix[self._slot]
+            self._slot = self._source = None
 
     def multi_syllable_words(self) -> frozenset[str]:
         """Vocabulary entries usable as a segmentation lexicon."""
         return frozenset(w for w in self._index if "_" in w)
 
 
-# the smallest byte range worth a process of its own
-MIN_CHUNK_BYTES = 4 << 20
-
-# what a child sends ahead of its words and rows: rows, columns, word bytes
-_CHUNK_HEAD = struct.Struct("=3q")
-
-
-def usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    """Parse a text vector file into a store.
+    """Read a text vector file's words into a store that converts each
+    row when it is first looked up (`EmbeddingStore.rows`).
 
-    The header line is optional; without one the dimension is inferred from
-    the first row. The first occurrence of a duplicated word wins. Components
-    follow `np.loadtxt`'s number grammar, and the rows of each chunk of the
-    file are converted in one pass of it. A file is cut at line ends into
-    one chunk per usable CPU, each of at least `MIN_CHUNK_BYTES`; the first
-    chunk is parsed in this process and each other one in a forked child
-    (`_parse_chunks`). When the file is one chunk, or any chunk fails, the
-    whole file is parsed in this process; when that fails, its rows are
-    parsed again one by one with the same parser, to report the first bad
-    row by line number. A malformed file of several chunks is therefore
-    parsed twice.
+    One pass over the lines keeps, for the first occurrence of each word,
+    the byte range and line number of its row; a later duplicate is
+    dropped unread. Lines end as under universal newlines (`_cr_lines`)
+    and are decoded as UTF-8 one by one, so a decode error anywhere raises
+    here. The header line is optional; without one the first row is
+    converted here to fix the dimension. Components follow `np.loadtxt`'s
+    number grammar, and a row is checked when it is converted: a bad row
+    that no lookup reaches never raises.
     """
     path = Path(path)
-    parsed = _parse_chunks(path, _cut_points(path))
-    if parsed is None:
-        parsed = _parse_file(path)
-    dim, words, matrix = parsed
-    if not words:
-        if dim is None:
-            raise EmbeddingFormatError(f"{path}: empty vector file")
-        return EmbeddingStore.from_rows(dim, [], np.zeros((0, dim)))
-    first = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))  # word -> its first row
-    if len(first) < len(words):
-        keep = sorted(first.values())
-        words = [words[i] for i in keep]
-        matrix = matrix[keep]
-    return EmbeddingStore.from_rows(matrix.shape[1], words, matrix)
-
-
-def _cut_points(path: Path) -> list[int]:
-    """The byte offsets that bound the chunks, from 0 to the file size. A
-    cut falls right after a newline byte, which under universal newlines is
-    always a line end (a CR LF pair is never split). The file is one
-    chunk when it is small, has no cut point, `os.fork` is missing or
-    another Python thread is alive (a fork would copy its held locks)."""
-    with path.open("rb") as raw:
-        size = os.fstat(raw.fileno()).st_size
-        cuts = [0]
-        k = min(usable_cpus(), size // MIN_CHUNK_BYTES)
-        if k > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-            for i in range(1, k):
-                raw.seek(size * i // k)
-                raw.readline()
-                if cuts[-1] < raw.tell() < size:
-                    cuts.append(raw.tell())
-    return cuts + [size]
-
-
-def _read_lines(
-    handle: Iterable[str], path: Path, first: bool
-) -> tuple[int | None, list[int], list[str], list[str]]:
-    """The line pass over one chunk: the header's dimension, read only from
-    line 1 of the first chunk, then the line number within the chunk, the
-    word and the components, as text, of every row. Blank lines are
-    skipped."""
     dim: int | None = None
-    linenos: list[int] = []
-    words: list[str] = []
-    rests: list[str] = []
-    for lineno, line in enumerate(handle, start=1):
-        parts = line.split(None, 1)
-        if not parts:
-            continue
-        if lineno == 1 and first:
-            header = line.split()
-            if len(header) == 2 and _is_int(header[0]) and _is_int(header[1]):
-                dim = int(header[1])
-                if dim <= 0:
-                    raise EmbeddingFormatError(f"{path}:1: non-positive dimension in header")
-                continue
-        linenos.append(lineno)
-        words.append(parts[0])
-        rests.append(parts[1] if len(parts) == 2 else "")
-    return dim, linenos, words, rests
+    index: dict[str, int] = {}
+    starts, sizes, linenos = array("q"), array("q"), array("q")
+    with path.open("rb") as handle:
+        stamp = file_stamp(handle.fileno())
+        lineno = pos = 0
+        for raw in handle:  # split at "\n" only: a line with a "\r" is split again
+            for start, line in ((pos, raw),) if b"\r" not in raw else _cr_lines(pos, raw):
+                lineno += 1
+                text = line.decode()  # UTF-8
+                parts = text.split(None, 1)
+                if not parts:
+                    continue
+                if lineno == 1:
+                    header = text.split()
+                    if len(header) == 2 and _is_int(header[0]) and _is_int(header[1]):
+                        dim = int(header[1])
+                        if dim <= 0:
+                            raise EmbeddingFormatError(
+                                f"{path}:1: non-positive dimension in header")
+                        continue
+                if parts[0] not in index:
+                    index[parts[0]] = len(starts)
+                    starts.append(start)
+                    sizes.append(len(line))
+                    linenos.append(lineno)
+            pos += len(raw)
+    source = _RowSource(path, stamp, *(np.frombuffer(a, dtype=np.int64)
+                                       for a in (starts, sizes, linenos)))
+    first = None
+    if dim is None:
+        if not index:
+            raise EmbeddingFormatError(f"{path}: empty vector file")
+        first = source.read(np.zeros(1, dtype=np.intp), None)
+        dim = first.shape[1]
+    store = EmbeddingStore._from_file(dim, index, source)
+    if first is not None:
+        store._add(np.zeros(1, dtype=np.intp), first)
+    return store
 
 
-def _parse_file(path: Path) -> tuple[int | None, list[str], np.ndarray | None]:
-    """The header's dimension, the words and their rows of the whole file,
-    parsed in this process; raises for the first bad row."""
-    with path.open(encoding="utf-8") as handle:
-        dim, linenos, words, rests = _read_lines(handle, path, first=True)
-    if not rests:
-        return dim, [], None
-    matrix = _parse_rows(rests)
-    if (
-        matrix is None
-        or matrix.shape != (len(rests), dim or matrix.shape[1])
-        or not np.isfinite(matrix).all()
-    ):
-        raise _first_bad_row(path, linenos, rests, dim)
-    return dim, words, matrix
-
-
-def _read_chunk(
-    path: Path, start: int, stop: int
-) -> tuple[int | None, list[str], np.ndarray | None]:
-    """The header's dimension, the words and their rows of the bytes
-    [start, stop) of the file, decoded as the whole file is; the rows are
-    None when they do not parse together, one per word."""
-    with path.open("rb") as raw:
-        raw.seek(start)
-        chunk = io.BytesIO(raw.read(stop - start))
-    with io.TextIOWrapper(chunk, encoding="utf-8") as handle:
-        dim, _, words, rests = _read_lines(handle, path, first=start == 0)
-    rows = _parse_rows(rests) if rests else np.zeros((0, 0))
-    return dim, words, rows if rows is not None and len(rows) == len(words) else None
-
-
-def _parse_chunks(path: Path, cuts: list[int]) -> tuple[int | None, list[str], np.ndarray] | None:
-    """The header's dimension, the words and their rows of a file of
-    several chunks, or None when it is one chunk or any chunk fails.
-
-    Each chunk after the first is parsed in a forked child, which sends its
-    words and float64 rows through a pipe (`_send_chunk`); this process
-    parses the first chunk meanwhile, then reads each child's rows into one
-    matrix in file order. Every child has been reaped when this returns.
-    """
-    if len(cuts) < 3:
-        return None
-    pipes: list[io.BufferedReader] = []
-    pids: list[int] = []
-    done = False
-    try:
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _send_chunk(path, start, stop, write)
-            finally:
-                os.close(write)  # this process's end; `_send_chunk` never returns
-            pids.append(pid)
-        dim, words, head_rows = _read_chunk(path, cuts[0], cuts[1])
-        if head_rows is None:
-            return None
-        shapes = [head_rows.shape]
-        for pipe in pipes:
-            head = pipe.read(_CHUNK_HEAD.size)
-            if len(head) < _CHUNK_HEAD.size:  # the child failed
-                return None
-            shapes.append(_CHUNK_HEAD.unpack(head))
-        widths = {shape[1] for shape in shapes if shape[0]}
-        if len(widths) > 1 or (dim is not None and widths - {dim}):
-            return None
-        matrix = np.empty((sum(shape[0] for shape in shapes), widths.pop() if widths else 0))
-        lo = len(words)
-        if lo:
-            matrix[:lo] = head_rows
-        del head_rows
-        for pipe, (rows, _, size) in zip(pipes, shapes[1:]):
-            names = pipe.read(size)
-            block = matrix[lo:lo + rows]
-            if len(names) < size or pipe.readinto(block) < block.nbytes:
-                return None
-            if rows:
-                words.extend(names.decode("utf-8").split("\n"))
-            lo += rows
-        if len(words) != lo or not np.isfinite(matrix).all():
-            return None
-        done = True
-        return dim, words, matrix
-    except (OSError, ValueError):  # a decode error, a bad header, no fork
-        return None
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _send_chunk(path: Path, start: int, stop: int, write: int) -> NoReturn:
-    """In a forked child: parse the bytes [start, stop) of the file, write
-    the row count, the width, the words (newline-joined UTF-8; a word holds no
-    whitespace) and the float64 rows to the pipe `write`, then exit. A chunk
-    that fails writes nothing. Runs only the parser: no BLAS, no import."""
-    code = 1
-    try:
-        _, words, matrix = _read_chunk(path, start, stop)
-        if matrix is not None:
-            names = "\n".join(words).encode("utf-8")
-            with open(write, "wb") as out:
-                out.write(_CHUNK_HEAD.pack(*matrix.shape, len(names)))
-                out.write(names)
-                out.write(matrix)
-            code = 0
-    finally:
-        os._exit(code)
+def _cr_lines(pos: int, raw: bytes) -> Iterator[tuple[int, bytes]]:
+    """The offset and bytes of each line of `raw`, a binary line at offset
+    `pos` that holds a "\r", without its line end: "\r\n" and a bare "\r"
+    both end a line, as under universal newlines. "\r" never occurs inside
+    a UTF-8 sequence."""
+    if raw.endswith(b"\n"):
+        raw = raw[:-2] if raw.endswith(b"\r\n") else raw[:-1]
+    for line in raw.split(b"\r"):
+        yield pos, line
+        pos += len(line) + 1
 
 
 def _parse_rows(rests: list[str]) -> np.ndarray | None:
@@ -366,7 +306,7 @@ def average_embedding(store: EmbeddingStore, words: Iterable[str]) -> SpanVector
         return SpanVector(vector=np.zeros(store.dim), support=0)
     order = sorted(counts)
     terms = np.zeros((len(order) + 1, store.dim))
-    np.multiply(store.matrix.take([index[w] for w in order], axis=0),
+    np.multiply(store.rows([index[w] for w in order]),
                 np.array([counts[w] for w in order], dtype=np.float64)[:, None], out=terms[1:])
     found = sum(counts.values())
     return SpanVector(vector=np.add.accumulate(terms)[-1] / found, support=found)

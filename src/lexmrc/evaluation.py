@@ -160,10 +160,7 @@ def evaluate_methods(
 
     # the random method reads no index: a random-only run skips the texts
     need_index = any(cfg.method != "random" for cfg in cfgs)
-    indexes = {
-        t.id: TextIndex(preprocess_text(t.body, preprocess), store if need_web else None)
-        for t in subset.texts
-    } if need_index else {}
+    texts = {t.id: preprocess_text(t.body, preprocess) for t in subset.texts} if need_index else {}
     grades = {t.id: t.grade for t in subset.texts}
 
     # question_length counts the segmented raw stem. Without stopwords that
@@ -171,16 +168,31 @@ def evaluate_methods(
     # the raw stem does not have.
     stem_is_raw = not preprocess.stopwords
 
-    def score(q: MCQuestion) -> tuple[int, OptionScores]:
+    def process(q: MCQuestion) -> tuple[int, list[str], list[list[str]]]:
         question_words = preprocess_sentence(q.stem, preprocess)
         length = (len(question_words) if stem_is_raw
                   else count_words(q.stem, preprocess.segmenter))
-        if not need_index:
-            return length, _NO_SCORES
-        option_words = [preprocess_sentence(o, preprocess) for o in q.options]
-        return length, score_options(indexes[q.text_id], question_words, option_words, cfgs)
+        options = [preprocess_sentence(o, preprocess) for o in q.options] if need_index else []
+        return length, question_words, options
 
-    scored = [score(q) for q in subset.questions]
+    # each question is pre-processed as it is scored; with vectors, all of
+    # them first, so that the vector rows of every text and option word are
+    # converted in one pass, not a few rows per index build and average
+    processed = map(process, subset.questions)
+    if need_web:
+        processed = list(processed)
+        words = {w for text in texts.values() for w in text.flat}
+        words.update(w for _, _, options in processed for option in options for w in option)
+        store.rows([row for row in map(store.row_index, words) if row is not None])
+    indexes = {
+        text_id: TextIndex(text, store if need_web else None) for text_id, text in texts.items()
+    }
+
+    scored = []
+    for q, (length, question_words, option_words) in zip(subset.questions, processed):
+        scores = (score_options(indexes[q.text_id], question_words, option_words, cfgs)
+                  if need_index else _NO_SCORES)
+        scored.append((length, scores))
 
     reports = []
     for cfg in cfgs:

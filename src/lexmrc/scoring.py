@@ -126,7 +126,7 @@ class TextIndex:
             rows = [store.row_index(w) for w in self.vocab]
             known = np.array([False] + [r is not None for r in rows])
             table = np.zeros((len(rows) + 1, store.dim))
-            table[known] = store.matrix[[r for r in rows if r is not None]]
+            table[known] = store.rows([r for r in rows if r is not None])
             token_rows = np.concatenate(([0], self.ids + 1))
             self.vec_prefix = np.cumsum(table[token_rows], axis=0)
             self.cnt_prefix = np.cumsum(known[token_rows], dtype=np.int64)

@@ -162,8 +162,7 @@ def reference_load_embeddings(path):
             rows.append(vec)
     if dim is None:
         raise EmbeddingFormatError(f"{path}: empty vector file")
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim))
-    return EmbeddingStore.from_rows(dim, words, matrix)
+    return EmbeddingStore(dim, dict(zip(words, rows)))
 
 
 def reference_average_embedding(store, words):

@@ -219,9 +219,7 @@ class TestThroughput:
         n_words = 100_000
         dim = 100
         words = [f"w{i}" for i in range(n_words)]
-        store = EmbeddingStore.from_rows(
-            dim, words, rng.standard_normal((n_words, dim))
-        )
+        store = EmbeddingStore(dim, dict(zip(words, rng.standard_normal((n_words, dim)))))
 
         texts = []
         for t in range(83):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lexmrc import cli, evaluation, scoring
+from lexmrc import cli, embedding, evaluation, scoring
 from lexmrc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, run
 from lexmrc.corpus import OPTION_LABELS, load_dataset
 from lexmrc.embedding import EmbeddingStore
@@ -829,6 +829,74 @@ class TestInputCache:
         assert real_run(commands[2]) == EXIT_OK
         assert alone.read_bytes() == outs[2].read_bytes()
 
+
+
+class TestLazyVectorRows:
+    """A vector row is converted, and checked, when a command first looks
+    it up. The two committed files each hold one bad row; CI runs the
+    installed `lexmrc` on both and compares the same bytes."""
+
+    def evaluate(self, capsys, vectors, *extra):
+        return invoke(capsys, "evaluate", "--dataset", "tests/data/reasoning_fixtures.json",
+                      "--split", "dev", "--method", "sw_d_web", "--embeddings", vectors,
+                      "--lexicon", "tests/data/toy_lexicon.txt", "--format", "json", *extra)
+
+    def test_a_bad_row_no_question_touches_passes(self, capsys, monkeypatch):
+        monkeypatch.chdir(DATA_DIR.parent.parent)
+        code, out, err = self.evaluate(capsys, "tests/data/toy_vectors_unused_bad_row.vec")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (DATA_DIR / "golden" / "evaluate_sw_d_web.json").read_text(encoding="utf-8")
+
+    def test_a_bad_row_a_question_touches_exits_3(self, capsys, monkeypatch):
+        monkeypatch.chdir(DATA_DIR.parent.parent)
+        code, out, err = self.evaluate(capsys, "tests/data/toy_vectors_used_bad_row.vec")
+        assert (code, out) == (EXIT_IO, "")
+        want = (DATA_DIR / "toy_vectors_used_bad_row.stderr").read_text(encoding="utf-8")
+        assert err == want
+        assert want == ("error: tests/data/toy_vectors_used_bad_row.vec:91: "
+                        "non-numeric vector component\n")
+        # only the text of q-aoi holds the bad row's word
+        for qid, code_want in (("q-pp", EXIT_OK), ("q-aoi", EXIT_IO)):
+            code, _, err = invoke(capsys, "answer", "--dataset", FIXTURES, "--question-id", qid,
+                                  "--method", "sw_d_web", "--lexicon", LEXICON,
+                                  "--embeddings", "tests/data/toy_vectors_used_bad_row.vec")
+            assert (code, err) == (code_want, "" if code_want == EXIT_OK else want)
+
+    def test_a_file_rewritten_before_conversion_exits_3(self, capsys, tmp_path, monkeypatch):
+        vectors = tmp_path / "v.vec"
+        vectors.write_bytes(Path(VECTORS).read_bytes())
+        real_load = cli.load_embeddings
+
+        def load_then_rewrite(path):
+            store = real_load(path)
+            vectors.write_bytes(Path(VECTORS).read_bytes().replace(b" 0.", b" 1."))
+            return store
+
+        monkeypatch.setattr(cli, "load_embeddings", load_then_rewrite)
+        code, out, err = self.evaluate(capsys, str(vectors))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"error: {vectors}: file changed since it was loaded\n"
+
+    def test_a_second_evaluate_converts_no_row(self, tmp_path, monkeypatch):
+        passes = []
+        read = embedding._RowSource.read
+
+        def counting(source, ids, dim):
+            passes.append(len(ids))
+            return read(source, ids, dim)
+
+        monkeypatch.setattr(embedding._RowSource, "read", counting)
+        cache = cli._EmbeddingCache()
+        argv = ["evaluate", "--dataset", FIXTURES, "--split", "dev", "--method", "sw_d_web",
+                "--embeddings", VECTORS, "--lexicon", LEXICON, "--format", "json",
+                "--out", str(tmp_path / "out.json")]
+        assert run(argv, cache) == EXIT_OK
+        # one pass over the rows of every text and option word of the split
+        assert len(passes) == 1 and 0 < passes[0] < 161
+        first = (tmp_path / "out.json").read_bytes()
+        assert run(argv, cache) == EXIT_OK
+        assert len(passes) == 1
+        assert (tmp_path / "out.json").read_bytes() == first
 
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -226,6 +226,51 @@ class TestLoad:
         with pytest.raises(DatasetParseError, match="b.json"):
             load_dataset(tmp_path)
 
+    def test_long_record_names_are_cut(self, tmp_path):
+        texts, questions = minimal_doc()
+        long_id = "q" * 60 + "z" * 60
+        questions[0].update(id=long_id, text_id="")
+        questions.append(dict(questions[0]))
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        with pytest.raises(DatasetValidationError) as err:
+            load_dataset(f)
+        name = "q" * 40 + "..." + "z" * 37
+        assert err.value.violations == [
+            f"question {name}: unknown text_id ''",
+            f"question {name}: duplicate id",
+            f"question {name}: unknown text_id ''",
+        ]
+        # an id of 80 characters is its own name
+        questions = [dict(questions[0], id="q" * 80, text_id="t1")]
+        write_dataset(f, texts, questions)
+        assert load_dataset(f).questions[0].id == "q" * 80
+
+    @pytest.mark.parametrize("kind", ["text", "question"])
+    @pytest.mark.parametrize("record", ["a string", None, 7, ["t1"]])
+    def test_a_record_that_is_not_an_object(self, tmp_path, kind, record):
+        texts, questions = minimal_doc()
+        (texts if kind == "text" else questions).append(record)
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        with pytest.raises(DatasetParseError) as err:
+            load_dataset(f)
+        assert str(err.value) == f"{f}: {kind} #2 is not a JSON object"
+
+    @pytest.mark.parametrize("kind, key, name", [
+        ("text", "grade", "t1"), ("text", "body", "t1"), ("text", "id", "#1"),
+        ("question", "stem", "q1"), ("question", "gold", "q1"), ("question", "text_id", "q1"),
+        ("question", "options", "q1"), ("question", "id", "#1"),
+    ])
+    def test_a_missing_key_names_the_record_and_the_key(self, tmp_path, kind, key, name):
+        texts, questions = minimal_doc()
+        del (texts if kind == "text" else questions)[0][key]
+        f = tmp_path / "d.json"
+        write_dataset(f, texts, questions)
+        with pytest.raises(DatasetParseError) as err:
+            load_dataset(f)
+        assert str(err.value) == f"{f}: {kind} {name}: missing key {key!r}"
+
     def test_integer_ids_load_as_strings(self, tmp_path):
         texts, questions = minimal_doc()
         texts[0]["id"] = 7

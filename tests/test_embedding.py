@@ -1,6 +1,6 @@
+import io
 import os
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from lexmrc.embedding import (
     load_embeddings,
 )
 
-from oracles import reference_average_embedding, reference_load_embeddings
+from oracles import _is_int, reference_average_embedding, reference_load_embeddings
 
 # 32 / (sqrt(14) * sqrt(77)) evaluated at 40 decimal digits with mpmath
 COS_123_456 = 0.9746318461970762710785724911261228634989
@@ -26,6 +26,26 @@ COS_123_456 = 0.9746318461970762710785724911261228634989
 def make_store(**vectors):
     dim = len(next(iter(vectors.values())))
     return EmbeddingStore(dim, vectors)
+
+
+def load_all(path):
+    """The store of `path` with every row converted."""
+    store = load_embeddings(path)
+    store.rows(range(len(store)))
+    return store
+
+
+def count_conversions(monkeypatch):
+    """The row ids of each conversion from a vector file, one list a pass."""
+    passes = []
+    read = embedding._RowSource.read
+
+    def counting(source, ids, dim):
+        passes.append(ids.tolist())
+        return read(source, ids, dim)
+
+    monkeypatch.setattr(embedding._RowSource, "read", counting)
+    return passes
 
 
 class TestLoader:
@@ -41,7 +61,7 @@ class TestLoader:
         f = tmp_path / "v.vec"
         f.write_text("2 3\na 1 0 0\nb 0 1\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match=r":3:"):
-            load_embeddings(f)
+            load_all(f)
 
     def test_headerless_matches_headered(self, tmp_path):
         rows = "a 1 0 0\nb 0 1 0\nc 0.5 0.25 -1\n"
@@ -72,7 +92,7 @@ class TestLoader:
         f = tmp_path / "v.vec"
         f.write_text("a 1 0\nb inf 0\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match=r":2:.*finite"):
-            load_embeddings(f)
+            load_all(f)
         f.write_text("a 1 nan\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match="finite"):
             load_embeddings(f)
@@ -111,7 +131,7 @@ class TestNumberGrammar:
         f = tmp_path / "v.vec"
         f.write_text(f"a 1 2\nb 3 {token}\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError) as exc:
-            load_embeddings(f)
+            load_all(f)
         assert str(exc.value) == f"{f}:2: non-numeric vector component"
         assert reference_load_embeddings(f).get("b")[1] == float(token)
 
@@ -121,7 +141,7 @@ class TestNumberGrammar:
         f.write_text(f"a{sep}1{sep}{sep}-2.5{sep}\nb 0 1e-3\n", encoding="utf-8")
         store = load_embeddings(f)
         assert list(store) == ["a", "b"]
-        assert store.matrix.tolist() == [[1.0, -2.5], [0.0, 0.001]]
+        assert store.rows([0, 1]).tolist() == [[1.0, -2.5], [0.0, 0.001]]
 
 
 # components both loaders read alike: Python floats and np.loadtxt agree on
@@ -179,12 +199,26 @@ def vector_files(draw):
 
 
 def load_outcome(load, path):
+    """What loading `path` and converting every kept row gives: the store
+    as words and row bytes, or the error message."""
     try:
         store = load(path)
+        matrix = store.rows(range(len(store)))
     except EmbeddingFormatError as exc:
         return ("error", str(exc))
-    return ("ok", store.dim, list(store), store.matrix.dtype, store.matrix.shape,
-            store.matrix.tobytes())
+    return ("ok", store.dim, list(store), matrix.dtype, matrix.shape, matrix.tobytes())
+
+
+def first_rows(lines):
+    """Each row's word and the line number of its first row, for lines read
+    with universal newlines; line 1 is no row when it is header-shaped."""
+    first = {}
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts or (lineno == 1 and len(parts) == 2 and all(map(_is_int, parts))):
+            continue
+        first.setdefault(parts[0], lineno)
+    return first
 
 
 @pytest.fixture(scope="module")
@@ -196,198 +230,144 @@ def vector_path(tmp_path_factory):
 @settings(max_examples=400, deadline=None)
 def test_loader_matches_reference(vector_path, text):
     vector_path.write_bytes(text.encode("utf-8"))
-    assert load_outcome(load_embeddings, vector_path) == \
-        load_outcome(reference_load_embeddings, vector_path)
+    got = load_outcome(load_embeddings, vector_path)
+    # The one allowed difference: a bad row that is a later duplicate is
+    # dropped unread, while the reference stops at it. Blank each such row
+    # to a space, keeping its line end and so every line number (an empty
+    # line after a "\r" would join a "\n" to it), until the two agree.
+    lines = io.StringIO(text, newline="").readlines()
+    first = first_rows(lines)
+    while (want := load_outcome(reference_load_embeddings, vector_path)) != got:
+        assert want[0] == "error"
+        lineno = int(want[1][len(str(vector_path)) + 1:].split(":")[0])
+        line = lines[lineno - 1]
+        assert first[line.split()[0]] < lineno, (want, got)
+        lines[lineno - 1] = " " + line[len(line.rstrip("\r\n")):]
+        vector_path.write_bytes("".join(lines).encode("utf-8"))
 
 
-def assert_no_children():
-    """No child process of this one is left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+class TestLazyRows:
+    ROWS = "a 1 2\nb x 3\nc 4 5\nb 6 7\n"
 
-
-@pytest.fixture()
-def small_chunks(monkeypatch):
-    """Cut every vector file of a few dozen bytes or more into up to three
-    chunks, whatever the host's CPU count."""
-    monkeypatch.setattr(embedding, "MIN_CHUNK_BYTES", 8)
-    monkeypatch.setattr(embedding, "usable_cpus", lambda: 3)
-
-
-@given(vector_files())
-@settings(max_examples=400, deadline=None)
-def test_chunked_loader_matches_reference(vector_path, text):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(embedding, "MIN_CHUNK_BYTES", max(1, len(text.encode("utf-8")) // 3))
-        patch.setattr(embedding, "usable_cpus", lambda: 3)
-        vector_path.write_bytes(text.encode("utf-8"))
-        outcome = load_outcome(load_embeddings, vector_path)
-    assert_no_children()
-    assert outcome == load_outcome(reference_load_embeddings, vector_path)
-
-
-def serial_outcome(path):
-    """What the loader gives for `path` as one chunk, in this process."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(embedding, "MIN_CHUNK_BYTES", 1 << 62)
-        return load_outcome(load_embeddings, path)
-
-
-class TestChunkedLoader:
-    ROWS = "".join(f"w{i} {i} -{i}.5\n" for i in range(30))
-
-    def write(self, tmp_path, data: bytes, chunks=3):
+    def test_a_bad_row_raises_only_when_converted(self, tmp_path):
         f = tmp_path / "v.vec"
-        f.write_bytes(data)
-        assert len(embedding._cut_points(f)) == chunks + 1
-        return f
-
-    def chunk_of(self, f, offset):
-        cuts = embedding._cut_points(f)
-        return sum(cut <= offset for cut in cuts[1:-1])
-
-    def test_splits_and_matches_serial(self, tmp_path, small_chunks):
-        f = self.write(tmp_path, b"30 2\n" + self.ROWS.encode())
+        f.write_text(self.ROWS, encoding="utf-8")
         store = load_embeddings(f)
-        assert_no_children()
-        assert len(store) == 30 and store.dim == 2
-        assert load_outcome(load_embeddings, f) == serial_outcome(f)
-        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
-
-    @pytest.mark.parametrize("row, problem", [
-        ("bad 1 x", "non-numeric vector component"),
-        ("bad 1 inf", "non-finite vector component"),
-        ("bad 1 2 3", "expected 2 components, found 3"),
-        ("bad", "expected 2 components, found 0"),
-    ])
-    def test_bad_row_in_a_later_chunk(self, tmp_path, small_chunks, row, problem):
-        data = (self.ROWS + row + "\n" + self.ROWS).encode()
-        f = self.write(tmp_path, data)
-        assert self.chunk_of(f, data.index(b"bad")) == 1
+        assert list(store) == ["a", "b", "c"] and store.dim == 2
+        assert store.get("c").tolist() == [4.0, 5.0]
         with pytest.raises(EmbeddingFormatError) as exc:
-            load_embeddings(f)
-        assert_no_children()
-        assert str(exc.value) == f"{f}:31: {problem}"
-        assert serial_outcome(f) == ("error", str(exc.value))
+            store.get("b")
+        assert str(exc.value) == f"{f}:2: non-numeric vector component"
+        # a failed conversion leaves the store as it was
+        assert store.rows([2, 0]).tolist() == [[4.0, 5.0], [1.0, 2.0]]
+        with pytest.raises(EmbeddingFormatError, match=":2: non-numeric"):
+            store.rows([0, 1, 2])
 
-    def test_decode_error_in_a_later_chunk(self, tmp_path, small_chunks):
-        data = (self.ROWS * 2).encode() + b"w\xff 1 2\n"
-        f = self.write(tmp_path, data)
-        assert self.chunk_of(f, data.index(b"\xff")) == 2
-        with pytest.raises(UnicodeDecodeError) as chunked:
-            load_embeddings(f)
-        assert_no_children()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(embedding, "MIN_CHUNK_BYTES", 1 << 62)
-            with pytest.raises(UnicodeDecodeError) as serial:
-                load_embeddings(f)
-        assert str(chunked.value) == str(serial.value)
+    def test_a_bad_later_duplicate_is_never_read(self, tmp_path):
+        f = tmp_path / "v.vec"
+        f.write_text("a 1 2\nb 3 4\na x\n", encoding="utf-8")
+        assert load_all(f).get("a").tolist() == [1.0, 2.0]
+        with pytest.raises(EmbeddingFormatError, match=":3: non-numeric"):
+            reference_load_embeddings(f)
 
-    def test_header_shaped_line_in_a_later_chunk_is_a_row(self, tmp_path, small_chunks):
-        # every line is header-shaped, so each chunk starts with one
-        rows = "".join(f"{100 + i} {100 + i}\n" for i in range(60))
-        f = self.write(tmp_path, ("60 1\n" + rows).encode())
+    def test_each_row_is_converted_once(self, tmp_path, monkeypatch):
+        f = tmp_path / "v.vec"
+        f.write_text("3 2\n" + self.ROWS.replace("x", "0"), encoding="utf-8")
+        passes = count_conversions(monkeypatch)
         store = load_embeddings(f)
-        assert len(store) == 60
-        assert store.get("100").tolist() == [100.0]
-        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
-        f = self.write(tmp_path, ("41 2\n" + self.ROWS + "100 100\n").encode())
-        with pytest.raises(EmbeddingFormatError, match=r":32: expected 2 components, found 1$"):
+        assert passes == []
+        assert store.rows([2, 0, 2]).tolist() == [[4.0, 5.0], [1.0, 2.0], [4.0, 5.0]]
+        assert store.rows([0, 2]).tolist() == [[1.0, 2.0], [4.0, 5.0]]
+        assert store.rows([1, 0]).tolist() == [[0.0, 3.0], [1.0, 2.0]]
+        assert store.rows([]).shape == (0, 2)
+        assert passes == [[0, 2], [1]]
+        assert store._slot is None  # every row converted: the table is in row order
+
+    def test_headerless_file_converts_its_first_row_at_load(self, tmp_path, monkeypatch):
+        f = tmp_path / "v.vec"
+        f.write_text("\n  " + self.ROWS, encoding="utf-8")
+        passes = count_conversions(monkeypatch)
+        store = load_embeddings(f)
+        assert (store.dim, passes) == (2, [[0]])
+        assert store.get("a").tolist() == [1.0, 2.0]
+        assert passes == [[0]]
+        f.write_text("a\nb 1 2\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=r":1: row has no vector components$"):
             load_embeddings(f)
-        assert_no_children()
 
-    def test_first_duplicate_wins_across_chunks(self, tmp_path, small_chunks):
-        data = ("dup 7 7\n" + self.ROWS + self.ROWS + "dup 9 9\n").encode()
-        f = self.write(tmp_path, data)
+    @given(st.permutations(range(40)), st.integers(1, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_converted_in_any_order_match_reference(self, tmp_path_factory, order, step):
+        f = tmp_path_factory.mktemp("order") / "v.vec"
+        f.write_text("".join(f"w{i} {i / 7} {-i}e-3 {i * 1e300}\n" for i in range(40)),
+                     encoding="utf-8")
         store = load_embeddings(f)
-        assert store.get("dup").tolist() == [7.0, 7.0]
-        assert list(store) == ["dup"] + [f"w{i}" for i in range(30)]
-        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
+        want = reference_load_embeddings(f)
+        for i in range(0, 40, step):
+            ids = order[i:i + step]
+            assert store.rows(ids).tobytes() == np.vstack([want.get(f"w{j}") for j in ids]).tobytes()
+        assert store._slot is None
+        assert load_outcome(lambda _: store, f) == load_outcome(reference_load_embeddings, f)
 
-    def test_crlf_file(self, tmp_path, small_chunks):
-        f = self.write(tmp_path, self.ROWS.replace("\n", "\r\n").encode())
-        assert all(cut == 0 or f.read_bytes()[cut - 2:cut] == b"\r\n"
-                   for cut in embedding._cut_points(f)[:-1])
-        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
-
-    def test_bare_cr_file_is_one_chunk(self, tmp_path, small_chunks):
-        f = self.write(tmp_path, self.ROWS.replace("\n", "\r").encode(), chunks=1)
-        assert len(load_embeddings(f)) == 30
-        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
-
-    def test_file_without_newline_is_one_chunk(self, tmp_path, small_chunks):
-        f = self.write(tmp_path, b"a " + b"1 " * 200, chunks=1)
-        assert load_embeddings(f).dim == 200
-
-    def test_chunk_of_blank_lines_only(self, tmp_path, small_chunks):
-        blank = " \n" * (len(self.ROWS) // 2)
-        data = ("30 2\n" + self.ROWS[:len(self.ROWS) // 2].rsplit("\n", 1)[0] + "\n" + blank
-                + blank + self.ROWS[len(self.ROWS) // 2:].split("\n", 1)[1]).encode()
-        f = self.write(tmp_path, data)
-        cuts = embedding._cut_points(f)
-        assert not data[cuts[1]:cuts[2]].strip()
-        assert load_outcome(load_embeddings, f) == load_outcome(reference_load_embeddings, f)
-
-    def test_header_only_chunk(self, tmp_path, small_chunks):
-        f = self.write(tmp_path, b"0 3\n" + b"\n" * 60)
+    @pytest.mark.parametrize("change", ["rewrite", "same-size", "replace"])
+    def test_a_file_changed_after_load_raises(self, tmp_path, change):
+        f = tmp_path / "v.vec"
+        f.write_text(self.ROWS.replace("x", "0"), encoding="utf-8")
         store = load_embeddings(f)
-        assert (len(store), store.dim) == (0, 3)
-        assert_no_children()
+        before = f.stat()
+        if change == "rewrite":
+            f.write_text("a 9 9\n", encoding="utf-8")
+        elif change == "same-size":
+            # only the change time differs, as `cp -p` or `touch -r` leave it
+            f.write_text(self.ROWS.replace("x", "9"), encoding="utf-8")
+            os.utime(f, ns=(before.st_atime_ns, before.st_mtime_ns))
+            assert f.stat().st_size == before.st_size
+        else:
+            other = tmp_path / "w.vec"
+            other.write_text(self.ROWS.replace("x", "9"), encoding="utf-8")
+            os.replace(other, f)
+        with pytest.raises(EmbeddingFormatError) as exc:
+            store.get("c")
+        assert str(exc.value) == f"{f}: file changed since it was loaded"
 
-    def test_stays_in_process_while_another_thread_runs(self, tmp_path, small_chunks, monkeypatch):
-        f = self.write(tmp_path, self.ROWS.encode())
+    def test_a_decode_error_anywhere_raises_at_load(self, tmp_path):
+        f = tmp_path / "v.vec"
+        f.write_bytes(self.ROWS.encode() + b"w\xff 1 2\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_embeddings(f)
 
-        def no_fork():
-            raise AssertionError("forked")
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_bare_cr_lines_match_lf(self, tmp_path, end):
+        text = "3 2\n" + self.ROWS.replace("x", "0") + "\n \nd 8 9"
+        lf, other = tmp_path / "lf.vec", tmp_path / "other.vec"
+        lf.write_text(text, encoding="utf-8", newline="\n")
+        other.write_text(text, encoding="utf-8", newline=end)
+        stores = [load_embeddings(lf), load_embeddings(other)]
+        for store, f in zip(stores, (lf, other)):
+            source = store._source
+            assert source.linenos.tolist() == [2, 3, 4, 8]
+            data = f.read_bytes()
+            spans = [data[start:start + size] for start, size in zip(source.starts, source.sizes)]
+            # a span ends before a "\r", and keeps a "\n" line end
+            assert [span.removesuffix(b"\n") for span in spans] \
+                == [b"a 1 2", b"b 0 3", b"c 4 5", b"d 8 9"]
+            assert not any(b"\r" in span for span in spans)
+        assert load_outcome(lambda f: stores[1], other) == load_outcome(lambda f: stores[0], lf)
+        assert load_outcome(load_embeddings, other) == \
+            load_outcome(reference_load_embeddings, other)
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        stop = threading.Event()
-        worker = threading.Thread(target=stop.wait)
-        worker.start()
-        try:
-            assert load_outcome(load_embeddings, f) == serial_outcome(f)
-        finally:
-            stop.set()
-            worker.join()
+    def test_mixed_line_ends(self, tmp_path):
+        f = tmp_path / "v.vec"
+        f.write_bytes(b"a 1\r\r\nb 2\rc 3\n\rd 4\r")
+        store = load_embeddings(f)
+        assert store._source.linenos.tolist() == [1, 3, 4, 6]
+        assert load_outcome(lambda f: store, f) == load_outcome(reference_load_embeddings, f)
 
-    def test_stays_in_process_without_fork(self, tmp_path, small_chunks, monkeypatch):
-        f = self.write(tmp_path, self.ROWS.encode())
-        monkeypatch.delattr(os, "fork")
-        assert len(embedding._cut_points(f)) == 2
-        assert load_outcome(load_embeddings, f) == serial_outcome(f)
-
-    def test_failed_fork_falls_back_to_one_chunk(self, tmp_path, small_chunks, monkeypatch):
-        f = self.write(tmp_path, self.ROWS.encode())
-
-        def fork_fails():
-            raise BlockingIOError("no more processes")
-
-        monkeypatch.setattr(os, "fork", fork_fails)
-        assert load_outcome(load_embeddings, f) == serial_outcome(f)
-
-    @pytest.mark.parametrize("sent", [0, 10, 40, -8])
-    def test_child_that_dies_early_falls_back_to_one_chunk(self, tmp_path, small_chunks,
-                                                           monkeypatch, sent):
-        # a child that sends only `[:sent]` of its message: a short header,
-        # short words or short rows
-        f = self.write(tmp_path, self.ROWS.encode())
-        send = embedding._send_chunk
-
-        def send_part(path, start, stop, write):
-            try:
-                read, full = os.pipe()
-                if os.fork() == 0:
-                    send(path, start, stop, full)
-                os.close(full)
-                with open(read, "rb") as src, open(write, "wb") as out:
-                    out.write(src.read()[:sent])
-                os.wait()
-            finally:
-                os._exit(0)
-
-        monkeypatch.setattr(embedding, "_send_chunk", send_part)
-        assert load_outcome(load_embeddings, f) == serial_outcome(f)
-        assert_no_children()
+    def test_header_only_file(self, tmp_path):
+        f = tmp_path / "v.vec"
+        f.write_text("0 3\n\n", encoding="utf-8")
+        store = load_embeddings(f)
+        assert (len(store), store.dim, store.rows([]).shape) == (0, 3, (0, 3))
 
 
 class TestAverage:
