@@ -30,6 +30,11 @@ def compare(baseline, candidate, facet, fmt, *extra):
             "--format", fmt]
 
 
+def answer(question_id, method, fmt, *extra):
+    return ["answer", *DATASET, "--question-id", question_id, "--method", method, *LEXICON,
+            *extra, "--format", fmt]
+
+
 COMMANDS = {
     "evaluate_sw.json": evaluate("sw"),
     "evaluate_sw_d.json": evaluate("sw_d"),
@@ -42,6 +47,9 @@ COMMANDS = {
     "compare_sw_sw_d_web_stopwords.json": compare("sw", "sw_d_web", "question_length", "json",
                                                   *STOPWORDS),
     "compare_random_sw.plain": compare("random", "sw", "reasoning_type", "plain", "--seed", "7"),
+    "answer_sw_d_web.json": answer("q-aoi", "sw_d_web", "json", *VECTORS),
+    "answer_sw_d_stopwords.csv": answer("q-pp", "sw_d", "csv", *STOPWORDS),
+    "answer_random.plain": answer("q-ssr", "random", "plain", "--seed", "7"),
     "stats.plain": ["stats", *DATASET, *LEXICON, "--format", "plain"],
     "stats.csv": ["stats", *DATASET, *LEXICON, "--format", "csv"],
     "stats.json": ["stats", *DATASET, *LEXICON, "--format", "json"],
