@@ -44,15 +44,8 @@ from .evaluation import (
     render_report,
     render_stats,
 )
-from .preprocess import (
-    DictionarySegmenter,
-    PreprocessConfig,
-    load_lexicon,
-    load_stopwords,
-    preprocess_sentence,
-    preprocess_text,
-)
-from .scoring import METHODS, MethodConfig, predict
+from .preprocess import DictionarySegmenter, PreprocessConfig, load_lexicon, load_stopwords
+from .scoring import METHODS, MethodConfig
 
 __all__ = ["ConfigError", "RunConfig", "main", "run"]
 
@@ -221,15 +214,14 @@ def _replace(target: Path, text: str, mode: int | None) -> None:
 
 def cmd_answer(cfg: RunConfig, question_id: str, cache: _EmbeddingCache) -> str:
     dataset, store, preprocess = _build_runtime(cfg, cache)
-    method_cfg = _method_config(cfg, preprocess)
     try:
         question = dataset.question_by_id(question_id)
     except KeyError:
         raise DatasetValidationError([f"unknown question id {question_id!r}"]) from None
-    text = preprocess_text(dataset.text_by_id(question.text_id).body, preprocess)
-    words = preprocess_sentence(question.stem, preprocess)
-    options = [preprocess_sentence(o, preprocess) for o in question.options]
-    breakdown = predict(text, words, options, method_cfg, store)
+    # the one-question case of evaluate, so the two cannot disagree
+    one = Dataset(texts=(dataset.text_by_id(question.text_id),), questions=(question,))
+    report = evaluate(one, question.split, _method_config(cfg, preprocess), store)
+    breakdown = report.records[0].breakdown
     if cfg.format == "json":
         payload = {
             "question_id": question_id,

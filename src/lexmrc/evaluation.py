@@ -23,6 +23,7 @@ from .corpus import (
     GRADES,
     MCQuestion,
     REASONING_TYPES,
+    ReadingText,
     count_words,
     filter_dataset,
 )
@@ -142,11 +143,11 @@ def evaluate_methods(
     """One report per config in `cfgs`, each equal to what `evaluate`
     gives for it alone, from one pass over the split.
 
-    The configs share one pre-processing config. Each text is pre-processed
-    and indexed once, each stem and option is pre-processed once, and each
-    component score is computed once for all configs (`score_options`).
-    Questions are scored in dataset order, and a random config draws from
-    its own generator in question order.
+    The configs share one pre-processing config. The split is scored one
+    text at a time (`_score_text`), so one text's index is alive at a time,
+    and each component score is computed once for all configs. Decisions
+    are taken in dataset order, so a random config draws from its own
+    generator in question order.
     """
     preprocess = cfgs[0].preprocess
     if any(cfg.preprocess != preprocess for cfg in cfgs):
@@ -158,41 +159,14 @@ def evaluate_methods(
     if need_web and store is None:
         raise ValueError("method 'sw_d_web' requires an embedding store")
 
-    # the random method reads no index: a random-only run skips the texts
-    need_index = any(cfg.method != "random" for cfg in cfgs)
-    texts = {t.id: preprocess_text(t.body, preprocess) for t in subset.texts} if need_index else {}
+    by_text: dict[str, list[MCQuestion]] = {t.id: [] for t in subset.texts}
+    for q in subset.questions:
+        by_text[q.text_id].append(q)
+    # each text's results come in its questions' dataset order
+    results = {t.id: iter(_score_text(t, by_text[t.id], cfgs, store if need_web else None))
+               for t in subset.texts}
+    scored = [next(results[q.text_id]) for q in subset.questions]
     grades = {t.id: t.grade for t in subset.texts}
-
-    # question_length counts the segmented raw stem. Without stopwords that
-    # is the cleaned stem itself; removing stopwords first can create joins
-    # the raw stem does not have.
-    stem_is_raw = not preprocess.stopwords
-
-    def process(q: MCQuestion) -> tuple[int, list[str], list[list[str]]]:
-        question_words = preprocess_sentence(q.stem, preprocess)
-        length = (len(question_words) if stem_is_raw
-                  else count_words(q.stem, preprocess.segmenter))
-        options = [preprocess_sentence(o, preprocess) for o in q.options] if need_index else []
-        return length, question_words, options
-
-    # each question is pre-processed as it is scored; with vectors, all of
-    # them first, so that the vector rows of every text and option word are
-    # converted in one pass, not a few rows per index build and average
-    processed = map(process, subset.questions)
-    if need_web:
-        processed = list(processed)
-        words = {w for text in texts.values() for w in text.flat}
-        words.update(w for _, _, options in processed for option in options for w in option)
-        store.rows([row for row in map(store.row_index, words) if row is not None])
-    indexes = {
-        text_id: TextIndex(text, store if need_web else None) for text_id, text in texts.items()
-    }
-
-    scored = []
-    for q, (length, question_words, option_words) in zip(subset.questions, processed):
-        scores = (score_options(indexes[q.text_id], question_words, option_words, cfgs)
-                  if need_index else _NO_SCORES)
-        scored.append((length, scores))
 
     reports = []
     for cfg in cfgs:
@@ -219,6 +193,37 @@ def evaluate_methods(
         accuracy = sum(r.correct for r in records) / len(records)
         reports.append(EvaluationReport(config=config, records=tuple(records), accuracy=accuracy))
     return tuple(reports)
+
+
+def _score_text(
+    text: ReadingText,
+    questions: Sequence[MCQuestion],
+    cfgs: Sequence[MethodConfig],
+    store: EmbeddingStore | None,
+) -> list[tuple[int, OptionScores]]:
+    """The `(question_length, OptionScores)` of each of `questions` against
+    `text`. With a `store`, the vector rows of the text's words and its
+    options' words are converted in one pass before the text is indexed."""
+    preprocess = cfgs[0].preprocess
+    stems = [preprocess_sentence(q.stem, preprocess) for q in questions]
+    # question_length counts the segmented raw stem. Without stopwords that
+    # is the cleaned stem itself; removing stopwords first can create joins
+    # the raw stem does not have.
+    lengths = [count_words(q.stem, preprocess.segmenter) if preprocess.stopwords else len(stem)
+               for q, stem in zip(questions, stems)]
+    # the random method reads no index: a random-only run skips the text
+    if all(cfg.method == "random" for cfg in cfgs):
+        return [(length, _NO_SCORES) for length in lengths]
+    body = preprocess_text(text.body, preprocess)
+    options = [[preprocess_sentence(o, preprocess) for o in q.options] for q in questions]
+    if store is not None:
+        words = set(body.flat).union(*(option for q_options in options for option in q_options))
+        store.rows([row for row in map(store.row_index, words) if row is not None])
+    index = TextIndex(body, store)
+    return [
+        (length, score_options(index, stem, q_options, cfgs))
+        for length, stem, q_options in zip(lengths, stems, options)
+    ]
 
 
 def _length_bin(words: int) -> str:
@@ -379,7 +384,7 @@ def _render_facet_plain(table: FacetTable) -> str:
 
 
 def _render_improvement_plain(table: ImprovementTable) -> str:
-    width = max([len(table.facet)] + [len(r.label) for r in table.rows] or [0])
+    width = max([len(table.facet)] + [len(r.label) for r in table.rows])
     lines = [f"{table.facet:<{width}}  ratio(%)  baseline(%)  method(%)  improvement"]
     for r in table.rows:
         lines.append(
@@ -473,6 +478,8 @@ def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
         rows += [["grade", g, s.texts, s.questions, "", "", "", "", s.vocabulary]
                  for g, s in stats.grades.items()]
         return _csv_text(header, rows)
+    if fmt != "plain":
+        raise ValueError(f"unknown format {fmt!r}")
     lines = ["split      texts  questions  avg_text  avg_question  avg_option  avg_correct  vocab"]
     for name, s in list(stats.splits.items()) + [("all", stats.overall)]:
         lines.append(

@@ -106,7 +106,6 @@ class TextIndex:
     """
 
     def __init__(self, text: ProcessedText, store: EmbeddingStore | None = None):
-        self.text = text
         self.tokens = text.flat
         self.counts = term_counts(text)
         self.vocab = tuple(self.counts)

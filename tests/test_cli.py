@@ -877,7 +877,9 @@ class TestLazyVectorRows:
         assert (code, out) == (EXIT_IO, "")
         assert err == f"error: {vectors}: file changed since it was loaded\n"
 
-    def test_a_second_evaluate_converts_no_row(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_passes(monkeypatch):
+        """The size of each row conversion pass made from now on."""
         passes = []
         read = embedding._RowSource.read
 
@@ -886,17 +888,34 @@ class TestLazyVectorRows:
             return read(source, ids, dim)
 
         monkeypatch.setattr(embedding._RowSource, "read", counting)
+        return passes
+
+    def test_a_second_evaluate_converts_no_row(self, tmp_path, monkeypatch):
+        passes = self.count_passes(monkeypatch)
         cache = cli._EmbeddingCache()
         argv = ["evaluate", "--dataset", FIXTURES, "--split", "dev", "--method", "sw_d_web",
                 "--embeddings", VECTORS, "--lexicon", LEXICON, "--format", "json",
                 "--out", str(tmp_path / "out.json")]
         assert run(argv, cache) == EXIT_OK
-        # one pass over the rows of every text and option word of the split
-        assert len(passes) == 1 and 0 < passes[0] < 161
+        # one pass per text of the dev split, over the rows of its words and
+        # its options' words not converted yet
+        dev_texts = {q.text_id for q in load_dataset(FIXTURES).questions if q.split == "dev"}
+        assert len(passes) == len(dev_texts) == 5
+        assert sum(passes) == 145
         first = (tmp_path / "out.json").read_bytes()
         assert run(argv, cache) == EXIT_OK
-        assert len(passes) == 1
+        assert len(passes) == 5
         assert (tmp_path / "out.json").read_bytes() == first
+
+    @pytest.mark.parametrize("qid", ["q-wm", "q-pp", "q-ssr", "q-msr", "q-aoi"])
+    def test_a_cold_answer_converts_its_rows_in_one_pass(self, qid, monkeypatch, capsys):
+        passes = self.count_passes(monkeypatch)
+        code, _, err = invoke(capsys, "answer", "--dataset", FIXTURES, "--question-id", qid,
+                              "--method", "sw_d_web", "--embeddings", VECTORS,
+                              "--lexicon", LEXICON)
+        assert (code, err) == (EXIT_OK, "")
+        assert len(passes) == 1
+
 
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ the earlier one-method evaluate (`oracles.reference_evaluate`) gives."""
 
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -112,6 +113,26 @@ def test_text_indexes_carry_the_store_only_for_web(monkeypatch):
     evaluate_methods(DATASET, "dev", [config("sw", "min", False), config("sw_d_web", "max", False)],
                      STORE)
     assert stores and all(s is STORE for s in stores)
+
+
+def test_at_most_one_text_index_is_alive(monkeypatch):
+    """The split is scored text by text: each index is freed before the
+    next one is built, so index memory does not grow with the split."""
+    built = []
+    alive_at_build = []
+    real = TextIndex.__init__
+
+    def counted(self, text, store=None):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        built.append(weakref.ref(self))
+        real(self, text, store)
+
+    monkeypatch.setattr(TextIndex, "__init__", counted)
+    cfgs = [config("sw", "min", False), config("sw_d_web", "max", False)]
+    evaluate_methods(DATASET, "dev", cfgs, STORE)
+    assert len(built) == len(DATASET.texts)
+    assert alive_at_build == [0] * len(built)
+    assert all(ref() is None for ref in built)
 
 
 @pytest.mark.parametrize("stopwords", [False, True], ids=["plain", "stopwords"])

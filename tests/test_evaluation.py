@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lexmrc.corpus import Dataset, MCQuestion, ReadingText
+from lexmrc.corpus import Dataset, MCQuestion, ReadingText, compute_stats
 from lexmrc.embedding import EmbeddingStore
 from lexmrc.evaluation import (
     EmptySplitError,
@@ -16,7 +16,9 @@ from lexmrc.evaluation import (
     evaluate_methods,
     facet_breakdown,
     render_report,
+    render_stats,
 )
+from lexmrc.preprocess import DictionarySegmenter
 from lexmrc.scoring import MethodConfig
 
 
@@ -367,3 +369,11 @@ class TestRender:
             render_report(report, "yaml")
         with pytest.raises(TypeError):
             render_report(42, "plain")
+
+    def test_unknown_stats_format_rejected(self, toy_dataset):
+        """Like `render_report`: an unknown format is an error, not plain text."""
+        stats = compute_stats(toy_dataset, DictionarySegmenter())
+        for fmt in ("plain", "csv", "json"):
+            assert render_stats(stats, fmt)
+        with pytest.raises(ValueError, match="unknown format 'yaml'"):
+            render_stats(stats, "yaml")
