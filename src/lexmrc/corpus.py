@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -93,23 +94,18 @@ class Dataset:
     def text_by_id(self, text_id: str) -> ReadingText:
         return self._text_index[text_id]
 
-    @property
-    def _text_index(self) -> dict[str, ReadingText]:
-        index = self.__dict__.get("_text_index_cache")
-        if index is None:
-            index = {t.id: t for t in self.texts}
-            object.__setattr__(self, "_text_index_cache", index)
-        return index
-
     def question_by_id(self, question_id: str) -> MCQuestion:
         """The first question with this id; `KeyError` if there is none."""
-        index = self.__dict__.get("_question_index_cache")
-        if index is None:
-            index = {}
-            for q in self.questions:
-                index.setdefault(q.id, q)
-            object.__setattr__(self, "_question_index_cache", index)
-        return index[question_id]
+        return self._question_index[question_id]
+
+    @cached_property
+    def _text_index(self) -> dict[str, ReadingText]:
+        return {t.id: t for t in self.texts}
+
+    @cached_property
+    def _question_index(self) -> dict[str, MCQuestion]:
+        # reversed, so the first question with an id is the one kept
+        return {q.id: q for q in reversed(self.questions)}
 
 
 def _cut(text: str) -> str:

@@ -89,12 +89,10 @@ class _RowSource:
 class EmbeddingStore:
     """Immutable word -> dense vector table of fixed dimension.
 
-    A store built from a mapping holds every row. A store that
-    `load_embeddings` reads holds its words and converts a row's
-    components when `rows` first asks for it: the rows converted so far
-    fill a table in the order they were converted, and `_slot` maps a row
-    id to its place there (-1 for a row not converted yet). Once every row
-    is converted the table is put in row id order and `_slot` dropped.
+    `_rows` maps the id of each converted row to its vector. A store built
+    from a mapping has every row there. A store that `load_embeddings`
+    reads has its words and its first row there, and converts each other
+    row from `_source` when `convert` or `rows` first asks for it.
     """
 
     def __init__(self, dim: int, vectors: Mapping[str, Sequence[float]] | None = None):
@@ -102,29 +100,16 @@ class EmbeddingStore:
             raise ValueError("embedding dimension must be positive")
         self.dim = dim
         self._index: dict[str, int] = {}
-        rows = []
+        self._rows: dict[int, np.ndarray] = {}
         for word, vec in (vectors or {}).items():
-            arr = np.asarray(vec, dtype=np.float64)
+            arr = np.array(vec, dtype=np.float64)  # a copy: the caller's array may change
             if arr.shape != (dim,):
                 raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dim},)")
             if not np.isfinite(arr).all():
                 raise ValueError(f"vector for {word!r} has non-finite components")
-            self._index[word] = len(rows)
-            rows.append(arr)
-        self._matrix = np.vstack(rows) if rows else np.zeros((0, dim))
-        self._slot: np.ndarray | None = None
+            row = self._index[word] = len(self._index)
+            self._rows[row] = arr
         self._source: _RowSource | None = None
-
-    @classmethod
-    def _from_file(cls, dim: int, index: dict[str, int], source: _RowSource) -> "EmbeddingStore":
-        """A store of the words `index` whose rows are all still in `source`."""
-        store = cls(dim)
-        if index:
-            store._index = index
-            store._slot = np.full(len(index), -1, dtype=np.intp)
-            store._source = source
-            store._filled = 0  # rows in the table
-        return store
 
     def __len__(self) -> int:
         return len(self._index)
@@ -146,35 +131,20 @@ class EmbeddingStore:
     def row_index(self, word: str) -> int | None:
         return self._index.get(word)
 
-    def rows(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The vectors of row ids `ids` (a list, range or array), in order,
-        as one array. The rows
-        among them not converted yet are converted first, in one pass; a
-        bad one raises `EmbeddingFormatError` and leaves the store as it
-        was."""
-        if self._slot is None:
-            return self._matrix[ids]
-        slots = self._slot[ids]
-        if slots.size and slots.min() < 0:
-            todo = np.unique(np.asarray(ids, dtype=np.intp)[slots < 0])
-            self._add(todo, self._source.read(todo, self.dim))
-            return self.rows(ids)
-        return self._matrix[slots]
+    def convert(self, ids: Iterable[int]) -> None:
+        """Convert the rows of row ids `ids` that are not converted yet, in
+        one pass over them in ascending order; a bad one raises
+        `EmbeddingFormatError` and leaves the store as it was."""
+        todo = sorted({i for i in ids if i not in self._rows})
+        if todo:
+            self._rows.update(zip(todo, self._source.read(np.array(todo), self.dim)))
 
-    def _add(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        """Put the converted `rows` of row ids `ids` in the next free slots,
-        doubling the table when it is full."""
-        end = self._filled + len(ids)
-        if end > len(self._matrix):
-            table = np.empty((max(end, 2 * len(self._matrix)), self.dim))
-            table[:self._filled] = self._matrix[:self._filled]
-            self._matrix = table
-        self._matrix[self._filled:end] = rows
-        self._slot[ids] = np.arange(self._filled, end)
-        self._filled = end
-        if end == len(self._slot):
-            self._matrix = self._matrix[self._slot]
-            self._slot = self._source = None
+    def rows(self, ids: Iterable[int]) -> np.ndarray:
+        """The vectors of row ids `ids`, in order, as one array, after
+        `convert(ids)`."""
+        ids = list(ids)
+        self.convert(ids)
+        return np.array([self._rows[i] for i in ids]).reshape(len(ids), self.dim)
 
     def multi_syllable_words(self) -> frozenset[str]:
         """Vocabulary entries usable as a segmentation lexicon."""
@@ -183,16 +153,18 @@ class EmbeddingStore:
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Read a text vector file's words into a store that converts each
-    row when it is first looked up (`EmbeddingStore.rows`).
+    row when it is first looked up (`EmbeddingStore.convert`).
 
     One pass over the lines keeps, for the first occurrence of each word,
     the byte range and line number of its row; a later duplicate is
     dropped unread. Lines end as under universal newlines (`_cr_lines`)
     and are decoded as UTF-8 one by one, so a decode error anywhere raises
-    here. The header line is optional; without one the first row is
-    converted here to fix the dimension. Components follow `np.loadtxt`'s
-    number grammar, and a row is checked when it is converted: a bad row
-    that no lookup reaches never raises.
+    here. A file with no row is empty, with or without the optional
+    header line. The first row is converted here: its width is the
+    dimension, and it must match the header's when there is one.
+    Components follow `np.loadtxt`'s number grammar, and every other row
+    is checked when it is converted: a bad row that no lookup reaches
+    never raises.
     """
     path = Path(path)
     dim: int | None = None
@@ -222,17 +194,13 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                     sizes.append(len(line))
                     linenos.append(lineno)
             pos += len(raw)
+    if not index:
+        raise EmbeddingFormatError(f"{path}: empty vector file")
     source = _RowSource(path, stamp, *(np.frombuffer(a, dtype=np.int64)
                                        for a in (starts, sizes, linenos)))
-    first = None
-    if dim is None:
-        if not index:
-            raise EmbeddingFormatError(f"{path}: empty vector file")
-        first = source.read(np.zeros(1, dtype=np.intp), None)
-        dim = first.shape[1]
-    store = EmbeddingStore._from_file(dim, index, source)
-    if first is not None:
-        store._add(np.zeros(1, dtype=np.intp), first)
+    first = source.read(np.zeros(1, dtype=np.intp), dim)
+    store = EmbeddingStore(first.shape[1])
+    store._index, store._rows, store._source = index, {0: first[0]}, source
     return store
 
 

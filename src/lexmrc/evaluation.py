@@ -218,7 +218,7 @@ def _score_text(
     options = [[preprocess_sentence(o, preprocess) for o in q.options] for q in questions]
     if store is not None:
         words = set(body.flat).union(*(option for q_options in options for option in q_options))
-        store.rows([row for row in map(store.row_index, words) if row is not None])
+        store.convert(row for row in map(store.row_index, words) if row is not None)
     index = TextIndex(body, store)
     return [
         (length, score_options(index, stem, q_options, cfgs))

@@ -160,7 +160,7 @@ def reference_load_embeddings(path):
             index[word] = len(rows)
             words.append(word)
             rows.append(vec)
-    if dim is None:
+    if not rows:
         raise EmbeddingFormatError(f"{path}: empty vector file")
     return EmbeddingStore(dim, dict(zip(words, rows)))
 

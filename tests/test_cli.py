@@ -897,14 +897,16 @@ class TestLazyVectorRows:
                 "--embeddings", VECTORS, "--lexicon", LEXICON, "--format", "json",
                 "--out", str(tmp_path / "out.json")]
         assert run(argv, cache) == EXIT_OK
-        # one pass per text of the dev split, over the rows of its words and
-        # its options' words not converted yet
+        # the load converts the first row; then one pass per text of the dev
+        # split, over the rows of its words and its options' words not
+        # converted yet
         dev_texts = {q.text_id for q in load_dataset(FIXTURES).questions if q.split == "dev"}
-        assert len(passes) == len(dev_texts) == 5
+        assert passes[0] == 1
+        assert len(passes) == 1 + len(dev_texts) == 6
         assert sum(passes) == 145
         first = (tmp_path / "out.json").read_bytes()
         assert run(argv, cache) == EXIT_OK
-        assert len(passes) == 5
+        assert len(passes) == 6
         assert (tmp_path / "out.json").read_bytes() == first
 
     @pytest.mark.parametrize("qid", ["q-wm", "q-pp", "q-ssr", "q-msr", "q-aoi"])
@@ -914,7 +916,8 @@ class TestLazyVectorRows:
                               "--method", "sw_d_web", "--embeddings", VECTORS,
                               "--lexicon", LEXICON)
         assert (code, err) == (EXIT_OK, "")
-        assert len(passes) == 1
+        assert len(passes) == 2  # the load's first row, then the text's rows
+        assert passes[0] == 1
 
 
 def test_help_exits_cleanly(capsys):

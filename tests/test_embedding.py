@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexmrc import embedding
@@ -62,6 +62,11 @@ class TestLoader:
         f.write_text("2 3\na 1 0 0\nb 0 1\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match=r":3:"):
             load_all(f)
+        # the first row is checked against the header at load
+        f.write_text("1 1152921504606846976\nw 1 2\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_embeddings(f)
+        assert str(exc.value) == f"{f}:2: expected 1152921504606846976 components, found 2"
 
     def test_headerless_matches_headered(self, tmp_path):
         rows = "a 1 0 0\nb 0 1 0\nc 0.5 0.25 -1\n"
@@ -227,6 +232,7 @@ def vector_path(tmp_path_factory):
 
 
 @given(vector_files())
+@example("1\x851152921504606846976\x85")  # a header too wide to allocate, and no row
 @settings(max_examples=400, deadline=None)
 def test_loader_matches_reference(vector_path, text):
     vector_path.write_bytes(text.encode("utf-8"))
@@ -275,13 +281,15 @@ class TestLazyRows:
         f.write_text("3 2\n" + self.ROWS.replace("x", "0"), encoding="utf-8")
         passes = count_conversions(monkeypatch)
         store = load_embeddings(f)
-        assert passes == []
+        assert passes == [[0]]
         assert store.rows([2, 0, 2]).tolist() == [[4.0, 5.0], [1.0, 2.0], [4.0, 5.0]]
         assert store.rows([0, 2]).tolist() == [[1.0, 2.0], [4.0, 5.0]]
         assert store.rows([1, 0]).tolist() == [[0.0, 3.0], [1.0, 2.0]]
         assert store.rows([]).shape == (0, 2)
-        assert passes == [[0, 2], [1]]
-        assert store._slot is None  # every row converted: the table is in row order
+        assert passes == [[0], [2], [1]]
+        # every row converted: a lookup of all of them reads nothing
+        assert store.rows(range(3)).tolist() == [[1.0, 2.0], [0.0, 3.0], [4.0, 5.0]]
+        assert passes == [[0], [2], [1]]
 
     def test_headerless_file_converts_its_first_row_at_load(self, tmp_path, monkeypatch):
         f = tmp_path / "v.vec"
@@ -306,7 +314,10 @@ class TestLazyRows:
         for i in range(0, 40, step):
             ids = order[i:i + step]
             assert store.rows(ids).tobytes() == np.vstack([want.get(f"w{j}") for j in ids]).tobytes()
-        assert store._slot is None
+        with pytest.MonkeyPatch.context() as patch:
+            passes = count_conversions(patch)
+            store.rows(range(40))
+        assert passes == []
         assert load_outcome(lambda _: store, f) == load_outcome(reference_load_embeddings, f)
 
     @pytest.mark.parametrize("change", ["rewrite", "same-size", "replace"])
@@ -366,8 +377,56 @@ class TestLazyRows:
     def test_header_only_file(self, tmp_path):
         f = tmp_path / "v.vec"
         f.write_text("0 3\n\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_embeddings(f)
+        assert str(exc.value) == f"{f}: empty vector file"
+
+
+class TestConvert:
+    @pytest.fixture
+    def store(self, tmp_path):
+        f = tmp_path / "v.vec"
+        f.write_text("a 1 2\nb 0 3\nc 4 5\nd 6 7\n", encoding="utf-8")
+        return load_embeddings(f)
+
+    def test_a_generator_is_converted(self, store, monkeypatch):
+        passes = count_conversions(monkeypatch)
+        store.convert(i for i in (3, 1))
+        assert passes == [[1, 3]]
+        store.rows([1, 3])
+        assert passes == [[1, 3]]
+
+    def test_duplicate_and_converted_ids_are_skipped(self, store, monkeypatch):
+        passes = count_conversions(monkeypatch)
+        store.convert([2, 0, 2, 2])
+        store.convert([0, 2])
+        store.convert([3, 2, 3, 0])
+        assert passes == [[2], [3]]
+
+    def test_ids_are_read_in_ascending_order(self, store, monkeypatch):
+        passes = count_conversions(monkeypatch)
+        assert store.rows([3, 1, 2]).tolist() == [[6.0, 7.0], [0.0, 3.0], [4.0, 5.0]]
+        assert passes == [[1, 2, 3]]
+
+    def test_a_failed_pass_leaves_the_store_as_it_was(self, tmp_path, monkeypatch):
+        f = tmp_path / "v.vec"
+        f.write_text("a 1 2\nb 0 3\nc x 5\nd 6 7\n", encoding="utf-8")
         store = load_embeddings(f)
-        assert (len(store), store.dim, store.rows([]).shape) == (0, 3, (0, 3))
+        store.convert([1])
+        with pytest.raises(EmbeddingFormatError, match=":3: non-numeric"):
+            store.convert([3, 2, 1])
+        assert sorted(store._rows) == [0, 1]
+        passes = count_conversions(monkeypatch)
+        assert store.rows([3, 1]).tolist() == [[6.0, 7.0], [0.0, 3.0]]
+        assert passes == [[3]]
+
+    def test_a_store_from_a_mapping_never_reads(self, monkeypatch):
+        passes = count_conversions(monkeypatch)
+        store = make_store(a=(1.0, 2.0), b=(3.0, 4.0))
+        store.convert([1, 0, 1])
+        assert store.rows([1, 0]).tolist() == [[3.0, 4.0], [1.0, 2.0]]
+        assert store.rows([]).shape == (0, 2)
+        assert passes == []
 
 
 class TestAverage:
