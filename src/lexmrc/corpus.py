@@ -71,7 +71,7 @@ class ReadingText:
     grade: int
     body: str
     title: str | None = None
-    extra: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict, hash=False)  # compared, not hashed
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class MCQuestion:
     gold: int
     split: str
     reasoning_type: str | None = None
-    extra: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict, hash=False)  # compared, not hashed
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,18 @@ exact; words missing from the store are skipped when averaging spans.
 
 from __future__ import annotations
 
+import io
 import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .preprocess import Lexicon
 
 __all__ = [
     "EmbeddingFormatError",
@@ -110,6 +114,7 @@ class EmbeddingStore:
             row = self._index[word] = len(self._index)
             self._rows[row] = arr
         self._source: _RowSource | None = None
+        self._lexicon: Lexicon | None = None
 
     def __len__(self) -> int:
         return len(self._index)
@@ -146,62 +151,156 @@ class EmbeddingStore:
         self.convert(ids)
         return np.array([self._rows[i] for i in ids]).reshape(len(ids), self.dim)
 
-    def multi_syllable_words(self) -> frozenset[str]:
-        """Vocabulary entries usable as a segmentation lexicon."""
-        return frozenset(w for w in self._index if "_" in w)
+    def multi_syllable_words(self) -> Lexicon:
+        """The vocabulary entries that hold a "_", as a segmentation
+        lexicon, built at the first call and then kept: segmenters built
+        from one store share its `Lexicon` and its run prefixes."""
+        if self._lexicon is None:
+            self._lexicon = Lexicon(w for w in self._index if "_" in w)
+        return self._lexicon
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Read a text vector file's words into a store that converts each
     row when it is first looked up (`EmbeddingStore.convert`).
 
-    One pass over the lines keeps, for the first occurrence of each word,
-    the byte range and line number of its row; a later duplicate is
-    dropped unread. Lines end as under universal newlines (`_cr_lines`)
-    and are decoded as UTF-8 one by one, so a decode error anywhere raises
-    here. A file with no row is empty, with or without the optional
-    header line. The first row is converted here: its width is the
-    dimension, and it must match the header's when there is one.
+    The load keeps, for the first occurrence of each word, the byte range
+    and line number of its row; a later duplicate is dropped unread. Lines
+    end as under universal newlines (`_cr_lines`). The file is read in
+    blocks of whole lines of about `_BLOCK` bytes. A plain block
+    (`_scan_plain`) has its lines found by numpy and only its words
+    decoded; line 1 and every other block go line by line through
+    `_scan_lines`, which decodes each line as UTF-8, so a decode error
+    anywhere raises here. A file with no row is empty, with or without the
+    optional header line. The first row is converted here: its width is
+    the dimension, and it must match the header's when there is one.
     Components follow `np.loadtxt`'s number grammar, and every other row
     is checked when it is converted: a bad row that no lookup reaches
     never raises.
     """
     path = Path(path)
-    dim: int | None = None
-    index: dict[str, int] = {}
-    starts, sizes, linenos = array("q"), array("q"), array("q")
+    scan = _Scan(path)
     with path.open("rb") as handle:
         stamp = file_stamp(handle.fileno())
-        lineno = pos = 0
-        for raw in handle:  # split at "\n" only: a line with a "\r" is split again
-            for start, line in ((pos, raw),) if b"\r" not in raw else _cr_lines(pos, raw):
-                lineno += 1
-                text = line.decode()  # UTF-8
-                parts = text.split(None, 1)
-                if not parts:
-                    continue
-                if lineno == 1:
-                    header = text.split()
-                    if len(header) == 2 and _is_int(header[0]) and _is_int(header[1]):
-                        dim = int(header[1])
-                        if dim <= 0:
-                            raise EmbeddingFormatError(
-                                f"{path}:1: non-positive dimension in header")
-                        continue
-                if parts[0] not in index:
-                    index[parts[0]] = len(starts)
-                    starts.append(start)
-                    sizes.append(len(line))
-                    linenos.append(lineno)
-            pos += len(raw)
-    if not index:
+        _scan_lines(scan, islice(handle, 1))
+        while block := handle.read(_BLOCK):
+            if not block.endswith(b"\n"):
+                block += handle.readline()
+            if not _scan_plain(scan, block):
+                _scan_lines(scan, io.BytesIO(block))
+    if not scan.index:
         raise EmbeddingFormatError(f"{path}: empty vector file")
     source = _RowSource(path, stamp, *(np.frombuffer(a, dtype=np.int64)
-                                       for a in (starts, sizes, linenos)))
-    first = source.read(np.zeros(1, dtype=np.intp), dim)
+                                       for a in (scan.starts, scan.sizes, scan.linenos)))
+    first = source.read(np.zeros(1, dtype=np.intp), scan.dim)
     store = EmbeddingStore(first.shape[1])
-    store._index, store._rows, store._source = index, {0: first[0]}, source
+    store._index, store._rows, store._source = scan.index, {0: first[0]}, source
     return store
+
+
+# bytes read at a time; a block then runs on to the end of its last line
+_BLOCK = 1 << 18
+# in a plain block every word ends at a space within this many bytes of its line start
+_WIDTH = 64
+
+
+class _Scan:
+    """How far a load of the vector file `path` has read: the header's
+    dimension, the lines and bytes read, and, for the first row of each
+    word, its row id, byte offset, byte length and line number (as
+    `_RowSource` keeps them)."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.dim: int | None = None
+        self.lineno = self.pos = 0
+        self.index: dict[str, int] = {}
+        self.starts, self.sizes, self.linenos = array("q"), array("q"), array("q")
+
+
+def _scan_lines(scan: _Scan, lines: Iterable[bytes]) -> None:
+    """Add binary lines `lines`, split at "\n" only and starting where
+    `scan` stopped, one by one: a line with a "\r" is split again, each
+    line is decoded as UTF-8 and split with `str.split(None, 1)`, blank
+    lines are skipped, and line 1 is the header when it is two integers.
+    This is the one definition of the format that `_scan_plain` follows."""
+    index, starts, sizes, linenos = scan.index, scan.starts, scan.sizes, scan.linenos
+    lineno, pos = scan.lineno, scan.pos
+    for raw in lines:
+        for start, line in ((pos, raw),) if b"\r" not in raw else _cr_lines(pos, raw):
+            lineno += 1
+            text = line.decode()  # UTF-8
+            parts = text.split(None, 1)
+            if not parts:
+                continue
+            if lineno == 1:
+                header = text.split()
+                if len(header) == 2 and _is_int(header[0]) and _is_int(header[1]):
+                    scan.dim = int(header[1])
+                    if scan.dim <= 0:
+                        raise EmbeddingFormatError(
+                            f"{scan.path}:1: non-positive dimension in header")
+                    continue
+            if parts[0] not in index:
+                index[parts[0]] = len(starts)
+                starts.append(start)
+                sizes.append(len(line))
+                linenos.append(lineno)
+        pos += len(raw)
+    scan.lineno, scan.pos = lineno, pos
+
+
+def _scan_plain(scan: _Scan, block: bytes) -> bool:
+    """Add `block`, whole lines after line 1 starting where `scan` stopped,
+    and return True, when it is plain; else add nothing and return False.
+    In a plain block every line ends in "\n" and has no other byte below
+    0x20. It starts with a word that ends at a space within `_WIDTH`
+    bytes, decodes as UTF-8 and holds no whitespace that `str.split`
+    knows; the rest of the line is ASCII. No word repeats or is already in
+    the store. Each line then has the word, byte range and line number
+    that `_scan_lines` would give it, and only the words are decoded."""
+    padded = block + b" " * _WIDTH  # a full window at every line start
+    data = np.frombuffer(padded, dtype=np.uint8)
+    odd = np.flatnonzero(data.view(np.int8) < 0x20)  # each byte below 0x20 or from 0x80
+    ends = odd[data[odd] == 0x0A]
+    n = ends.size
+    if n == 0 or ends[-1] != len(block) - 1:
+        return False
+    firsts = np.concatenate(([0], ends[:-1] + 1))
+    # row i is the _WIDTH bytes from offset i
+    windows = np.ndarray((len(block), _WIDTH), np.uint8, padded, strides=(1, 1))[firsts]
+    stops = (windows <= 0x20).argmax(axis=1)  # the first space or control byte of each line
+    if not stops.all() or (data[firsts + stops] != 0x20).any():
+        return False
+    spelled = windows[np.arange(_WIDTH) <= stops[:, None]]  # each word and its space
+    # no byte below 0x20 but "\n", and every byte from 0x80 in a word
+    if np.count_nonzero(spelled >= 0x80) != odd.size - n:
+        return False
+    try:
+        text = spelled.tobytes().decode()
+    except UnicodeDecodeError:
+        return False
+    words = text.split(" ")
+    words.pop()
+    # every character `str.split` splits at, but the space, is unprintable
+    if not (text.isprintable() or words == text.split()):
+        return False
+    index = scan.index
+    if not index.keys().isdisjoint(words):
+        return False
+    k = len(index)
+    index.update(zip(words, range(k, k + n)))
+    if len(index) != k + n:  # a word repeats in the block
+        for word in words:
+            index.pop(word, None)
+        return False
+    linenos = np.arange(scan.lineno + 1, scan.lineno + n + 1, dtype=np.int64)
+    scan.starts.frombytes((firsts + scan.pos).astype(np.int64).tobytes())
+    scan.sizes.frombytes((ends - firsts + 1).astype(np.int64).tobytes())
+    scan.linenos.frombytes(linenos.tobytes())
+    scan.lineno += n
+    scan.pos += len(block)
+    return True
 
 
 def _cr_lines(pos: int, raw: bytes) -> Iterator[tuple[int, bytes]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -20,6 +21,7 @@ __all__ = [
     "DEFAULT_PUNCTUATION",
     "SENTENCE_BREAKS",
     "DictionarySegmenter",
+    "Lexicon",
     "PreprocessConfig",
     "ProcessedText",
     "WordList",
@@ -48,6 +50,28 @@ _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 Segmenter = Callable[[Sequence[str]], WordList]
 
 
+class Lexicon(frozenset):
+    """A segmentation word list in normal form: entries stripped,
+    lowercased, spaces joined with "_", blank ones dropped. Words already
+    in normal form are kept as given, and a `Lexicon` passed in is returned
+    as it is. The run prefixes of the entries (`_run_prefixes`) are
+    computed when a segmenter first needs them and then kept, so every
+    segmenter built over one `Lexicon` shares them."""
+
+    def __new__(cls, words: Iterable[str] = ()):
+        if isinstance(words, Lexicon):
+            return words
+        lexicon = super().__new__(cls, words)
+        if _is_normal(lexicon):
+            return lexicon
+        return super().__new__(cls, (w.strip().lower().replace(" ", "_")
+                                     for w in lexicon if w.strip()))
+
+    @cached_property
+    def prefixes(self) -> frozenset[str]:
+        return _run_prefixes(self)
+
+
 class DictionarySegmenter:
     """Greedy longest-match segmenter over a fixed word list.
 
@@ -55,19 +79,18 @@ class DictionarySegmenter:
     `max_syllables`) found in the lexicon. Tokens that already contain "_"
     are opaque: they pass through unchanged and no run may span them.
 
-    The lexicon is normalised once (stripped, lowercased, spaces joined
-    with "_"). A frozenset whose entries are already normal, such as
-    `load_lexicon` returns, is kept as it is. Beside it the segmenter keeps
-    every proper prefix of two or more syllables of its entries, so a run
-    is extended only while some entry still starts with it.
+    The lexicon is normalised once into a `Lexicon`; one given as a
+    `Lexicon`, such as `load_lexicon` and
+    `EmbeddingStore.multi_syllable_words` return, is kept as it is. The
+    segmenter also uses every proper prefix of two or more syllables of
+    the entries (`Lexicon.prefixes`), so a run is extended only while
+    some entry still starts with it.
     """
 
     def __init__(self, lexicon: Iterable[str] = (), max_syllables: int = 4):
         self.max_syllables = max_syllables
-        if not (isinstance(lexicon, frozenset) and _is_normal(lexicon)):
-            lexicon = frozenset(w.strip().lower().replace(" ", "_") for w in lexicon if w.strip())
-        self.lexicon = lexicon
-        self._prefixes = _run_prefixes(lexicon)
+        self.lexicon = Lexicon(lexicon)
+        self._prefixes = self.lexicon.prefixes
 
     def __call__(self, tokens: Sequence[str]) -> WordList:
         lexicon, prefixes = self.lexicon, self._prefixes
@@ -200,6 +223,6 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(_read_word_file(path))
 
 
-def load_lexicon(path: str | Path) -> frozenset[str]:
+def load_lexicon(path: str | Path) -> Lexicon:
     """Lexicon file: one word per line, syllables joined by '_' or spaces."""
-    return frozenset(w.replace(" ", "_") for w in _read_word_file(path))
+    return Lexicon(w.replace(" ", "_") for w in _read_word_file(path))

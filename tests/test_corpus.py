@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -546,3 +547,13 @@ class TestModelTypes:
             t.grade = 2
         with pytest.raises(AttributeError):
             q.gold = 1
+
+    def test_records_hash_by_value(self, fixture_dataset):
+        again = load_dataset(Path(__file__).parent / "data" / "reasoning_fixtures.json")
+        assert again == fixture_dataset and again is not fixture_dataset
+        assert hash(again) == hash(fixture_dataset)
+        assert len(set(fixture_dataset.questions)) == len(fixture_dataset.questions) == 5
+        # `extra` is compared but not hashed
+        t = ReadingText(id="t", grade=1, body="x", extra={"k": 1})
+        assert hash(t) == hash(ReadingText(id="t", grade=1, body="x", extra={"k": 2}))
+        assert t != ReadingText(id="t", grade=1, body="x", extra={"k": 2})

@@ -252,6 +252,183 @@ def test_loader_matches_reference(vector_path, text):
         vector_path.write_bytes("".join(lines).encode("utf-8"))
 
 
+def scan_outcome(path):
+    """`load_outcome` of `path`, or the text of its decode error, and the
+    `_RowSource` arrays of the load when it returned."""
+    sources = []
+
+    def load(f):
+        store = load_embeddings(f)
+        sources.append(store._source)
+        return store
+
+    try:
+        outcome = load_outcome(load, path)
+    except UnicodeDecodeError as exc:
+        return ("decode error", str(exc)), None
+    return outcome, [[getattr(source, a).tolist() for a in ("starts", "sizes", "linenos")]
+                     for source in sources]
+
+
+def line_by_line(path):
+    """`scan_outcome` of a load that sends every line through `_scan_lines`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "_scan_plain", lambda scan, block: False)
+        return scan_outcome(path)
+
+
+def record_blocks(patch):
+    """Whether each block after line 1 was plain, one entry a block."""
+    plain = []
+    scan_plain = embedding._scan_plain
+
+    def recording(scan, block):
+        plain.append(scan_plain(scan, block))
+        return plain[-1]
+
+    patch.setattr(embedding, "_scan_plain", recording)
+    return plain
+
+
+@st.composite
+def block_files(draw):
+    """The bytes of a vector file of mostly plain rows (a word, single
+    spaces, ASCII numbers, "\n"), with lines that each break one rule of
+    a plain block mixed in, and words that repeat."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"{draw(st.integers(0, 9))} {draw(st.sampled_from([dim, 0]))}\n".encode())
+    for _ in range(draw(st.integers(0, 12))):
+        word = draw(st.sampled_from(["a", "b", "c", "d", "x1", "học_sinh", "ờ", "#", "1"]))
+        components = draw(st.lists(GOOD_TOKENS, min_size=dim, max_size=dim))
+        kind = draw(st.sampled_from(["plain"] * 12 + [
+            "crlf", "tab", "lead", "nbsp", "long", "fullwidth", "blank", "word only",
+            "bad byte"]))
+        if kind == "nbsp":
+            word += "\xa0b"
+        elif kind == "long":
+            word *= 70
+        elif kind == "fullwidth":
+            components[0] = "\uff11"
+        elif kind == "word only":
+            components = []
+        line = " ".join([word] + components) + "\n"
+        line = {"crlf": line.replace("\n", "\r\n"), "tab": line.replace(" ", "\t", 1),
+                "lead": " " + line, "blank": "\n"}.get(kind, line)
+        lines.append(line.encode() if kind != "bad byte" else b"w\xff " + line.encode())
+    data = b"".join(lines)
+    return data.removesuffix(b"\n") if draw(st.booleans()) else data
+
+
+@given(st.one_of(block_files(), vector_files().map(str.encode)), st.sampled_from([64, 7, 1]))
+@settings(max_examples=400, deadline=None)
+def test_blocks_match_line_by_line(vector_path, data, block):
+    vector_path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "_BLOCK", block)
+        assert scan_outcome(vector_path) == line_by_line(vector_path)
+
+
+class TestBlocks:
+    """A plain block has its lines found by numpy and only its words
+    decoded; any other block goes line by line through `_scan_lines`."""
+
+    HEAD = b"a 1 2\nb 3 4\n"  # line 1, then a plain block
+    # one line that breaks each rule of a plain block
+    NOT_PLAIN = {
+        "crlf": b"c 5 6\r\n",
+        "tab": b"c\t5 6\n",
+        "leading space": b" c 5 6\n",
+        "nbsp in word": "c\xa0d 5 6\n".encode(),
+        "long word": b"c" * embedding._WIDTH + b" 5 6\n",
+        "fullwidth digit": "c 5 \uff11\n".encode(),
+        "repeated word": b"b 5 6\n",
+        "decode error": b"c\xff 5 6\n",
+        "decode error in a component": b"c 5 \xff\n",
+    }
+
+    @pytest.mark.parametrize("line", NOT_PLAIN.values(), ids=NOT_PLAIN.keys())
+    def test_a_block_that_breaks_a_rule_goes_line_by_line(self, tmp_path, monkeypatch, line):
+        f = tmp_path / "v.vec"
+        f.write_bytes(self.HEAD + line + b"d 7 8\n")
+        monkeypatch.setattr(embedding, "_BLOCK", 1)  # one line a block
+        plain = record_blocks(monkeypatch)
+        got = scan_outcome(f)
+        assert plain[:2] == [True, False]
+        assert got == line_by_line(f)
+        if line == b"b 5 6\n":  # the first row of a word wins
+            assert got[1] == [[[0, 6, 18], [6, 6, 6], [1, 2, 4]]]
+        if b"\xff" in line:  # the message of decoding that one line
+            with pytest.raises(UnicodeDecodeError) as exc:
+                line.decode()
+            assert got[0] == ("decode error", str(exc.value))
+
+    def test_a_last_line_without_a_line_end(self, tmp_path, monkeypatch):
+        f = tmp_path / "v.vec"
+        f.write_bytes(self.HEAD + b"c 5 6\nd 7 8\ne 9 9")
+        monkeypatch.setattr(embedding, "_BLOCK", 8)
+        plain = record_blocks(monkeypatch)
+        got = scan_outcome(f)
+        assert plain == [True, False]  # "b 3 4\nc 5 6\n", "d 7 8\ne 9 9"
+        assert got == line_by_line(f)
+        assert got[0][2] == ["a", "b", "c", "d", "e"]
+
+    def test_a_word_that_repeats_within_a_block(self, tmp_path, monkeypatch):
+        f = tmp_path / "v.vec"
+        f.write_bytes(self.HEAD + b"c 5 6\nd 7 8\nc 9 9\ne 1 1\n")
+        monkeypatch.setattr(embedding, "_BLOCK", 10)
+        plain = record_blocks(monkeypatch)
+        got = scan_outcome(f)
+        assert plain == [True, False, True]  # "b 3 4\nc 5 6\n", "d 7 8\nc 9 9\n", "e 1 1\n"
+        assert got == line_by_line(f)
+        assert got[0][2] == ["a", "b", "c", "d", "e"]
+        assert got[1][0][2] == [1, 2, 3, 4, 6]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_a_word_must_end_within_the_window(self, tmp_path, monkeypatch, width):
+        f = tmp_path / "v.vec"
+        f.write_bytes(b"3 2\nab 1 2\n")
+        monkeypatch.setattr(embedding, "_WIDTH", width)
+        plain = record_blocks(monkeypatch)
+        assert scan_outcome(f) == line_by_line(f)
+        assert plain == [width == 3]
+
+    def test_every_other_whitespace_character_is_unprintable(self):
+        # the plain check reads a printable word list as free of whitespace
+        assert not any(c.isprintable() for c in TestNumberGrammar.WHITESPACE.replace(" ", ""))
+        assert " ".isprintable()
+
+    def test_only_line_1_goes_line_by_line_in_a_plain_file(self, tmp_path, monkeypatch):
+        calls = []
+        scan_lines = embedding._scan_lines
+
+        def counting(scan, lines):
+            lines = list(lines)
+            calls.append(lines)
+            return scan_lines(scan, lines)
+
+        monkeypatch.setattr(embedding, "_scan_lines", counting)
+        plain = record_blocks(monkeypatch)
+        toy = os.path.join(os.path.dirname(__file__), "data", "toy_vectors.vec")
+        store = load_embeddings(toy)
+        with open(toy, "rb") as handle:
+            assert calls == [[handle.readline()]]
+        assert plain == [True] and len(store) == 161
+
+        f = tmp_path / "v.vec"
+        rows = [f"từ_{i} {i / 3:.4f} {-i}\n" for i in range(40)]
+        f.write_text("40 2\n" + "".join(rows), encoding="utf-8")
+        calls.clear()
+        plain.clear()
+        monkeypatch.setattr(embedding, "_BLOCK", 256)
+        store = load_embeddings(f)
+        assert calls == [[b"40 2\n"]]
+        assert len(plain) >= 3 and all(plain)
+        assert store._source.linenos.tolist() == list(range(2, 42))
+        assert load_outcome(lambda _: store, f) == load_outcome(reference_load_embeddings, f)
+
+
 class TestLazyRows:
     ROWS = "a 1 2\nb x 3\nc 4 5\nb 6 7\n"
 

@@ -4,9 +4,12 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexmrc import preprocess
+from lexmrc.embedding import EmbeddingStore
 from lexmrc.preprocess import (
     DEFAULT_PUNCTUATION,
     DictionarySegmenter,
+    Lexicon,
     PreprocessConfig,
     ProcessedText,
     load_lexicon,
@@ -233,6 +236,28 @@ class TestAgainstReference:
         f.write_text("học sinh\nđiện_thoại\ncô rét ti\n", encoding="utf-8")
         lexicon = load_lexicon(f)
         assert DictionarySegmenter(lexicon).lexicon is lexicon
+
+    def test_a_lexicon_is_normal_and_computes_its_prefixes_once(self, monkeypatch):
+        calls = []
+        run_prefixes = preprocess._run_prefixes
+        monkeypatch.setattr(preprocess, "_run_prefixes",
+                            lambda lexicon: calls.append(lexicon) or run_prefixes(lexicon))
+        lexicon = Lexicon(["Học Sinh", " ", "a_b_c", "a_b_c"])
+        assert lexicon == {"học_sinh", "a_b_c"} and Lexicon(lexicon) is lexicon
+        first, second = DictionarySegmenter(lexicon), DictionarySegmenter(lexicon)
+        assert first.lexicon is second.lexicon is lexicon
+        assert first._prefixes is second._prefixes == {"a_b"}
+        assert len(calls) == 1
+        # a normal frozenset is kept as given: no entry is rebuilt
+        normal = frozenset({"học_sinh"})
+        assert next(iter(Lexicon(normal))) is next(iter(normal))
+
+    def test_segmenters_from_one_store_share_its_lexicon(self):
+        store = EmbeddingStore(1, {"Học_Sinh": [1.0], "học": [2.0], "a_b_c": [3.0]})
+        lexicon = store.multi_syllable_words()
+        assert lexicon == {"học_sinh", "a_b_c"} and store.multi_syllable_words() is lexicon
+        assert DictionarySegmenter(store.multi_syllable_words()).lexicon is lexicon
+        assert DictionarySegmenter(lexicon)(["học", "sinh", "a", "b", "c"]) == ["học_sinh", "a_b_c"]
 
     def test_context_lowercasing_is_per_entry(self, tmp_path):
         # a final capital sigma lowercases by its neighbours; each entry is
