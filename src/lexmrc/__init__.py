@@ -16,7 +16,7 @@ from .corpus import (
     load_dataset,
     save_dataset,
 )
-from .embedding import EmbeddingStore, SpanVector, average_embedding, cosine_similarity, load_embeddings
+from .embedding import EmbeddingStore, SpanVector, average_embedding, load_embeddings
 from .evaluation import EvaluationReport, compare_reports, evaluate, facet_breakdown, render_report
 from .preprocess import (
     DictionarySegmenter,
@@ -24,17 +24,8 @@ from .preprocess import (
     ProcessedText,
     preprocess_sentence,
     preprocess_text,
-    segment_words,
 )
-from .scoring import (
-    MethodConfig,
-    ScoreBreakdown,
-    boosted_score,
-    distance_score,
-    predict,
-    sliding_window_score,
-    term_counts,
-)
+from .scoring import MethodConfig, ScoreBreakdown, term_counts
 
 __version__ = "0.1.0"
 
@@ -52,22 +43,16 @@ __all__ = [
     "ScoreBreakdown",
     "SpanVector",
     "average_embedding",
-    "boosted_score",
     "compare_reports",
     "compute_stats",
-    "cosine_similarity",
-    "distance_score",
     "evaluate",
     "facet_breakdown",
     "filter_dataset",
     "load_dataset",
     "load_embeddings",
-    "predict",
     "preprocess_sentence",
     "preprocess_text",
     "render_report",
     "save_dataset",
-    "segment_words",
-    "sliding_window_score",
     "term_counts",
 ]

@@ -102,10 +102,18 @@ class RunConfig:
 
 
 def _check_path(flag: str, path: str | None) -> None:
-    """The OS takes no path with a NUL byte in it; say so as a config
-    error rather than let the open fail with a ValueError."""
-    if path and "\0" in path:
+    """The OS takes no path with a NUL byte in it, nor one the file-system
+    encoding cannot encode (a lone surrogate outside the surrogateescape
+    range, which a JSON config file can spell); say so as a config error
+    rather than let the open fail with a ValueError or UnicodeEncodeError."""
+    if not path:
+        return
+    if "\0" in path:
         raise ConfigError(f"{flag} path contains a NUL byte")
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ConfigError(f"{flag} path cannot be encoded as a file name") from None
 
 
 def _stamp(files) -> tuple:
@@ -415,8 +423,10 @@ def run(argv: list[str] | argparse.Namespace, cache: _EmbeddingCache | None = No
 
 
 def _run_batch(path: str, cache: _EmbeddingCache) -> int:
-    if "\0" in path:
-        print("error: batch file path contains a NUL byte", file=sys.stderr)
+    try:
+        _check_path("batch file", path)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()

@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping
 
 from .preprocess import Segmenter, tokenize
 
@@ -131,19 +130,31 @@ def _check_id(kind: str, rid, position: int, seen: set[str], problems: list[str]
     """Check a record's id and give the name every message about the
     record uses: the id itself, cut as `_cut` does, or `#<position>` when
     it has no usable id. Positions count the records of one kind from 1
-    across all files."""
-    if isinstance(rid, str) and rid:
+    across all files. A string that does not encode as UTF-8 (a lone
+    surrogate, which a JSON escape can spell) is no usable id: no report
+    could write it."""
+    if isinstance(rid, str) and rid and _encodes(rid):
         name = _cut(rid)
         if rid in seen:
             problems.append(f"{kind} {name}: duplicate id")
         seen.add(rid)
         return name
     name = f"#{position}"
-    if isinstance(rid, str):
-        problems.append(f"{kind} with empty id")
-    else:
+    if not isinstance(rid, str):
         problems.append(f"{kind} {name}: id {_excerpt(rid)} is not a string or an integer")
+    elif rid:
+        problems.append(f"{kind} {name}: id {_excerpt(rid)} does not encode as UTF-8")
+    else:
+        problems.append(f"{kind} with empty id")
     return name
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 _TEXT_KEYS = {"id", "grade", "title", "body"}
@@ -178,7 +189,7 @@ def _read_document(file: Path) -> dict:
     return doc
 
 
-def _build_records(docs: dict[str, dict], split_assignment: Mapping[str, str] | None):
+def _build_records(docs: dict[str, dict]):
     """The texts of every file, then the questions of every file, each
     record checked field by field as it is built, and the violations."""
     problems: list[str] = []
@@ -211,8 +222,6 @@ def _build_records(docs: dict[str, dict], split_assignment: Mapping[str, str] | 
                 raise DatasetParseError(f"{origin}: question {name}: options must be a list")
             text_id, stem, gold = _as_id(raw["text_id"]), raw["stem"], raw["gold"]
             split, reasoning_type = raw.get("split"), raw.get("reasoning_type")
-            if split_assignment and isinstance(rid, str) and rid in split_assignment:
-                split = split_assignment[rid]
             split = "" if split is None else str(split)
             if not isinstance(text_id, str):
                 problems.append(
@@ -261,18 +270,17 @@ def dataset_files(path: str | Path) -> list[Path]:
     return files
 
 
-def load_dataset(path: str | Path, split_assignment: Mapping[str, str] | None = None) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset file, or a directory of per-split files.
 
-    `split_assignment` optionally remaps question ids to splits, overriding
-    the file contents. Every file is read and shape-checked first; then the
-    texts of all files and the questions of all files are built and
-    checked in one walk. Every invariant violation is reported at once in
-    the raised `DatasetValidationError`, texts before questions, records in
-    file order and each record's checks in field order.
+    Every file is read and shape-checked first; then the texts of all files
+    and the questions of all files are built and checked in one walk. Every
+    invariant violation is reported at once in the raised
+    `DatasetValidationError`, texts before questions, records in file order
+    and each record's checks in field order.
     """
     docs = {str(file): _read_document(file) for file in dataset_files(path)}
-    texts, questions, problems = _build_records(docs, split_assignment)
+    texts, questions, problems = _build_records(docs)
     if problems:
         raise DatasetValidationError(problems)
     return Dataset(texts=tuple(texts), questions=tuple(questions))
@@ -304,32 +312,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     )
 
 
-def filter_dataset(
-    dataset: Dataset,
-    split: str | None = None,
-    grade: int | None = None,
-    reasoning_type: str | None = None,
-    predicate: Callable[[MCQuestion], bool] | None = None,
-) -> Dataset:
-    """Keep the questions matching every given criterion, plus exactly the
-    texts they reference. The grade criterion applies to the referenced
-    reading text."""
-    kept: list[MCQuestion] = []
-    for q in dataset.questions:
-        if split is not None and q.split != split:
-            continue
-        if grade is not None and dataset.text_by_id(q.text_id).grade != grade:
-            continue
-        if reasoning_type is not None and q.reasoning_type != reasoning_type:
-            continue
-        if predicate is not None and not predicate(q):
-            continue
-        kept.append(q)
+def filter_dataset(dataset: Dataset, split: str) -> Dataset:
+    """The questions of one split, plus exactly the texts they reference."""
+    kept = tuple(q for q in dataset.questions if q.split == split)
     used = {q.text_id for q in kept}
-    return Dataset(
-        texts=tuple(t for t in dataset.texts if t.id in used),
-        questions=tuple(kept),
-    )
+    return Dataset(texts=tuple(t for t in dataset.texts if t.id in used), questions=kept)
 
 
 # ---------------------------------------------------------------------------

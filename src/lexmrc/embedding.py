@@ -1,4 +1,4 @@
-"""Read-only word-vector store plus the span-similarity primitives.
+"""Read-only word-vector store plus the span averaging that `web` scores with.
 
 Vector files are word2vec-style UTF-8 text: an optional "count dim" header
 line followed by one "word c1 ... cd" row per word. A loaded store converts
@@ -26,7 +26,6 @@ __all__ = [
     "EmbeddingStore",
     "SpanVector",
     "average_embedding",
-    "cosine_similarity",
     "file_stamp",
     "load_embeddings",
 ]
@@ -377,13 +376,3 @@ def average_embedding(store: EmbeddingStore, words: Iterable[str]) -> SpanVector
                 np.array([counts[w] for w in order], dtype=np.float64)[:, None], out=terms[1:])
     found = sum(counts.values())
     return SpanVector(vector=np.add.accumulate(terms)[-1] / found, support=found)
-
-
-def cosine_similarity(u: SpanVector, v: SpanVector) -> float | None:
-    """Cosine of the two span vectors, or None when either has zero norm
-    (including empty support). Callers treat None as similarity 0."""
-    nu = float(np.sqrt(u.vector @ u.vector))
-    nv = float(np.sqrt(v.vector @ v.vector))
-    if nu == 0.0 or nv == 0.0:
-        return None
-    return float((u.vector @ v.vector) / (nu * nv))

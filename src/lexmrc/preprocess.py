@@ -29,7 +29,6 @@ __all__ = [
     "load_stopwords",
     "preprocess_sentence",
     "preprocess_text",
-    "segment_words",
     "split_sentences",
     "tokenize",
 ]
@@ -197,11 +196,6 @@ def preprocess_text(text: str, cfg: PreprocessConfig) -> ProcessedText:
     return ProcessedText.from_sentences(
         preprocess_sentence(s, cfg) for s in split_sentences(text)
     )
-
-
-def segment_words(tokens: Sequence[str], lexicon: Iterable[str]) -> WordList:
-    """Greedy longest-match segmentation of a lowercase syllable sequence."""
-    return DictionarySegmenter(lexicon)(tokens)
 
 
 def _read_word_file(path: str | Path) -> Iterator[str]:

@@ -43,12 +43,8 @@ __all__ = [
     "OptionScores",
     "ScoreBreakdown",
     "TextIndex",
-    "boosted_score",
     "decide",
-    "distance_score",
-    "predict",
     "score_options",
-    "sliding_window_score",
     "term_counts",
 ]
 
@@ -171,53 +167,12 @@ class TextIndex:
         return max_window_cosine(windows, span.vector)
 
 
-def sliding_window_score(text: ProcessedText, question: WordList, option: WordList) -> float:
-    """Best window sum of inverse-count log weights over tokens of `text`
-    hitting set(question) | set(option)."""
-    return TextIndex(text).window_score(set(question) | set(option))
-
-
-def distance_score(
-    text: ProcessedText, question: WordList, option: WordList, cfg: MethodConfig
-) -> float:
-    """Normalized extreme token distance between question-word and
-    option-word occurrences; 1.0 when either side is absent from the text
-    or the text has fewer than two tokens."""
-    return TextIndex(text).distance(set(question), set(option), cfg.distance_aggregation)
-
-
-def boosted_score(text: ProcessedText, option: WordList, store: EmbeddingStore) -> float:
-    """Best cosine between the option's mean vector and any |option|-token
-    span of the text (0.0 when undefined everywhere)."""
-    return TextIndex(text, store).boost(option)
-
-
 def _argmax_first(values: Sequence[float]) -> int:
     best = 0
     for i in range(1, len(values)):
         if values[i] > values[best]:
             best = i
     return best
-
-
-def predict(
-    text: ProcessedText,
-    question: WordList,
-    options: Sequence[WordList],
-    cfg: MethodConfig,
-    store: EmbeddingStore | None = None,
-    rng: random.Random | None = None,
-) -> ScoreBreakdown:
-    """Score all four options and pick the winner.
-
-    Inputs are pre-processed word lists. `store` is required for method
-    sw_d_web. For the random method, predictions come from `rng` (or a
-    fresh generator seeded with cfg.random_seed) so runs are repeatable.
-    """
-    if cfg.method == "sw_d_web" and store is None:
-        raise ValueError("method 'sw_d_web' requires an embedding store")
-    index = TextIndex(text, store if cfg.method == "sw_d_web" else None)
-    return decide(score_options(index, question, options, (cfg,)), cfg, rng)
 
 
 @dataclass(frozen=True)
@@ -259,14 +214,12 @@ def score_options(
     return OptionScores(sw=sw, dist=dist, web=web)
 
 
-def decide(scores: OptionScores, cfg: MethodConfig, rng: random.Random | None = None) -> ScoreBreakdown:
+def decide(scores: OptionScores, cfg: MethodConfig, rng: random.Random | None) -> ScoreBreakdown:
     """The final scores of `cfg`'s method and its winner, the lowest index
-    among equal finals. The random method draws from `rng`, or from a
-    fresh generator seeded with cfg.random_seed."""
+    among equal finals. The random method draws from `rng`, which the
+    caller seeds once per run; the other methods ignore it."""
     zeros = (0.0, 0.0, 0.0, 0.0)
     if cfg.method == "random":
-        if rng is None:
-            rng = random.Random(cfg.random_seed)
         return ScoreBreakdown(
             sw=zeros, dist=zeros, web=zeros, final=zeros,
             predicted=rng.randrange(4), method=cfg.method,

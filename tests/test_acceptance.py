@@ -16,16 +16,10 @@ import numpy as np
 import pytest
 
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText, compute_stats, load_dataset
-from lexmrc.embedding import EmbeddingStore, SpanVector, average_embedding, cosine_similarity
+from lexmrc.embedding import EmbeddingStore, average_embedding
 from lexmrc.evaluation import evaluate, render_report
 from lexmrc.preprocess import DictionarySegmenter, ProcessedText
-from lexmrc.scoring import (
-    MethodConfig,
-    boosted_score,
-    distance_score,
-    predict,
-    sliding_window_score,
-)
+from lexmrc.scoring import MethodConfig, TextIndex, decide, score_options
 
 from oracles import boost_oracle, distance_oracle, random_instance, window_score_oracle
 
@@ -47,8 +41,7 @@ class TestOracleEquivalence:
         start = time.perf_counter()
         for _ in range(1000):
             tokens, question, option = random_instance(rng)
-            text = pt(*tokens)
-            got = sliding_window_score(text, question, option)
+            got = TextIndex(pt(*tokens)).window_score(set(question) | set(option))
             want = window_score_oracle(tokens, question, option)
             assert abs(got - want) <= 1e-12
         elapsed = time.perf_counter() - start
@@ -61,10 +54,9 @@ class TestOracleEquivalence:
         start = time.perf_counter()
         for _ in range(1000):
             tokens, question, option = random_instance(rng)
-            text = pt(*tokens)
+            index = TextIndex(pt(*tokens))
             for agg in ("min", "max"):
-                cfg = MethodConfig(method="sw_d", distance_aggregation=agg)
-                got = distance_score(text, question, option, cfg)
+                got = index.distance(set(question), set(option), agg)
                 want = distance_oracle(tokens, question, option, agg == "max")
                 assert got == want
         elapsed = time.perf_counter() - start
@@ -82,7 +74,7 @@ class TestOracleEquivalence:
         for _ in range(500):
             tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 30))]
             option = [rng.choice(vocab) for _ in range(rng.randint(0, 4))]
-            got = boosted_score(pt(*tokens), option, store)
+            got = TextIndex(pt(*tokens), store).boost(option)
             want = boost_oracle(tokens, option, vectors)
             assert abs(got - want) <= 1e-12
         elapsed = time.perf_counter() - start
@@ -115,20 +107,6 @@ class TestInvariantSuite:
     def test_invariants(self):
         rng = random.Random(20240905)
 
-        # cosine: symmetry, bound, scale invariance at 1e-9
-        for _ in range(200):
-            u = SpanVector(np.array([rng.uniform(-5, 5) for _ in range(4)]), 1)
-            v = SpanVector(np.array([rng.uniform(-5, 5) for _ in range(4)]), 1)
-            sim = cosine_similarity(u, v)
-            assert sim is not None
-            assert cosine_similarity(v, u) == sim
-            assert abs(sim) <= 1.0 + 1e-12
-            c = rng.uniform(1e-3, 1e3)
-            scaled = cosine_similarity(
-                SpanVector(c * u.vector, 1), SpanVector(c * v.vector, 1)
-            )
-            assert abs(scaled - sim) <= 1e-9
-
         # span averaging is permutation invariant (bitwise)
         store = EmbeddingStore(3, {f"w{i}": [rng.uniform(-1, 1) for _ in range(3)]
                                    for i in range(6)})
@@ -146,29 +124,28 @@ class TestInvariantSuite:
                                     for i in range(10)})
         for _ in range(300):
             tokens, question, option = random_instance(rng)
-            text = pt(*tokens)
-            sw = sliding_window_score(text, question, option)
+            index = TextIndex(pt(*tokens), store2)
+            sw = index.window_score(set(question) | set(option))
             assert sw >= 0.0
             for agg in ("min", "max"):
-                cfg = MethodConfig(method="sw_d", distance_aggregation=agg)
-                d = distance_score(text, question, option, cfg)
+                d = index.distance(set(question), set(option), agg)
                 assert 0.0 < d <= 1.0
                 if len(tokens) >= 2 and d != 1.0:
                     assert d >= 1.0 / (len(tokens) - 1)
-            web = boosted_score(text, option, store2)
+            web = index.boost(option)
             assert -1.0 - 1e-12 <= web <= 1.0 + 1e-12
 
         # argmax tie-break is deterministic: identical options -> index 0
         cfg = MethodConfig(method="sw")
-        bd = predict(pt("a", "b"), ["a"], [["b"], ["b"], ["b"], ["b"]], cfg)
-        assert bd.predicted == 0
+        scores = score_options(TextIndex(pt("a", "b")), ["a"], [["b"]] * 4, (cfg,))
+        assert decide(scores, cfg, None).predicted == 0
 
         # log-base change rescales sw, leaving the sw argmax unchanged
         # (division is monotone: ulp-level ties may collapse, never swap)
         for _ in range(100):
             tokens, question, _ = random_instance(rng)
             opts = [random_instance(rng)[2] for _ in range(4)]
-            bd = predict(pt(*tokens), question, opts, cfg)
+            bd = decide(score_options(TextIndex(pt(*tokens)), question, opts, (cfg,)), cfg, None)
             rescaled = [s / math.log(2.0) for s in bd.sw]
             assert rescaled[bd.predicted] == max(rescaled)
 
@@ -179,7 +156,7 @@ class TestInvariantSuite:
         second = render_report(evaluate(dataset, "test", eval_cfg), "json")
         assert first.encode() == second.encode()
 
-        done("invariant suite (cosine, score ranges, tie-break, log base, "
+        done("invariant suite (span averaging, score ranges, tie-break, log base, "
              "byte-identical runs)")
 
 

@@ -426,15 +426,18 @@ class TestConfigFile:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "error: config key 'method' must be a string\n"
 
+    # a JSON escape can spell a lone surrogate, which no file name encodes
+    @pytest.mark.parametrize("path, problem", [("a\u0000b", "contains a NUL byte"),
+                                               ("\ud800", "cannot be encoded as a file name")],
+                             ids=["nul", "surrogate"])
     @pytest.mark.parametrize("key", ["dataset", "embeddings", "stopwords", "lexicon", "out"])
-    def test_nul_byte_in_a_config_path(self, capsys, tmp_path, key):
+    def test_unusable_config_path(self, capsys, tmp_path, key, path, problem):
         f = tmp_path / "run.json"
-        f.write_text(json.dumps({"dataset": FIXTURES, key: "a\u0000b"}), encoding="utf-8")
+        f.write_text(json.dumps({"dataset": FIXTURES, key: path}), encoding="utf-8")
         code, out, err = invoke(capsys, "evaluate", "--config", str(f), "--split", "dev",
                                 "--method", "sw")
         assert (code, out) == (EXIT_CONFIG, "")
-        flag = "--" + key
-        assert err == f"error: {flag} path contains a NUL byte\n"
+        assert err == f"error: --{key} path {problem}\n"
 
 
 class TestNulBytePaths:
@@ -460,6 +463,37 @@ class TestNulBytePaths:
         code, out, err = invoke(capsys, "batch", str(f))
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "error: --out path contains a NUL byte\n"
+
+
+class TestLoneSurrogates:
+    """A JSON escape can spell a lone surrogate, which UTF-8 cannot encode:
+    in a dataset id it is a validation violation (exit 4), never a
+    UnicodeEncodeError escaping `run`. A config-file path holding one is a
+    config error (`test_unusable_config_path`), but a surrogate that
+    stands for a byte of a name is a file name like any other."""
+
+    @pytest.mark.parametrize("argv", [["evaluate", "--format", "json"],
+                                      ["evaluate", "--format", "csv"],
+                                      ["answer", "--question-id", "q2"]])
+    def test_id(self, capsys, tmp_path, argv):
+        texts = [{"id": "t1", "grade": 1, "title": None, "body": "mèo đen ngủ."}]
+        question = {"text_id": "t1", "stem": "Con gì ngủ?",
+                    "options": ["mèo", "chó", "gà", "vịt"], "gold": "A", "split": "test"}
+        questions = [dict(question, id="q\ud800"), dict(question, id="q2")]
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({"texts": texts, "questions": questions}), encoding="utf-8")
+        code, out, err = invoke(capsys, *argv, "--dataset", str(f), "--method", "sw")
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == ("error: invalid dataset:\n"
+                       "  - question #1: id 'q\\ud800' does not encode as UTF-8\n")
+
+    def test_surrogateescape_path_is_a_file_name(self, capsys, tmp_path):
+        # the form a command line gives a name that is not UTF-8: "\udcff"
+        target = tmp_path / os.fsdecode(b"\xff.json")
+        code, out, err = invoke(capsys, "stats", "--dataset", FIXTURES, "--format", "json",
+                                "--out", str(target))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert json.loads(target.read_text(encoding="utf-8"))
 
 
 class TestStopwordsFlag:

@@ -5,7 +5,9 @@ error, never in an exception.
 Each example writes a dataset, a vector file, a config file and a batch
 file, some of them mutated or replaced by junk or by JSON nested past the
 decoder's recursion limit, and runs one command line that reads them, or
-the batch file that lists several (and perhaps itself).
+the batch file that lists several (and perhaps itself). A second test
+puts lone surrogates into otherwise valid files and runs every command in
+every format over them.
 """
 
 import contextlib
@@ -40,10 +42,11 @@ BASE_CONFIG = {"split": "test", "method": "sw_d_web", "seed": 1}
 CONFIG_KEYS = ["split", "method", "distance_agg", "seed", "format", "workers", "no_such_key"]
 PATH_KEYS = ["dataset", "embeddings", "stopwords", "lexicon", "out"]
 
-# JSON values that fit no field, or fit the wrong one
+# JSON values that fit no field, or fit the wrong one; st.text never draws
+# a lone surrogate, which a JSON escape can spell and UTF-8 cannot encode
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats(allow_nan=False)
-    | st.text(max_size=8),
+    | st.text(max_size=8) | st.just("\ud800"),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=4),
     max_leaves=8,
@@ -68,8 +71,9 @@ def _paths(doc, prefix=()):
 
 def path_values(root):
     """Paths a flag may name: the example's own files, a directory, a file
-    that does not exist, and names the OS refuses."""
-    names = ["d.json", "v.vec", "c.json", "lex.txt", "b.txt", "", "missing/x", "a\x00b"]
+    that does not exist, and names the OS refuses or cannot encode."""
+    names = ["d.json", "v.vec", "c.json", "lex.txt", "b.txt", "", "missing/x", "a\x00b",
+             "\ud800"]
     return st.sampled_from([str(root / name) for name in names] + ["", "\x00"])
 
 
@@ -95,8 +99,10 @@ def mutate_json(data, doc, new_keys=None):
 
 
 def file_bytes(data, text):
-    """`text` as UTF-8, sometimes cut short or with an invalid byte in it."""
-    raw = text.encode("utf-8")
+    """`text` as UTF-8, sometimes cut short or with an invalid byte in it.
+    A lone surrogate is written as its escape, which in a JSON string is
+    the surrogate again."""
+    raw = text.encode("utf-8", "backslashreplace")
     how = data.draw(st.sampled_from(["keep", "keep", "keep", "cut", "bad byte"]))
     if how == "cut" and raw:
         raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
@@ -160,11 +166,62 @@ def test_malformed_inputs_end_in_a_documented_exit(data):
                              shlex.join(["batch", str(root / "b.txt")]))
             (root / "b.txt").write_bytes(file_bytes(data, "\n".join(lines)))
             argv = ["batch", data.draw(st.sampled_from([str(root / "b.txt"), "a\x00b"]))]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert code in EXITS, (argv, err.getvalue())
-        if code == EXIT_OK:
-            assert err.getvalue() == ""
-        else:
-            assert err.getvalue().startswith("error: ")
+        assert_documented_exit(argv)
+
+
+def assert_documented_exit(argv):
+    """Run `argv`: it ends in a documented exit status, with nothing on
+    stderr on success and one `error:` report otherwise."""
+    # stdout encodes strictly as a process's UTF-8 stdout does; stderr
+    # escapes what it cannot encode
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in EXITS, (argv, err.getvalue())
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ")
+
+
+def _strings(doc):
+    """The path to every string inside a JSON document."""
+    for path in _paths(doc):
+        value = doc
+        for step in path:
+            value = value[step]
+        if isinstance(value, str):
+            yield path
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lone_surrogates_end_in_a_documented_exit(data):
+    """A JSON escape can spell a lone surrogate, which UTF-8 cannot encode.
+    One or two strings of the dataset or of the config file end in one, or
+    a config path names a file with one; every command in every format
+    then ends in a documented exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        dataset = json.loads(json.dumps(BASE_DATASET))
+        config = {"dataset": str(root / "d.json"), "split": "test", "method": "sw"}
+        for doc in (dataset, config):
+            for path in data.draw(st.lists(st.sampled_from(list(_strings(doc))), max_size=2,
+                                           unique=True)):
+                parent = doc
+                for step in path[:-1]:
+                    parent = parent[step]
+                parent[path[-1]] += "\ud800"
+        key = data.draw(st.sampled_from([None] + PATH_KEYS))
+        if key:
+            config[key] = str(root / "\ud800")
+        # the default ensure_ascii writes a surrogate as its JSON escape
+        (root / "d.json").write_text(json.dumps(dataset), encoding="utf-8")
+        (root / "c.json").write_text(json.dumps(config), encoding="utf-8")
+        for fmt in ("plain", "csv", "json"):
+            common = ["--config", str(root / "c.json"), "--format", fmt]
+            for command in (["evaluate"], ["evaluate", "--split", "dev"], ["stats"],
+                            ["answer", "--question-id", "q1"],
+                            ["compare", "--baseline", "sw", "--candidate", "sw_d",
+                             "--facet", "grade"]):
+                assert_documented_exit(command + common)

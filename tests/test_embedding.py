@@ -11,16 +11,11 @@ from lexmrc import embedding
 from lexmrc.embedding import (
     EmbeddingFormatError,
     EmbeddingStore,
-    SpanVector,
     average_embedding,
-    cosine_similarity,
     load_embeddings,
 )
 
 from oracles import _is_int, reference_average_embedding, reference_load_embeddings
-
-# 32 / (sqrt(14) * sqrt(77)) evaluated at 40 decimal digits with mpmath
-COS_123_456 = 0.9746318461970762710785724911261228634989
 
 
 def make_store(**vectors):
@@ -671,56 +666,6 @@ def test_average_matches_reference(dim, data):
     assert got.support == want.support
     assert got.vector.shape == want.vector.shape
     assert got.vector.tobytes() == want.vector.tobytes()
-
-
-def span(*components):
-    return SpanVector(vector=np.asarray(components, dtype=np.float64), support=1)
-
-
-class TestCosine:
-    def test_identical_direction(self):
-        assert cosine_similarity(span(1.0, 0.0), span(1.0, 0.0)) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity(span(1.0, 0.0), span(0.0, 1.0)) == pytest.approx(0.0)
-
-    def test_against_high_precision_value(self):
-        got = cosine_similarity(span(1.0, 2.0, 3.0), span(4.0, 5.0, 6.0))
-        assert got == pytest.approx(COS_123_456, abs=1e-12)
-
-    def test_zero_norm_is_undefined(self):
-        assert cosine_similarity(span(0.0, 0.0), span(1.0, 0.0)) is None
-        empty = SpanVector(vector=np.zeros(2), support=0)
-        assert cosine_similarity(empty, span(1.0, 0.0)) is None
-
-    @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
-        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_symmetry_and_bound(self, u, v):
-        su, sv = span(*u), span(*v)
-        sim = cosine_similarity(su, sv)
-        if sim is None:
-            assert cosine_similarity(sv, su) is None
-        else:
-            assert cosine_similarity(sv, su) == sim
-            assert abs(sim) <= 1.0 + 1e-12
-
-    # components on a coarse grid so c*x never underflows to zero
-    @given(
-        st.lists(st.floats(-100, 100).map(lambda x: round(x, 3)), min_size=3, max_size=3),
-        st.lists(st.floats(-100, 100).map(lambda x: round(x, 3)), min_size=3, max_size=3),
-        st.floats(1e-3, 1e3),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_scale_invariance(self, u, v, c):
-        base = cosine_similarity(span(*u), span(*v))
-        scaled = cosine_similarity(span(*(c * x for x in u)), span(*(c * x for x in v)))
-        if base is None:
-            assert scaled is None
-        else:
-            assert scaled == pytest.approx(base, abs=1e-9)
 
 
 class TestStoreConstruction:

@@ -16,7 +16,6 @@ from lexmrc.preprocess import (
     load_stopwords,
     preprocess_sentence,
     preprocess_text,
-    segment_words,
     split_sentences,
     tokenize,
 )
@@ -98,32 +97,32 @@ class TestPreprocessText:
 
 class TestSegmentWords:
     def test_empty_lexicon_passthrough(self):
-        assert segment_words(["a", "b"], []) == ["a", "b"]
+        assert DictionarySegmenter([])(["a", "b"]) == ["a", "b"]
 
     def test_longest_match(self):
-        assert segment_words(["học", "sinh", "giỏi"], ["học_sinh"]) == ["học_sinh", "giỏi"]
+        assert DictionarySegmenter(["học_sinh"])(["học", "sinh", "giỏi"]) == ["học_sinh", "giỏi"]
 
     def test_presegmented_token_passthrough(self):
-        assert segment_words(["học_sinh", "giỏi"], ["học_sinh"]) == ["học_sinh", "giỏi"]
+        assert DictionarySegmenter(["học_sinh"])(["học_sinh", "giỏi"]) == ["học_sinh", "giỏi"]
 
     def test_three_syllable_join(self):
-        assert segment_words(["cô", "rét", "ti", "nói"], ["cô_rét_ti"]) == ["cô_rét_ti", "nói"]
+        assert DictionarySegmenter(["cô_rét_ti"])(["cô", "rét", "ti", "nói"]) == ["cô_rét_ti", "nói"]
 
     def test_longer_match_wins(self):
         lex = ["a_b", "a_b_c"]
-        assert segment_words(["a", "b", "c"], lex) == ["a_b_c"]
+        assert DictionarySegmenter(lex)(["a", "b", "c"]) == ["a_b_c"]
 
     def test_greedy_is_left_to_right(self):
         # greedy takes a_b at position 0 even though b_c would also match
-        assert segment_words(["a", "b", "c"], ["a_b", "b_c"]) == ["a_b", "c"]
+        assert DictionarySegmenter(["a_b", "b_c"])(["a", "b", "c"]) == ["a_b", "c"]
 
     def test_match_never_spans_presegmented_token(self):
-        assert segment_words(["a", "b_x", "c"], ["a_b_x", "b_x_c"]) == ["a", "b_x", "c"]
+        assert DictionarySegmenter(["a_b_x", "b_x_c"])(["a", "b_x", "c"]) == ["a", "b_x", "c"]
 
     def test_deterministic(self):
         tokens = ["một", "hai", "ba", "một", "hai"]
         lex = ["một_hai"]
-        assert segment_words(tokens, lex) == segment_words(tokens, lex)
+        assert DictionarySegmenter(lex)(tokens) == DictionarySegmenter(lex)(tokens)
 
 
 @st.composite

@@ -5,27 +5,17 @@ import pytest
 
 from lexmrc.embedding import EmbeddingStore
 from lexmrc.preprocess import ProcessedText
-from lexmrc.scoring import (
-    MethodConfig,
-    TextIndex,
-    boosted_score,
-    distance_score,
-    predict,
-    sliding_window_score,
-    term_counts,
-)
+from lexmrc.scoring import MethodConfig, TextIndex, decide, score_options, term_counts
 
 from oracles import boost_oracle, distance_oracle, random_instance, window_score_oracle
 
 LN2 = math.log(2.0)
+# 32 / (sqrt(14) * sqrt(77)) evaluated at 40 decimal digits with mpmath
+COS_123_456 = 0.9746318461970762710785724911261228634989
 
 
 def pt(*tokens):
     return ProcessedText.from_sentences([list(tokens)])
-
-
-MIN_CFG = MethodConfig(method="sw_d", distance_aggregation="min")
-MAX_CFG = MethodConfig(method="sw_d", distance_aggregation="max")
 
 
 class TestTermCounts:
@@ -49,28 +39,29 @@ class TestTermCounts:
 class TestSlidingWindow:
     def test_two_word_option(self):
         text = pt("a", "b", "c", "a")
-        got = sliding_window_score(text, [], ["b", "c"])
+        got = TextIndex(text).window_score({"b", "c"})
         assert got == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_no_overlap(self):
         text = pt("a", "b")
-        assert sliding_window_score(text, ["x"], ["y"]) == 0.0
+        assert TextIndex(text).window_score({"x", "y"}) == 0.0
 
     def test_single_token(self):
         text = pt("x")
-        got = sliding_window_score(text, ["x"], [])
+        got = TextIndex(text).window_score({"x"})
         assert got == pytest.approx(LN2, abs=1e-12)
 
     def test_empty_text_and_empty_words(self):
-        assert sliding_window_score(pt(), ["a"], ["b"]) == 0.0
+        assert TextIndex(pt()).window_score({"a", "b"}) == 0.0
         text = pt("a")
-        assert sliding_window_score(text, [], []) == 0.0
+        assert TextIndex(text).window_score(set()) == 0.0
 
     def test_duplicates_collapse_in_window_set(self):
         # set semantics: repeating an option word must not change the score
-        text = pt("a", "b", "c")
-        once = sliding_window_score(text, ["a"], ["b"])
-        repeated = sliding_window_score(text, ["a", "a"], ["b", "b", "a"])
+        cfgs = (MethodConfig(method="sw"),)
+        index = TextIndex(pt("a", "b", "c"))
+        once = score_options(index, ["a"], [["b"]] * 4, cfgs).sw
+        repeated = score_options(index, ["a", "a"], [["b", "b", "a"]] * 4, cfgs).sw
         assert repeated == once
 
     def test_zero_iff_no_overlap_or_empty(self):
@@ -78,16 +69,16 @@ class TestSlidingWindow:
         for _ in range(200):
             tokens, question, option = random_instance(rng)
             text = pt(*tokens)
-            score = sliding_window_score(text, question, option)
+            score = TextIndex(text).window_score(set(question) | set(option))
             overlap = (set(question) | set(option)) & set(tokens)
             assert score >= 0.0
             assert (score == 0.0) == (not overlap)
 
     def test_appending_neutral_tokens_never_lowers_score(self):
         text = pt("a", "b", "c", "a")
-        base = sliding_window_score(text, ["a"], ["c"])
+        base = TextIndex(text).window_score({"a", "c"})
         grown = pt("a", "b", "c", "a", "zz", "zz")
-        grown_score = sliding_window_score(grown, ["a"], ["c"])
+        grown_score = TextIndex(grown).window_score({"a", "c"})
         assert grown_score >= base
 
     def test_matches_oracle(self):
@@ -95,55 +86,55 @@ class TestSlidingWindow:
         for _ in range(300):
             tokens, question, option = random_instance(rng)
             text = pt(*tokens)
-            got = sliding_window_score(text, question, option)
+            got = TextIndex(text).window_score(set(question) | set(option))
             want = window_score_oracle(tokens, question, option)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestDistance:
     def test_guard_when_question_absent(self):
-        assert distance_score(pt("x", "a"), ["q"], ["a"], MIN_CFG) == 1.0
+        assert TextIndex(pt("x", "a")).distance({"q"}, {"a"}, "min") == 1.0
 
     def test_min_pair(self):
-        got = distance_score(pt("x", "q", "y", "y", "a"), ["q"], ["a"], MIN_CFG)
+        got = TextIndex(pt("x", "q", "y", "y", "a")).distance({"q"}, {"a"}, "min")
         assert got == pytest.approx(3 / 4)
 
     def test_adjacent_pair(self):
-        got = distance_score(pt("x", "q", "a", "y", "y"), ["q"], ["a"], MIN_CFG)
+        got = TextIndex(pt("x", "q", "a", "y", "y")).distance({"q"}, {"a"}, "min")
         assert got == pytest.approx(1 / 4)
 
     def test_max_aggregation(self):
         text = pt("q", "a", "x", "a")
-        assert distance_score(text, ["q"], ["a"], MIN_CFG) == pytest.approx(1 / 3)
-        assert distance_score(text, ["q"], ["a"], MAX_CFG) == pytest.approx(3 / 3)
+        assert TextIndex(text).distance({"q"}, {"a"}, "min") == pytest.approx(1 / 3)
+        assert TextIndex(text).distance({"q"}, {"a"}, "max") == pytest.approx(3 / 3)
 
     def test_single_token_text(self):
-        assert distance_score(pt("q"), ["q"], ["q"], MIN_CFG) == 1.0
+        assert TextIndex(pt("q")).distance({"q"}, {"q"}, "min") == 1.0
 
     def test_shared_word_same_position_excluded(self):
         # "q" serves both sides; its self-pair must not produce distance 0
-        got = distance_score(pt("q", "x"), ["q"], ["q"], MIN_CFG)
+        got = TextIndex(pt("q", "x")).distance({"q"}, {"q"}, "min")
         assert got == 1.0
-        got = distance_score(pt("q", "x", "q"), ["q"], ["q"], MIN_CFG)
+        got = TextIndex(pt("q", "x", "q")).distance({"q"}, {"q"}, "min")
         assert got == pytest.approx(2 / 2)
 
     def test_range_invariant(self):
         rng = random.Random(31)
         for _ in range(300):
             tokens, question, option = random_instance(rng)
-            for cfg in (MIN_CFG, MAX_CFG):
-                d = distance_score(pt(*tokens), question, option, cfg)
+            for agg in ("min", "max"):
+                d = TextIndex(pt(*tokens)).distance(set(question), set(option), agg)
                 assert 0.0 < d <= 1.0
                 if len(tokens) >= 2:
                     assert d == 1.0 or d >= 1 / (len(tokens) - 1)
 
-    @pytest.mark.parametrize("cfg", [MIN_CFG, MAX_CFG], ids=["min", "max"])
-    def test_matches_oracle(self, cfg):
-        rng = random.Random(42 if cfg is MIN_CFG else 43)
+    @pytest.mark.parametrize("agg", ["min", "max"])
+    def test_matches_oracle(self, agg):
+        rng = random.Random(42 if agg == "min" else 43)
         for _ in range(300):
             tokens, question, option = random_instance(rng)
-            got = distance_score(pt(*tokens), question, option, cfg)
-            want = distance_oracle(tokens, question, option, cfg.distance_aggregation == "max")
+            got = TextIndex(pt(*tokens)).distance(set(question), set(option), agg)
+            want = distance_oracle(tokens, question, option, agg == "max")
             assert got == want
 
 
@@ -164,19 +155,23 @@ def toy_store():
 class TestBoost:
     def test_self_similarity(self):
         store = toy_store()
-        assert boosted_score(pt("c", "a", "d"), ["a"], store) == pytest.approx(1.0)
+        assert TextIndex(pt("c", "a", "d"), store).boost(["a"]) == pytest.approx(1.0)
+
+    def test_against_high_precision_value(self):
+        store = EmbeddingStore(3, {"u": [1.0, 2.0, 3.0], "v": [4.0, 5.0, 6.0]})
+        assert TextIndex(pt("v"), store).boost(["u"]) == pytest.approx(COS_123_456, abs=1e-12)
 
     def test_all_oov_option(self):
-        assert boosted_score(pt("a", "b"), ["zz"], toy_store()) == 0.0
+        assert TextIndex(pt("a", "b"), toy_store()).boost(["zz"]) == 0.0
 
     def test_empty_option_or_text(self):
         store = toy_store()
-        assert boosted_score(pt("a", "b"), [], store) == 0.0
-        assert boosted_score(pt(), ["a"], store) == 0.0
+        assert TextIndex(pt("a", "b"), store).boost([]) == 0.0
+        assert TextIndex(pt(), store).boost(["a"]) == 0.0
 
     def test_option_longer_than_text_uses_whole_text(self):
         store = toy_store()
-        got = boosted_score(pt("a", "b"), ["a", "b", "c", "d"], store)
+        got = TextIndex(pt("a", "b"), store).boost(["a", "b", "c", "d"])
         want = boost_oracle(["a", "b"], ["a", "b", "c", "d"], toy_vectors())
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -187,7 +182,7 @@ class TestBoost:
         for _ in range(200):
             tokens = [rng.choice(vocab) for _ in range(rng.randrange(0, 12))]
             option = [rng.choice(vocab) for _ in range(rng.randrange(0, 4))]
-            web = boosted_score(pt(*tokens), option, store)
+            web = TextIndex(pt(*tokens), store).boost(option)
             assert -1.0 - 1e-12 <= web <= 1.0 + 1e-12
 
     def test_matches_oracle(self):
@@ -197,7 +192,7 @@ class TestBoost:
         for _ in range(300):
             tokens = [rng.choice(vocab) for _ in range(rng.randrange(0, 10))]
             option = [rng.choice(vocab) for _ in range(rng.randrange(0, 4))]
-            got = boosted_score(pt(*tokens), option, store)
+            got = TextIndex(pt(*tokens), store).boost(option)
             want = boost_oracle(tokens, option, toy_vectors())
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -208,8 +203,8 @@ class TestBoost:
         for _ in range(100):
             tokens = [rng.choice(vocab) for _ in range(rng.randrange(1, 10))]
             option = [rng.choice(vocab) for _ in range(rng.randrange(1, 4))]
-            a = boosted_score(pt(*tokens), option, toy_store())
-            b = boosted_score(pt(*tokens), option, scaled)
+            a = TextIndex(pt(*tokens), toy_store()).boost(option)
+            b = TextIndex(pt(*tokens), scaled).boost(option)
             assert b == pytest.approx(a, abs=1e-9)
 
 
@@ -218,51 +213,48 @@ class TestPredict:
         return [list(o) for o in opts]
 
     def test_forced_tie_breaks_to_lowest_index(self):
-        text = pt("a", "b", "c")
         cfg = MethodConfig(method="sw")
-        bd = predict(text, ["a"], self.options(["b"], ["b"], ["b"], ["b"]), cfg)
+        opts = self.options(["b"], ["b"], ["b"], ["b"])
+        bd = decide(score_options(TextIndex(pt("a", "b", "c")), ["a"], opts, (cfg,)), cfg, None)
         assert bd.predicted == 0
 
     def test_component_arrays_zeroed_per_method(self):
-        text = pt("a", "b", "c")
+        index = TextIndex(pt("a", "b", "c"))
         opts = self.options(["a"], ["b"], ["c"], ["zz"])
-        sw_only = predict(text, ["a"], opts, MethodConfig(method="sw"))
+        cfg = MethodConfig(method="sw")
+        sw_only = decide(score_options(index, ["a"], opts, (cfg,)), cfg, None)
         assert sw_only.dist == (0.0,) * 4 and sw_only.web == (0.0,) * 4
         assert sw_only.final == sw_only.sw
-        sw_d = predict(text, ["a"], opts, MethodConfig(method="sw_d"))
+        cfg = MethodConfig(method="sw_d")
+        sw_d = decide(score_options(index, ["a"], opts, (cfg,)), cfg, None)
         assert sw_d.web == (0.0,) * 4
         assert sw_d.final == tuple(s - d for s, d in zip(sw_d.sw, sw_d.dist))
 
     def test_combined_method_formula(self):
-        text = pt("a", "b", "c", "d", "e")
+        index = TextIndex(pt("a", "b", "c", "d", "e"), toy_store())
         opts = self.options(["a", "b"], ["c"], ["d", "e"], ["zz"])
         cfg = MethodConfig(method="sw_d_web")
-        bd = predict(text, ["b", "c"], opts, cfg, toy_store())
+        bd = decide(score_options(index, ["b", "c"], opts, (cfg,)), cfg, None)
         assert bd.final == tuple(s - d + w for s, d, w in zip(bd.sw, bd.dist, bd.web))
         assert bd.predicted == bd.final.index(max(bd.final))
 
-    def test_missing_store_rejected(self):
-        with pytest.raises(ValueError):
-            predict(pt("a"), ["a"], self.options(["a"], ["b"], ["c"], ["d"]),
-                    MethodConfig(method="sw_d_web"))
-
     def test_wrong_option_count_rejected(self):
         with pytest.raises(ValueError):
-            predict(pt("a"), ["a"], self.options(["a"], ["b"]), MethodConfig(method="sw"))
+            score_options(TextIndex(pt("a")), ["a"], self.options(["a"], ["b"]),
+                          (MethodConfig(method="sw"),))
 
     def test_random_is_repeatable(self):
         cfg = MethodConfig(method="random", random_seed=1234)
         opts = self.options(["a"], ["b"], ["c"], ["d"])
-        first = [predict(pt("a"), ["a"], opts, cfg, rng=random.Random(1234)).predicted
-                 for _ in range(20)]
-        second = [predict(pt("a"), ["a"], opts, cfg, rng=random.Random(1234)).predicted
-                  for _ in range(20)]
+        scores = score_options(TextIndex(pt("a")), ["a"], opts, (cfg,))
+        first = [decide(scores, cfg, random.Random(1234)).predicted for _ in range(20)]
+        second = [decide(scores, cfg, random.Random(1234)).predicted for _ in range(20)]
         # a fresh generator per call replays the same value; a shared one
         # walks the same sequence
         assert first == second
         rng_a, rng_b = random.Random(55), random.Random(55)
-        seq_a = [predict(pt("a"), ["a"], opts, cfg, rng=rng_a).predicted for _ in range(20)]
-        seq_b = [predict(pt("a"), ["a"], opts, cfg, rng=rng_b).predicted for _ in range(20)]
+        seq_a = [decide(scores, cfg, rng_a).predicted for _ in range(20)]
+        seq_b = [decide(scores, cfg, rng_b).predicted for _ in range(20)]
         assert seq_a == seq_b
 
     def test_random_requires_seed(self):
@@ -274,17 +266,18 @@ class TestPredict:
         # is monotone, so the predicted option must still attain the max
         # (1-ulp ties may collapse, never swap)
         rng = random.Random(21)
+        cfg = MethodConfig(method="sw")
         for _ in range(200):
             tokens, question, _ = random_instance(rng, max_tokens=20)
             opts = [random_instance(rng, max_tokens=0)[2] for _ in range(4)]
-            text = pt(*tokens)
-            bd = predict(text, question, opts, MethodConfig(method="sw"))
+            bd = decide(score_options(TextIndex(pt(*tokens)), question, opts, (cfg,)), cfg, None)
             base2 = [s / LN2 for s in bd.sw]
             assert base2[bd.predicted] == max(base2)
 
     def test_method_recorded(self):
-        bd = predict(pt("a"), ["a"], self.options(["a"], ["b"], ["c"], ["d"]),
-                     MethodConfig(method="sw"))
+        cfg = MethodConfig(method="sw")
+        opts = self.options(["a"], ["b"], ["c"], ["d"])
+        bd = decide(score_options(TextIndex(pt("a")), ["a"], opts, (cfg,)), cfg, None)
         assert bd.method == "sw"
 
 
