@@ -14,7 +14,6 @@ from .corpus import (
     compute_stats,
     filter_dataset,
     load_dataset,
-    save_dataset,
 )
 from .embedding import EmbeddingStore, SpanVector, average_embedding, load_embeddings
 from .evaluation import EvaluationReport, compare_reports, evaluate, facet_breakdown, render_report
@@ -53,6 +52,5 @@ __all__ = [
     "preprocess_sentence",
     "preprocess_text",
     "render_report",
-    "save_dataset",
     "term_counts",
 ]

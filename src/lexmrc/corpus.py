@@ -2,23 +2,23 @@
 
 A dataset file is one UTF-8 JSON document:
 
-    {"texts": [{"id", "grade", "title", "body"}, ...],
+    {"texts": [{"id", "grade", "body"}, ...],
      "questions": [{"id", "text_id", "stem", "options": [4 strings],
                     "gold": "A".."D", "reasoning_type"?, "split"}, ...]}
 
 `load_dataset` also accepts a directory of such documents (one per split).
-Unknown keys are carried along untouched so files round-trip through
-`save_dataset`.
+A record may hold other keys, such as a text's "title"; they are accepted
+and ignored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .preprocess import Segmenter, tokenize
+from .preprocess import PreprocessConfig, Segmenter, preprocess_sentence
 
 __all__ = [
     "GRADES",
@@ -35,11 +35,9 @@ __all__ = [
     "ReadingText",
     "SplitStats",
     "compute_stats",
-    "count_words",
     "dataset_files",
     "filter_dataset",
     "load_dataset",
-    "save_dataset",
 ]
 
 SPLITS = ("train", "dev", "test")
@@ -69,8 +67,6 @@ class ReadingText:
     id: str
     grade: int
     body: str
-    title: str | None = None
-    extra: dict = field(default_factory=dict, hash=False)  # compared, not hashed
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,6 @@ class MCQuestion:
     gold: int
     split: str
     reasoning_type: str | None = None
-    extra: dict = field(default_factory=dict, hash=False)  # compared, not hashed
 
 
 @dataclass(frozen=True)
@@ -157,10 +152,6 @@ def _encodes(text: str) -> bool:
     return True
 
 
-_TEXT_KEYS = {"id", "grade", "title", "body"}
-_QUESTION_KEYS = {"id", "text_id", "stem", "options", "gold", "reasoning_type", "split"}
-
-
 def _open_record(origin: str, kind: str, raw, position: int, seen: set[str],
                  problems: list[str], required: tuple[str, ...]) -> str:
     """Check that record `raw` is a JSON object holding every key of
@@ -208,9 +199,7 @@ def _build_records(docs: dict[str, dict]):
                 problems.append(f"text {name}: body {_excerpt(body)} is not a string")
             elif not body.strip():
                 problems.append(f"text {name}: empty body")
-            extra = {k: v for k, v in raw.items() if k not in _TEXT_KEYS}
-            texts.append(ReadingText(id=rid, grade=grade, title=raw.get("title"), body=body,
-                                     extra=extra))
+            texts.append(ReadingText(id=rid, grade=grade, body=body))
     questions: list[MCQuestion] = []
     question_ids: set[str] = set()
     for origin, doc in docs.items():
@@ -250,10 +239,9 @@ def _build_records(docs: dict[str, dict]):
                 problems.append(
                     f"question {name}: unknown reasoning_type {_excerpt(reasoning_type)}"
                 )
-            extra = {k: v for k, v in raw.items() if k not in _QUESTION_KEYS}
             questions.append(MCQuestion(
                 id=rid, text_id=text_id, stem=stem, options=tuple(options), gold=gold,
-                split=split, reasoning_type=reasoning_type, extra=extra,
+                split=split, reasoning_type=reasoning_type,
             ))
     return texts, questions, problems
 
@@ -284,32 +272,6 @@ def load_dataset(path: str | Path) -> Dataset:
     if problems:
         raise DatasetValidationError(problems)
     return Dataset(texts=tuple(texts), questions=tuple(questions))
-
-
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset back to one JSON document (inverse of load_dataset)."""
-    doc = {
-        "texts": [
-            {"id": t.id, "grade": t.grade, "title": t.title, "body": t.body, **t.extra}
-            for t in dataset.texts
-        ],
-        "questions": [
-            {
-                "id": q.id,
-                "text_id": q.text_id,
-                "stem": q.stem,
-                "options": list(q.options),
-                "gold": OPTION_LABELS[q.gold],
-                **({"reasoning_type": q.reasoning_type} if q.reasoning_type else {}),
-                "split": q.split,
-                **q.extra,
-            }
-            for q in dataset.questions
-        ],
-    }
-    Path(path).write_text(
-        json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def filter_dataset(dataset: Dataset, split: str) -> Dataset:
@@ -347,16 +309,6 @@ class DatasetStats:
     splits: dict[str, SplitStats]
     overall: SplitStats
     grades: dict[int, GradeStats]
-
-
-def _segment_raw(text: str, segmenter: Segmenter) -> list[str]:
-    return segmenter([t.lower() for t in tokenize(text)])
-
-
-def count_words(text: str, segmenter: Segmenter) -> int:
-    """Length of a raw text in segmented words. Punctuation marks are not
-    words; stopwords are kept."""
-    return len(_segment_raw(text, segmenter))
 
 
 def _mean(values: list[int]) -> float:
@@ -409,12 +361,14 @@ class _Tally:
 def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
     """Per-split, overall, and per-grade counts and average lengths.
 
-    Lengths are measured in segmented words of the raw strings; the
-    vocabulary is the set of distinct lowercase segmented words across
-    texts, stems, and options. A split's texts are the ones its questions
-    reference. Each string is segmented once and tallied into every group
-    it belongs to.
+    Lengths are measured in segmented words of the raw strings, cleaned by
+    `preprocess_sentence` with no stopwords: punctuation marks are not
+    words. The vocabulary is the set of distinct lowercase segmented words
+    across texts, stems, and options. A split's texts are the ones its
+    questions reference. Each string is segmented once and tallied into
+    every group it belongs to.
     """
+    raw = PreprocessConfig(segmenter=segmenter)
     overall = _Tally()
     splits = {split: _Tally() for split in SPLITS}
     grades = {grade: _Tally() for grade in GRADES}
@@ -425,15 +379,15 @@ def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
     grade_of = {t.id: t.grade for t in dataset.texts}
 
     for t in dataset.texts:
-        words = _segment_raw(t.body, segmenter)
+        words = preprocess_sentence(t.body, raw)
         groups = [overall] + [splits[s] for s in text_splits.get(t.id, ())]
         if t.grade in grades:
             groups.append(grades[t.grade])
         for group in groups:
             group.add_text(words)
     for q in dataset.questions:
-        stem = _segment_raw(q.stem, segmenter)
-        options = [_segment_raw(o, segmenter) for o in q.options]
+        stem = preprocess_sentence(q.stem, raw)
+        options = [preprocess_sentence(o, raw) for o in q.options]
         groups = [overall]
         if q.split in splits:
             groups.append(splits[q.split])

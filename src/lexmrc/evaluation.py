@@ -24,11 +24,10 @@ from .corpus import (
     MCQuestion,
     REASONING_TYPES,
     ReadingText,
-    count_words,
     filter_dataset,
 )
 from .embedding import EmbeddingStore
-from .preprocess import preprocess_sentence, preprocess_text
+from .preprocess import PreprocessConfig, preprocess_sentence, preprocess_text
 from .scoring import MethodConfig, OptionScores, ScoreBreakdown, TextIndex, decide, score_options
 
 __all__ = [
@@ -209,8 +208,11 @@ def _score_text(
     # question_length counts the segmented raw stem. Without stopwords that
     # is the cleaned stem itself; removing stopwords first can create joins
     # the raw stem does not have.
-    lengths = [count_words(q.stem, preprocess.segmenter) if preprocess.stopwords else len(stem)
-               for q, stem in zip(questions, stems)]
+    if preprocess.stopwords:
+        raw = PreprocessConfig(segmenter=preprocess.segmenter)
+        lengths = [len(preprocess_sentence(q.stem, raw)) for q in questions]
+    else:
+        lengths = [len(stem) for stem in stems]
     # the random method reads no index: a random-only run skips the text
     if all(cfg.method == "random" for cfg in cfgs):
         return [(length, _NO_SCORES) for length in lengths]
@@ -324,17 +326,6 @@ def _report_dict(report: EvaluationReport) -> dict:
     }
 
 
-def _facet_dict(table: FacetTable) -> dict:
-    return {
-        "facet": table.facet,
-        "rows": [
-            {"label": r.label, "correct": r.correct, "total": r.total, "accuracy": r.accuracy}
-            for r in table.rows
-        ],
-        "skipped": table.skipped,
-    }
-
-
 def _improvement_dict(table: ImprovementTable) -> dict:
     return {
         "facet": table.facet,
@@ -411,8 +402,9 @@ def _record_csv_rows(report: EvaluationReport) -> tuple[list[str], list[list]]:
 
 
 def render_report(obj, fmt: str = "plain") -> str:
-    """Deterministic rendering of a report, facet table, or improvement
-    table as plain text, CSV, or JSON."""
+    """Deterministic rendering of an evaluation report or an improvement
+    table as plain text, CSV, or JSON. A report's plain text holds its
+    facet tables."""
     if fmt not in ("plain", "csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(obj, EvaluationReport):
@@ -421,13 +413,6 @@ def render_report(obj, fmt: str = "plain") -> str:
         if fmt == "csv":
             return _csv_text(*_record_csv_rows(obj))
         return _json_text(_report_dict(obj))
-    if isinstance(obj, FacetTable):
-        if fmt == "plain":
-            return _render_facet_plain(obj)
-        if fmt == "csv":
-            rows = [[r.label, r.correct, r.total, repr(r.accuracy)] for r in obj.rows]
-            return _csv_text(["label", "correct", "total", "accuracy"], rows)
-        return _json_text(_facet_dict(obj))
     if isinstance(obj, ImprovementTable):
         if fmt == "plain":
             return _render_improvement_plain(obj)

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DEFAULT_PUNCTUATION",
+    "MAX_SYLLABLES",
     "SENTENCE_BREAKS",
     "DictionarySegmenter",
     "Lexicon",
@@ -48,6 +49,9 @@ _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 Segmenter = Callable[[Sequence[str]], WordList]
 
+# the most syllables a segmented word joins
+MAX_SYLLABLES = 4
+
 
 class Lexicon(frozenset):
     """A segmentation word list in normal form: entries stripped,
@@ -75,7 +79,7 @@ class DictionarySegmenter:
     """Greedy longest-match segmenter over a fixed word list.
 
     Scans left to right and joins the longest run of syllables (up to
-    `max_syllables`) found in the lexicon. Tokens that already contain "_"
+    `MAX_SYLLABLES`) found in the lexicon. Tokens that already contain "_"
     are opaque: they pass through unchanged and no run may span them.
 
     The lexicon is normalised once into a `Lexicon`; one given as a
@@ -86,8 +90,7 @@ class DictionarySegmenter:
     some entry still starts with it.
     """
 
-    def __init__(self, lexicon: Iterable[str] = (), max_syllables: int = 4):
-        self.max_syllables = max_syllables
+    def __init__(self, lexicon: Iterable[str] = ()):
         self.lexicon = Lexicon(lexicon)
         self._prefixes = self.lexicon.prefixes
 
@@ -102,7 +105,7 @@ class DictionarySegmenter:
             if "_" not in word:
                 # extend the run one syllable at a time while it is a
                 # prefix of some entry; the longest entry seen wins
-                j, end = i, min(n, i - 1 + self.max_syllables)
+                j, end = i, min(n, i - 1 + MAX_SYLLABLES)
                 while j < end and "_" not in tokens[j]:
                     run = f"{run}_{tokens[j]}"
                     j += 1
@@ -149,17 +152,10 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class ProcessedText:
-    """A reading text after cleaning: per-sentence words plus the flat
-    token sequence the scoring functions operate on."""
+    """A reading text after cleaning: the flat token sequence, in sentence
+    order, that the scoring functions operate on."""
 
-    sentences: tuple[tuple[str, ...], ...]
     flat: tuple[str, ...]
-
-    @classmethod
-    def from_sentences(cls, sentences: Iterable[Sequence[str]]) -> "ProcessedText":
-        sents = tuple(tuple(s) for s in sentences if s)
-        flat = tuple(w for s in sents for w in s)
-        return cls(sentences=sents, flat=flat)
 
 
 def tokenize(text: str) -> list[str]:
@@ -191,10 +187,10 @@ def preprocess_sentence(sentence: str, cfg: PreprocessConfig) -> WordList:
 
 
 def preprocess_text(text: str, cfg: PreprocessConfig) -> ProcessedText:
-    """Clean a whole reading text sentence by sentence; sentences that end
-    up empty are dropped."""
-    return ProcessedText.from_sentences(
-        preprocess_sentence(s, cfg) for s in split_sentences(text)
+    """Clean a whole reading text sentence by sentence and join the words
+    of every sentence in order."""
+    return ProcessedText(
+        tuple(w for s in split_sentences(text) for w in preprocess_sentence(s, cfg))
     )
 
 

@@ -193,13 +193,12 @@ def score_options(
     cfgs: Sequence[MethodConfig],
 ) -> OptionScores:
     """Every component score that some config in `cfgs` needs, each
-    computed once: `sw` for any non-random method, `d` once per distinct
-    aggregation of the sw_d and sw_d_web configs, and `web` for sw_d_web."""
+    computed once: `sw`, `d` once per distinct aggregation of the sw_d and
+    sw_d_web configs, and `web` for sw_d_web. The caller scores no
+    question when every config is random."""
     if len(options) != 4:
         raise ValueError(f"expected exactly 4 options, got {len(options)}")
     methods = {cfg.method for cfg in cfgs}
-    if methods <= {"random"}:
-        return OptionScores(sw=None, dist={}, web=None)
     question_set = set(question)
     option_sets = [set(o) for o in options]
     sw = tuple(index.window_score(question_set | o) for o in option_sets)

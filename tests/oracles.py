@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from lexmrc.corpus import count_words, filter_dataset
+from lexmrc.corpus import filter_dataset
 from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, SpanVector
 from lexmrc.evaluation import EvaluationReport, PredictionRecord
 from lexmrc.kernels import extreme_pair_distance, max_window_sum
-from lexmrc.preprocess import preprocess_sentence, preprocess_text
+from lexmrc.preprocess import DEFAULT_PUNCTUATION, preprocess_sentence, preprocess_text
 from lexmrc.scoring import ScoreBreakdown, TextIndex, term_counts
 
 
@@ -306,7 +306,9 @@ def _reference_predict_indexed(index, question, options, cfg):
 def reference_evaluate(dataset, split, cfg, store=None):
     """One method's report, the way `evaluate` made it before the methods
     of a comparison shared one pass: its own pre-processing, its own
-    indexes and its own component scores."""
+    indexes and its own component scores. `question_length` counts the raw
+    stem with `reference_tokenize`, lowercased and passed through the
+    config's segmenter, stopwords kept."""
     subset = filter_dataset(dataset, split=split)
     need_store = store if cfg.method == "sw_d_web" else None
     indexes = {t.id: TextIndex(preprocess_text(t.body, cfg.preprocess), need_store)
@@ -327,7 +329,8 @@ def reference_evaluate(dataset, split, cfg, store=None):
         records.append(PredictionRecord(
             question_id=q.id, predicted=breakdown.predicted, gold=q.gold,
             correct=breakdown.predicted == q.gold, breakdown=breakdown,
-            question_length=count_words(q.stem, cfg.preprocess.segmenter),
+            question_length=len(cfg.preprocess.segmenter(
+                [t.lower() for t in reference_tokenize(q.stem, DEFAULT_PUNCTUATION)])),
             grade=grades[q.text_id], reasoning_type=q.reasoning_type,
         ))
     config = {"method": cfg.method, "distance_aggregation": cfg.distance_aggregation,

@@ -28,7 +28,7 @@ EMBEDDINGS_ENV = "LEXMRC_EMBEDDINGS"
 
 
 def pt(*tokens):
-    return ProcessedText.from_sentences([list(tokens)])
+    return ProcessedText(tuple(tokens))
 
 
 def done(name):

@@ -2,11 +2,13 @@
 exit status (0 ok, 2 config, 3 input/output, 4 data) with a one-line
 error, never in an exception.
 
-Each example writes a dataset, a vector file, a config file and a batch
-file, some of them mutated or replaced by junk or by JSON nested past the
-decoder's recursion limit, and runs one command line that reads them, or
-the batch file that lists several (and perhaps itself). A second test
-puts lone surrogates into otherwise valid files and runs every command in
+Each example draws a set of faults to plant, empty in about a third of
+the examples, then writes a dataset, a vector file, a config file and a
+batch file: a file named by a fault is mutated, cut, given an invalid
+byte, or replaced by junk or by JSON nested past the decoder's recursion
+limit. It runs one command line that reads them, or the batch file that
+lists several (and perhaps itself). Examples without faults reach
+scoring and output. A second test puts lone surrogates into otherwise valid files and runs every command in
 every format over them.
 """
 
@@ -21,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lexmrc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, run
+from lexmrc.scoring import METHODS
 
 EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
 
@@ -58,6 +61,13 @@ junk_text = st.lists(
 deep_json = st.integers(1_000, 100_000).map(lambda depth: "[" * depth + "]" * depth)
 
 
+# what an example may break; it draws a set of these
+FAULTS = ("dataset values", "dataset bytes", "dataset junk", "wide header", "vector junk",
+          "vector bytes", "config values", "config keys", "config junk", "config bytes",
+          "lexicon bytes", "no embeddings", "out path", "batch line", "nested batch",
+          "batch bytes", "NUL batch path")
+
+
 def _paths(doc, prefix=()):
     """Every path to a value inside a JSON document."""
     yield prefix
@@ -77,13 +87,14 @@ def path_values(root):
     return st.sampled_from([str(root / name) for name in names] + ["", "\x00"])
 
 
-def mutate_json(data, doc, new_keys=None):
-    """`doc` with a few values replaced or removed, and perhaps some keys of
-    `new_keys` (key -> strategy) added at the top level."""
+def mutate_json(data, doc, mutate, new_keys=None):
+    """`doc` with, if `mutate`, a few values replaced or removed, and with
+    some keys of `new_keys` (key -> strategy) added at the top level."""
     doc = json.loads(json.dumps(doc))
-    for key in data.draw(st.lists(st.sampled_from(sorted(new_keys)), max_size=3)) if new_keys else ():
-        doc[key] = data.draw(new_keys[key])
-    for _ in range(data.draw(st.integers(0, 3))):
+    if new_keys:
+        for key in data.draw(st.lists(st.sampled_from(sorted(new_keys)), min_size=1, max_size=3)):
+            doc[key] = data.draw(new_keys[key])
+    for _ in range(data.draw(st.integers(1, 3)) if mutate else 0):
         paths = [p for p in _paths(doc) if p]
         if not paths:
             break
@@ -98,12 +109,12 @@ def mutate_json(data, doc, new_keys=None):
     return doc
 
 
-def file_bytes(data, text):
-    """`text` as UTF-8, sometimes cut short or with an invalid byte in it.
+def file_bytes(data, text, damage):
+    """`text` as UTF-8, cut short or with an invalid byte in it if `damage`.
     A lone surrogate is written as its escape, which in a JSON string is
     the surrogate again."""
     raw = text.encode("utf-8", "backslashreplace")
-    how = data.draw(st.sampled_from(["keep", "keep", "keep", "cut", "bad byte"]))
+    how = data.draw(st.sampled_from(["cut", "bad byte"])) if damage else "keep"
     if how == "cut" and raw:
         raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
     elif how == "bad byte":
@@ -112,7 +123,7 @@ def file_bytes(data, text):
     return raw
 
 
-def command_line(data, root):
+def command_line(data, root, faults):
     files = {name: str(root / name) for name in ("d.json", "v.vec", "c.json", "lex.txt")}
     command = data.draw(st.sampled_from(["evaluate", "compare", "answer", "stats"]))
     argv = [command, "--dataset", files["d.json"]]
@@ -122,13 +133,18 @@ def command_line(data, root):
                  "--facet", "grade"]
     if command == "answer":
         argv += ["--question-id", data.draw(st.sampled_from(["q1", "q2", "nope"]))]
-    for flag, value in (("--embeddings", files["v.vec"]), ("--config", files["c.json"]),
-                        ("--lexicon", files["lex.txt"]), ("--seed", "3"),
+    if command in ("evaluate", "answer") and data.draw(st.booleans()):
+        argv += ["--method", data.draw(st.sampled_from(METHODS))]
+    if "no embeddings" not in faults:
+        argv += ["--embeddings", files["v.vec"]]
+    for flag, value in (("--config", files["c.json"]), ("--lexicon", files["lex.txt"]),
+                        ("--seed", "3"),
                         ("--format", data.draw(st.sampled_from(["plain", "csv", "json"])))):
         if data.draw(st.booleans()):
             argv += [flag, value]
     if data.draw(st.booleans()):
-        argv += ["--out", data.draw(path_values(root) | st.just(str(root / "out.txt")))]
+        out = str(root / "out.txt")
+        argv += ["--out", data.draw(path_values(root)) if "out path" in faults else out]
     return argv
 
 
@@ -137,35 +153,42 @@ def command_line(data, root):
 def test_malformed_inputs_end_in_a_documented_exit(data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        dataset = json.dumps(mutate_json(data, BASE_DATASET), ensure_ascii=False)
-        if data.draw(st.integers(0, 5)) == 0:
+        faults = data.draw(st.sets(st.sampled_from(FAULTS), max_size=6))
+        dataset = json.dumps(mutate_json(data, BASE_DATASET, "dataset values" in faults),
+                             ensure_ascii=False)
+        if "dataset junk" in faults:
             dataset = data.draw(junk_text | deep_json)
-        (root / "d.json").write_bytes(file_bytes(data, dataset))
+        (root / "d.json").write_bytes(file_bytes(data, dataset, "dataset bytes" in faults))
         # the base file, or its rows under a header too wide to allocate
-        vectors = data.draw(st.sampled_from(
-            [BASE_VECTORS, BASE_VECTORS.replace("4 3", "4 1152921504606846976", 1)]))
-        if data.draw(st.booleans()):
+        vectors = BASE_VECTORS
+        if "wide header" in faults:
+            vectors = vectors.replace("4 3", "4 1152921504606846976", 1)
+        if "vector junk" in faults:
             vectors += data.draw(junk_text)
-        (root / "v.vec").write_bytes(file_bytes(data, vectors))
+        (root / "v.vec").write_bytes(file_bytes(data, vectors, "vector bytes" in faults))
         new_keys = {key: json_values | junk_text for key in CONFIG_KEYS}
         new_keys.update({key: path_values(root) for key in PATH_KEYS})
-        config = json.dumps(mutate_json(data, BASE_CONFIG, new_keys), ensure_ascii=False)
-        if data.draw(st.integers(0, 5)) == 0:
+        config = json.dumps(mutate_json(data, BASE_CONFIG, "config values" in faults,
+                                        new_keys if "config keys" in faults else None),
+                            ensure_ascii=False)
+        if "config junk" in faults:
             config = data.draw(junk_text | deep_json)
-        (root / "c.json").write_bytes(file_bytes(data, config))
-        (root / "lex.txt").write_bytes(file_bytes(data, "mèo_đen\nđọc sách\n"))
+        (root / "c.json").write_bytes(file_bytes(data, config, "config bytes" in faults))
+        (root / "lex.txt").write_bytes(
+            file_bytes(data, "mèo_đen\nđọc sách\n", "lexicon bytes" in faults))
         if data.draw(st.booleans()):
-            argv = command_line(data, root)
+            argv = command_line(data, root, faults)
         else:
-            lines = [shlex.join(command_line(data, root))
+            lines = [shlex.join(command_line(data, root, faults))
                      for _ in range(data.draw(st.integers(1, 3)))]
-            if data.draw(st.booleans()):
+            if "batch line" in faults:
                 lines.append(data.draw(junk_text))
-            if data.draw(st.booleans()):
+            if "nested batch" in faults:
                 lines.insert(data.draw(st.integers(0, len(lines))),
                              shlex.join(["batch", str(root / "b.txt")]))
-            (root / "b.txt").write_bytes(file_bytes(data, "\n".join(lines)))
-            argv = ["batch", data.draw(st.sampled_from([str(root / "b.txt"), "a\x00b"]))]
+            (root / "b.txt").write_bytes(
+                file_bytes(data, "\n".join(lines), "batch bytes" in faults))
+            argv = ["batch", "a\x00b" if "NUL batch path" in faults else str(root / "b.txt")]
         assert_documented_exit(argv)
 
 

@@ -12,12 +12,12 @@ from lexmrc.corpus import (
     MCQuestion,
     ReadingText,
     compute_stats,
-    count_words,
     filter_dataset,
     load_dataset,
-    save_dataset,
 )
-from lexmrc.preprocess import DictionarySegmenter
+from lexmrc.preprocess import DEFAULT_PUNCTUATION, DictionarySegmenter
+
+from oracles import reference_tokenize
 
 SEG = DictionarySegmenter()
 
@@ -330,23 +330,16 @@ class TestLoad:
         assert {q.split for q in ds.questions} == {"train", "test"}
         assert len(ds.texts) == 2
 
-    def test_unknown_fields_survive_round_trip(self, tmp_path):
+    def test_unknown_fields_load_and_are_ignored(self, tmp_path):
         texts, questions = minimal_doc()
-        texts[0]["source_url"] = "http://example.com"
-        questions[0]["note"] = "hand-checked"
+        plain = tmp_path / "plain.json"
+        write_dataset(plain, [{k: v for k, v in t.items() if k != "title"} for t in texts],
+                      questions)
+        texts[0].update(title="Bài 1", source_url="http://example.com")
+        questions[0]["note"] = {"checked": True}
         f = tmp_path / "d.json"
         write_dataset(f, texts, questions)
-        ds = load_dataset(f)
-        assert ds.texts[0].extra == {"source_url": "http://example.com"}
-        out = tmp_path / "out.json"
-        save_dataset(ds, out)
-        again = load_dataset(out)
-        assert again == ds
-
-    def test_round_trip_identity(self, tmp_path, fixture_dataset):
-        out = tmp_path / "copy.json"
-        save_dataset(fixture_dataset, out)
-        assert load_dataset(out) == fixture_dataset
+        assert load_dataset(f) == load_dataset(plain)
 
 
 class TestFilter:
@@ -359,6 +352,14 @@ class TestFilter:
         assert len(dev.questions) == 5
         assert {t.id for t in dev.texts} == {q.text_id for q in dev.questions}
         assert filter_dataset(fixture_dataset, split="train").questions == ()
+
+
+def one_question(stem):
+    return Dataset(
+        texts=(ReadingText(id="t", grade=1, body="a"),),
+        questions=(MCQuestion(id="q", text_id="t", stem=stem, options=("a", "b", "c", "d"),
+                              gold=0, split="dev"),),
+    )
 
 
 class TestStats:
@@ -427,11 +428,13 @@ class TestStats:
         assert stats.overall.vocabulary == 4  # chó, mèo, gà, vịt
 
     def test_punctuation_not_counted_as_words(self):
-        assert count_words("Một, hai... ba!", SEG) == 3
+        stats = compute_stats(one_question("Một, hai... ba!"), SEG)
+        assert stats.overall.avg_question_length == 3.0
 
     def test_segmented_lengths(self):
         seg = DictionarySegmenter(["học_sinh"])
-        assert count_words("học sinh giỏi", seg) == 2
+        stats = compute_stats(one_question("học sinh giỏi"), seg)
+        assert stats.overall.avg_question_length == 2.0
 
     def test_correct_answer_lengths(self, tmp_path):
         texts = [{"id": "t1", "grade": 3, "title": None, "body": "a"}]
@@ -475,44 +478,58 @@ _text_strategy = st.text(
 
 
 @st.composite
-def datasets(draw):
+def documents(draw):
+    """A dataset document as dicts, some records with a title or other
+    keys the loader ignores, and the records it must load as."""
     n_texts = draw(st.integers(1, 4))
-    texts = []
+    texts, records = [], []
     for i in range(n_texts):
-        texts.append(
-            ReadingText(
-                id=f"t{i}",
-                grade=draw(st.integers(1, 5)),
-                title=draw(st.one_of(st.none(), _text_strategy)),
-                body=draw(_text_strategy),
-                extra=draw(st.dictionaries(st.sampled_from(["src", "note"]),
-                                           st.integers(), max_size=2)),
-            )
+        text = ReadingText(id=f"t{i}", grade=draw(st.integers(1, 5)), body=draw(_text_strategy))
+        records.append(text)
+        texts.append({"id": text.id, "grade": text.grade, "body": text.body,
+                      **draw(st.dictionaries(st.sampled_from(["title", "src", "note"]),
+                                             st.one_of(st.none(), _text_strategy), max_size=2))})
+    questions, question_records = [], []
+    for i in range(draw(st.integers(0, 5))):
+        question = MCQuestion(
+            id=f"q{i}",
+            text_id=f"t{draw(st.integers(0, n_texts - 1))}",
+            stem=draw(_text_strategy),
+            options=tuple(draw(_text_strategy) for _ in range(4)),
+            gold=draw(st.integers(0, 3)),
+            split=draw(st.sampled_from(["train", "dev", "test"])),
+            reasoning_type=draw(st.sampled_from([None, "WM", "PP", "SSR", "MSR", "AoI"])),
         )
-    n_questions = draw(st.integers(0, 5))
-    questions = []
-    for i in range(n_questions):
-        questions.append(
-            MCQuestion(
-                id=f"q{i}",
-                text_id=f"t{draw(st.integers(0, n_texts - 1))}",
-                stem=draw(_text_strategy),
-                options=tuple(draw(_text_strategy) for _ in range(4)),
-                gold=draw(st.integers(0, 3)),
-                split=draw(st.sampled_from(["train", "dev", "test"])),
-                reasoning_type=draw(st.sampled_from([None, "WM", "PP", "SSR", "MSR", "AoI"])),
-            )
-        )
-    return Dataset(texts=tuple(texts), questions=tuple(questions))
+        question_records.append(question)
+        questions.append({
+            "id": question.id, "text_id": question.text_id, "stem": question.stem,
+            "options": list(question.options), "gold": "ABCD"[question.gold],
+            "split": question.split, "reasoning_type": question.reasoning_type,
+            **draw(st.dictionaries(st.sampled_from(["src", "note"]), st.integers(), max_size=2)),
+        })
+    return texts, questions, Dataset(texts=tuple(records), questions=tuple(question_records))
 
 
-class TestRoundTripProperty:
-    @given(ds=datasets())
+class TestLoadProperty:
+    @given(doc=documents())
     @settings(max_examples=80, deadline=None)
-    def test_save_load_identity(self, tmp_path_factory, ds):
-        path = tmp_path_factory.mktemp("rt") / "d.json"
-        save_dataset(ds, path)
-        assert load_dataset(path) == ds
+    def test_written_document_loads_as_drawn(self, tmp_path_factory, doc):
+        texts, questions, want = doc
+        path = tmp_path_factory.mktemp("load") / "d.json"
+        write_dataset(path, texts, questions)
+        assert load_dataset(path) == want
+
+
+class TestStatsProperty:
+    @given(stem=_text_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_question_length_is_the_reference_word_count(self, stem):
+        """Stats count a stem's words as the oracle does: tokens split at
+        whitespace and punctuation, lowercased, then segmented."""
+        seg = DictionarySegmenter(["học_sinh", "a_b"])
+        want = len(seg([t.lower() for t in reference_tokenize(stem, DEFAULT_PUNCTUATION)]))
+        stats = compute_stats(one_question(stem), seg)
+        assert stats.overall.avg_question_length == want
 
 
 class TestModelTypes:
@@ -553,7 +570,3 @@ class TestModelTypes:
         assert again == fixture_dataset and again is not fixture_dataset
         assert hash(again) == hash(fixture_dataset)
         assert len(set(fixture_dataset.questions)) == len(fixture_dataset.questions) == 5
-        # `extra` is compared but not hashed
-        t = ReadingText(id="t", grade=1, body="x", extra={"k": 1})
-        assert hash(t) == hash(ReadingText(id="t", grade=1, body="x", extra={"k": 2}))
-        assert t != ReadingText(id="t", grade=1, body="x", extra={"k": 2})

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText
+from lexmrc import evaluation
 from lexmrc.embedding import EmbeddingStore
 from lexmrc.evaluation import evaluate, evaluate_methods, render_report
-from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig, preprocess_text
-from lexmrc.scoring import METHODS, MethodConfig, TextIndex, score_options
+from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig
+from lexmrc.scoring import METHODS, MethodConfig, TextIndex
 
 from oracles import reference_evaluate
 
@@ -156,11 +157,19 @@ def test_random_only_builds_no_index(monkeypatch, stopwords):
     assert len(builds) == len(DATASET.texts)
 
 
-def test_random_only_computes_no_component():
-    index = TextIndex(preprocess_text("mèo ngủ", PREPROCESS[False]))
-    scores = score_options(index, ["mèo"], [["mèo"], [], ["chó"], ["ngủ"]],
-                           [config("random", "min", False)])
-    assert (scores.sw, scores.dist, scores.web) == (None, {}, None)
+def test_random_only_computes_no_component(monkeypatch):
+    """Random configs alone, however many, read no index and no component
+    score: every breakdown holds only zeros."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a random-only pass scored a component")
+
+    monkeypatch.setattr(TextIndex, "__init__", fail)
+    monkeypatch.setattr(evaluation, "score_options", fail)
+    cfgs = [config("random", agg, True) for agg in ("min", "max")]
+    zeros = (0.0, 0.0, 0.0, 0.0)
+    for report in evaluate_methods(DATASET, "dev", cfgs, STORE):
+        for b in (r.breakdown for r in report.records):
+            assert (b.sw, b.dist, b.web, b.final) == (zeros,) * 4
 
 
 def test_configs_must_share_preprocessing():

@@ -8,9 +8,11 @@ import pytest
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText, compute_stats
 from lexmrc.embedding import EmbeddingStore
 from lexmrc.evaluation import (
+    FACETS,
     EmptySplitError,
     FacetRow,
     FacetTable,
+    _render_facet_plain,
     compare_reports,
     evaluate,
     evaluate_methods,
@@ -18,7 +20,7 @@ from lexmrc.evaluation import (
     render_report,
     render_stats,
 )
-from lexmrc.preprocess import DictionarySegmenter
+from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig
 from lexmrc.scoring import MethodConfig
 
 
@@ -178,6 +180,20 @@ class TestFacets:
         lengths = {r.question_id: r.question_length for r in report.records}
         assert lengths["q1"] == 3  # stems are measured in words, '?' dropped
 
+    def test_length_with_stopwords_counts_the_raw_stem(self):
+        # without "và" the stem segments as one word, học_sinh; its length
+        # is still that of the raw stem, which has no such join
+        seg = DictionarySegmenter(["học_sinh"])
+        dataset = Dataset(
+            texts=(ReadingText(id="t1", grade=1, body="học sinh đọc sách."),),
+            questions=(make_question("q1", "t1", "Học và sinh?", ["sách", "b", "c", "d"], 0),),
+        )
+        for stopwords in (frozenset(), frozenset({"và"})):
+            cfg = MethodConfig(method="sw",
+                               preprocess=PreprocessConfig(stopwords=stopwords, segmenter=seg))
+            (record,) = evaluate(dataset, "dev", cfg).records
+            assert record.question_length == 3
+
     def test_grade_bins(self, toy_dataset):
         report = evaluate(toy_dataset, "dev", SW)
         table = facet_breakdown(report, "grade")
@@ -274,45 +290,28 @@ def dump(payload):
 
 
 class TestRender:
+    # a facet table is rendered only inside a plain report
     def test_empty_facet_table_renders_header_only(self):
         table = FacetTable(facet="grade", rows=())
-        plain = render_report(table, "plain")
-        assert plain.splitlines() == ["grade  correct  total  accuracy"]
-        as_csv = render_report(table, "csv")
-        assert as_csv.splitlines() == ["label,correct,total,accuracy"]
-
-    def test_facet_table_json_bytes(self):
-        table = FacetTable(facet="grade", rows=(FacetRow("1", 2, 3), FacetRow("Lớp 5", 0, 0)),
-                           skipped=1)
-        assert render_report(table, "json") == (
-            '{\n'
-            '  "facet": "grade",\n'
-            '  "rows": [\n'
-            '    {\n'
-            '      "accuracy": 0.6666666666666666,\n'
-            '      "correct": 2,\n'
-            '      "label": "1",\n'
-            '      "total": 3\n'
-            '    },\n'
-            '    {\n'
-            '      "accuracy": 0.0,\n'
-            '      "correct": 0,\n'
-            '      "label": "Lớp 5",\n'
-            '      "total": 0\n'
-            '    }\n'
-            '  ],\n'
-            '  "skipped": 1\n'
-            '}\n'
-        )
+        assert _render_facet_plain(table).splitlines() == ["grade  correct  total  accuracy"]
 
     def test_plain_report_contains_percentage(self, toy_dataset):
         report = evaluate(toy_dataset, "dev", SW)
         plain = render_report(report, "plain")
         assert "accuracy: 75.00%" in plain
 
+    def test_plain_report_holds_every_facet_table(self, fixture_dataset, toy_preprocess):
+        report = evaluate(fixture_dataset, "dev", MethodConfig(method="sw_d",
+                                                               preprocess=toy_preprocess))
+        plain = render_report(report, "plain")
+        for facet in FACETS:
+            table = _render_facet_plain(facet_breakdown(report, facet))
+            assert table.splitlines()[0].startswith(facet)
+            assert table.rstrip("\n") in plain
+
     def test_best_accuracy_formatting(self):
         table = FacetTable(facet="grade", rows=(FacetRow("2", 6181, 10000),))
-        assert "61.81%" in render_report(table, "plain")
+        assert "61.81%" in _render_facet_plain(table)
 
     def test_csv_round_trips_numerically(self, toy_dataset):
         report = evaluate(toy_dataset, "dev", MethodConfig(method="sw_d"))

@@ -10,8 +10,8 @@ from lexmrc.preprocess import (
     DEFAULT_PUNCTUATION,
     DictionarySegmenter,
     Lexicon,
+    MAX_SYLLABLES,
     PreprocessConfig,
-    ProcessedText,
     load_lexicon,
     load_stopwords,
     preprocess_sentence,
@@ -77,17 +77,17 @@ class TestPreprocessSentence:
 class TestPreprocessText:
     def test_two_sentences(self):
         out = preprocess_text("A b. C d.", BASIC)
-        assert out.sentences == (("a", "b"), ("c", "d"))
         assert out.flat == ("a", "b", "c", "d")
 
     def test_empty_sentences_dropped(self):
         out = preprocess_text("...!!!", BASIC)
-        assert out.sentences == ()
         assert out.flat == ()
 
     def test_flat_is_concatenation(self):
-        out = preprocess_text("Một hai. Ba bốn năm. Sáu.", BASIC)
-        assert out.flat == tuple(w for s in out.sentences for w in s)
+        text = "Một hai. Ba bốn năm. Sáu."
+        out = preprocess_text(text, BASIC)
+        assert out.flat == tuple(w for s in split_sentences(text)
+                                 for w in preprocess_sentence(s, BASIC))
 
     def test_fixture_text_contains_segmented_compound(self, fixture_dataset, toy_preprocess):
         body = fixture_dataset.text_by_id("t-wm").body
@@ -180,9 +180,8 @@ class TestConfig:
         assert "_" not in DEFAULT_PUNCTUATION
 
 
-def test_processed_text_from_sentences_drops_empty():
-    out = ProcessedText.from_sentences([["a"], [], ["b", "c"]])
-    assert out.sentences == (("a",), ("b", "c"))
+def test_preprocess_text_skips_empty_sentences():
+    out = preprocess_text("A. ?! B, c.", BASIC)
     assert out.flat == ("a", "b", "c")
 
 
@@ -219,11 +218,11 @@ LEXICONS = st.one_of(
 
 
 class TestAgainstReference:
-    @given(LEXICONS, st.lists(SYLLABLES, max_size=14), st.integers(1, 5))
+    @given(LEXICONS, st.lists(SYLLABLES, max_size=14))
     @settings(max_examples=500, deadline=None)
-    def test_segmenter(self, lexicon, tokens, max_syllables):
-        ref = ReferenceDictionarySegmenter(lexicon, max_syllables)
-        seg = DictionarySegmenter(lexicon, max_syllables)
+    def test_segmenter(self, lexicon, tokens):
+        ref = ReferenceDictionarySegmenter(lexicon, MAX_SYLLABLES)
+        seg = DictionarySegmenter(lexicon)
         assert seg.lexicon == ref.lexicon
         assert seg(tokens) == ref(tokens)
         # runs drawn from the entries themselves, so that long matches occur

@@ -15,7 +15,7 @@ COS_123_456 = 0.9746318461970762710785724911261228634989
 
 
 def pt(*tokens):
-    return ProcessedText.from_sentences([list(tokens)])
+    return ProcessedText(tuple(tokens))
 
 
 class TestTermCounts:

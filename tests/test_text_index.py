@@ -46,8 +46,8 @@ def stores(draw):
     return EmbeddingStore(dim, vectors)
 
 
-texts = st.lists(st.lists(st.sampled_from(TEXT_WORDS), min_size=1, max_size=12),
-                 max_size=4).map(ProcessedText.from_sentences)
+texts = st.lists(st.sampled_from(TEXT_WORDS), max_size=48).map(
+    lambda words: ProcessedText(tuple(words)))
 # widths from 0 (empty option) past any text length, repeated by design
 word_lists = st.lists(st.sampled_from(QUERY_WORDS), max_size=8)
 queries = st.lists(st.tuples(word_lists, word_lists), min_size=1, max_size=10)
@@ -94,7 +94,7 @@ def test_matches_reference_without_a_store(text, queries):
 
 
 def pt(*tokens):
-    return ProcessedText.from_sentences([list(tokens)])
+    return ProcessedText(tuple(tokens))
 
 
 @pytest.fixture
@@ -173,7 +173,7 @@ def test_threads_sharing_one_index_get_the_reference_floats():
     rng = np.random.default_rng(3)
     words = [f"w{i}" for i in range(40)]
     store = EmbeddingStore(8, {w: rng.normal(size=8) for w in words[:30]})
-    text = ProcessedText.from_sentences([[words[i] for i in rng.integers(0, 40, size=300)]])
+    text = ProcessedText(tuple(words[i] for i in rng.integers(0, 40, size=300)))
     options = [[words[i] for i in rng.integers(0, 30, size=k)] for k in range(1, 13)] * 4
     ref = ReferenceTextIndex(text, store)
     want = [ref.boost(o) for o in options]
