@@ -199,7 +199,7 @@ def _build_records(docs: dict[str, dict]):
                 problems.append(f"text {name}: body {_excerpt(body)} is not a string")
             elif not body.strip():
                 problems.append(f"text {name}: empty body")
-            texts.append(ReadingText(id=rid, grade=grade, body=body))
+            texts.append(ReadingText(rid, grade, body))
     questions: list[MCQuestion] = []
     question_ids: set[str] = set()
     for origin, doc in docs.items():
@@ -220,14 +220,18 @@ def _build_records(docs: dict[str, dict]):
                 problems.append(f"question {name}: unknown text_id {_excerpt(text_id)}")
             if not isinstance(stem, str):
                 problems.append(f"question {name}: stem {_excerpt(stem)} is not a string")
+            blank = False
             for label, option in zip(OPTION_LABELS, options):
                 if not isinstance(option, str):
                     problems.append(
                         f"question {name}: option {label} {_excerpt(option)} is not a string"
                     )
+                elif not option.strip():
+                    blank = True
+            # a blank option is reported only when the count is right
             if len(options) != 4:
                 problems.append(f"question {name}: expected 4 options, found {len(options)}")
-            elif any(isinstance(o, str) and not o.strip() for o in options):
+            elif blank:
                 problems.append(f"question {name}: empty option text")
             if gold in OPTION_LABELS:  # only a string can equal a label
                 gold = OPTION_LABELS.index(gold)
@@ -239,10 +243,8 @@ def _build_records(docs: dict[str, dict]):
                 problems.append(
                     f"question {name}: unknown reasoning_type {_excerpt(reasoning_type)}"
                 )
-            questions.append(MCQuestion(
-                id=rid, text_id=text_id, stem=stem, options=tuple(options), gold=gold,
-                split=split, reasoning_type=reasoning_type,
-            ))
+            questions.append(MCQuestion(rid, text_id, stem, tuple(options), gold, split,
+                                        reasoning_type))
     return texts, questions, problems
 
 

@@ -14,6 +14,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -58,8 +59,8 @@ class Lexicon(frozenset):
     lowercased, spaces joined with "_", blank ones dropped. Words already
     in normal form are kept as given, and a `Lexicon` passed in is returned
     as it is. The run prefixes of the entries (`_run_prefixes`) are
-    computed when a segmenter first needs them and then kept, so every
-    segmenter built over one `Lexicon` shares them."""
+    computed by the first `DictionarySegmenter` built over the lexicon
+    and then kept, so every later segmenter over it shares them."""
 
     def __new__(cls, words: Iterable[str] = ()):
         if isinstance(words, Lexicon):
@@ -128,14 +129,23 @@ def _is_normal(lexicon: frozenset[str]) -> bool:
     return joined.split() == [joined] and joined.islower()
 
 
+def _normal_lexicon(words: Iterable[str]) -> Lexicon:
+    """A `Lexicon` of words already in normal form, built without the
+    check and the normalising pass of `Lexicon(...)`."""
+    return frozenset.__new__(Lexicon, words)
+
+
 def _run_prefixes(lexicon: frozenset[str]) -> frozenset[str]:
     """The proper prefixes of two or more syllables of the entries: the
-    runs worth extending by one more syllable. Built one syllable shorter
-    per round, from the entries of three syllables or more."""
-    levels = [lexicon]
-    while levels[-1]:
-        levels.append({w[: w.rfind("_")] for w in levels[-1] if w.count("_") > 1})
-    return frozenset().union(*levels[1:])
+    runs worth extending by one more syllable. Only the entries of three
+    syllables or more have any: the first round picks them out and cuts
+    their last syllable, and a round more is made only while some cut
+    still has three."""
+    cuts = [{w[: w.rfind("_")] for w in lexicon if w.count("_") > 1}]
+    # every cut holds one "_" or more, so one "_" per cut leaves none to cut
+    while "".join(cuts[-1]).count("_") > len(cuts[-1]):
+        cuts.append({w[: w.rfind("_")] for w in cuts[-1] if w.count("_") > 1})
+    return frozenset().union(*cuts)
 
 
 @dataclass(frozen=True)
@@ -214,5 +224,9 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Lexicon file: one word per line, syllables joined by '_' or spaces."""
-    return Lexicon(w.replace(" ", "_") for w in _read_word_file(path))
+    """Lexicon file: one word per line, syllables joined by '_' or spaces.
+
+    The entries are stripped and lowercased as they are read and their
+    spaces become "_" as they go into the set, so the `Lexicon` is normal
+    as it is built and `Lexicon`'s check is skipped."""
+    return _normal_lexicon(map(str.replace, _read_word_file(path), repeat(" "), repeat("_")))

@@ -189,6 +189,19 @@ class TestLoad:
         questions[0]["options"][2] = " \t"
         assert self.violations(tmp_path, texts, questions) == ["question q1: empty option text"]
 
+    @pytest.mark.parametrize("options, expected", [
+        # the type of each option first, then the blank ones
+        (["a", 7, " ", "d"], ["question q1: option B 7 is not a string",
+                              "question q1: empty option text"]),
+        # a blank option is not reported beside a wrong count
+        (["a", "b", "c", "d", " "], ["question q1: expected 4 options, found 5"]),
+        (["a", "", "c"], ["question q1: expected 4 options, found 3"]),
+    ])
+    def test_mixed_option_faults_keep_their_order(self, tmp_path, options, expected):
+        texts, questions = minimal_doc()
+        questions[0]["options"] = options
+        assert self.violations(tmp_path, texts, questions) == expected
+
     def test_long_values_are_cut(self, tmp_path):
         long_list, long_text = list(range(1000)), "x" * 1000
         texts = [{"id": "t1", "grade": long_text, "title": None, "body": long_list},

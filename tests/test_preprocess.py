@@ -1,7 +1,7 @@
 import string
 import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexmrc import preprocess
@@ -229,6 +229,15 @@ class TestAgainstReference:
         planted = [t for w in sorted(ref.lexicon) for t in w.split("_")] + tokens
         assert seg(planted) == ref(planted)
 
+    @given(st.lists(st.lists(st.text(alphabet="abđ", min_size=1, max_size=2), min_size=1,
+                             max_size=MAX_SYLLABLES + 1).map("_".join), max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_prefixes(self, entries):
+        # every proper prefix of two or more syllables of every entry
+        lexicon = Lexicon(entries)
+        syllables = [w.split("_") for w in lexicon]
+        assert lexicon.prefixes == {"_".join(s[:k]) for s in syllables for k in range(2, len(s))}
+
     def test_normal_lexicon_is_kept(self, tmp_path):
         f = tmp_path / "lex.txt"
         f.write_text("học sinh\nđiện_thoại\ncô rét ti\n", encoding="utf-8")
@@ -294,8 +303,20 @@ class TestAgainstReference:
                               st.sampled_from(LINE_ENDS)),
                     max_size=8))
     @settings(max_examples=300, deadline=None)
+    @example(lines=[])
+    @example(lines=[("", "# note", "\n"), ("", "#", "\r\n")])
+    @example(lines=[("a\tb", "", "\n")])
+    @example(lines=[("  a b \t", "", "\n")])
+    @example(lines=[("HỌC SINH", "", "\n"), ("ĐIỆN_THOẠI", "", "\n")])
+    @example(lines=[("a b", "", "\r\n"), ("c_d", "", "\r\n"), ("e", "", "\r\n")])
     def test_word_files(self, tmp_path_factory, lines):
         f = tmp_path_factory.mktemp("words") / "words.txt"
         f.write_bytes("".join(e + c + end for e, c, end in lines).encode("utf-8"))
-        assert load_lexicon(f) == reference_load_lexicon(f)
+        lexicon = load_lexicon(f)
+        assert lexicon == reference_load_lexicon(f)
         assert load_stopwords(f) == reference_load_stopwords(f)
+        # loaded already normal: a Lexicon that Lexicon() passes through and
+        # that its normalising path, forced by a blank entry, rebuilds the same
+        assert type(lexicon) is Lexicon and Lexicon(lexicon) is lexicon
+        raw = [line.split("#", 1)[0] for line in f.read_text(encoding="utf-8").splitlines()]
+        assert lexicon == Lexicon(raw + [""])
