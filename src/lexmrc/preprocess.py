@@ -103,10 +103,13 @@ class DictionarySegmenter:
         while i < n:
             word = run = tokens[i]
             i += 1
-            if "_" not in word:
+            if i < n and "_" not in word:
                 # extend the run one syllable at a time while it is a
-                # prefix of some entry; the longest entry seen wins
-                j, end = i, min(n, i - 1 + MAX_SYLLABLES)
+                # prefix of some entry; the longest entry seen wins. The
+                # end is clipped by a comparison, cheaper than a min() call
+                j, end = i, i - 1 + MAX_SYLLABLES
+                if end > n:
+                    end = n
                 while j < end and "_" not in tokens[j]:
                     run = f"{run}_{tokens[j]}"
                     j += 1
@@ -189,10 +192,16 @@ def preprocess_sentence(sentence: str, cfg: PreprocessConfig) -> WordList:
     Degenerate input (empty, punctuation-only, all stopwords) yields an
     empty list.
     """
-    tokens = tokenize(sentence)
+    # lowercasing a whole sentence gives the tokens that lowercasing each
+    # token gives: no character's lowercase moves it between a token and a
+    # separator, and only a capital sigma lowercases by its neighbours (to
+    # σ, or to ς ending a word), so a sentence holding one goes token by token
+    if "Σ" in sentence:
+        tokens = [t.lower() for t in tokenize(sentence)]
+    else:
+        tokens = tokenize(sentence.lower())
     if cfg.stopwords:
-        tokens = [t for t in tokens if t.lower() not in cfg.stopwords]
-    tokens = [t.lower() for t in tokens]
+        tokens = [t for t in tokens if t not in cfg.stopwords]
     return cfg.segmenter(tokens)
 
 

@@ -4,10 +4,10 @@ Everything here is deliberately naive pure Python: windows are enumerated
 one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
 but `reference_load_embeddings`' error class and the store it fills,
-`reference_average_embedding`'s result type, the pre-processing,
-`TextIndex` and report types `reference_evaluate` runs on, and the
-unchanged helpers `ReferenceTextIndex` calls (`term_counts` and the `sw`
-and `d` kernels).
+`reference_average_embedding`'s result type, the `ProcessedText`,
+`TextIndex` and report types `reference_evaluate` runs on, the lexicon
+and stopwords of its config, and the unchanged helpers
+`ReferenceTextIndex` calls (`term_counts` and the `sw` and `d` kernels).
 
 The `reference_*` functions are earlier versions of package code, kept
 unchanged so that differential tests can hold the current code to them.
@@ -26,7 +26,7 @@ from lexmrc.corpus import filter_dataset
 from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, SpanVector
 from lexmrc.evaluation import EvaluationReport, PredictionRecord
 from lexmrc.kernels import extreme_pair_distance, max_window_sum
-from lexmrc.preprocess import DEFAULT_PUNCTUATION, preprocess_sentence, preprocess_text
+from lexmrc.preprocess import DEFAULT_PUNCTUATION, ProcessedText
 from lexmrc.scoring import ScoreBreakdown, TextIndex, term_counts
 
 
@@ -303,22 +303,40 @@ def _reference_predict_indexed(index, question, options, cfg):
                           method=cfg.method)
 
 
+def reference_clean(sentence, stopwords, segmenter):
+    """One sentence cleaned the way `preprocess_sentence` did it before a
+    sentence was lowercased whole: `reference_tokenize`, a token dropped
+    when its lowercase is a stopword, then every token lowercased on its
+    own and segmented."""
+    tokens = [t for t in reference_tokenize(sentence, DEFAULT_PUNCTUATION)
+              if t.lower() not in stopwords]
+    return segmenter([t.lower() for t in tokens])
+
+
 def reference_evaluate(dataset, split, cfg, store=None):
     """One method's report, the way `evaluate` made it before the methods
     of a comparison shared one pass: its own pre-processing, its own
-    indexes and its own component scores. `question_length` counts the raw
-    stem with `reference_tokenize`, lowercased and passed through the
-    config's segmenter, stopwords kept."""
+    indexes and its own component scores. Texts, stems and options are
+    cleaned by `reference_split_sentences` and `reference_clean`, with a
+    `ReferenceDictionarySegmenter` over the config segmenter's lexicon.
+    `question_length` counts the raw stem cleaned with no stopwords."""
     subset = filter_dataset(dataset, split=split)
     need_store = store if cfg.method == "sw_d_web" else None
-    indexes = {t.id: TextIndex(preprocess_text(t.body, cfg.preprocess), need_store)
+    segmenter = ReferenceDictionarySegmenter(cfg.preprocess.segmenter.lexicon)
+    stopwords = frozenset(w.lower() for w in cfg.preprocess.stopwords)
+
+    def clean(sentence):
+        return reference_clean(sentence, stopwords, segmenter)
+
+    indexes = {t.id: TextIndex(ProcessedText(tuple(w for s in reference_split_sentences(t.body)
+                                                   for w in clean(s))), need_store)
                for t in subset.texts}
     grades = {t.id: t.grade for t in subset.texts}
     rng = random.Random(cfg.random_seed) if cfg.method == "random" else None
     records = []
     for q in subset.questions:
-        question_words = preprocess_sentence(q.stem, cfg.preprocess)
-        option_words = [preprocess_sentence(o, cfg.preprocess) for o in q.options]
+        question_words = clean(q.stem)
+        option_words = [clean(o) for o in q.options]
         if rng is not None:
             zeros = (0.0, 0.0, 0.0, 0.0)
             breakdown = ScoreBreakdown(sw=zeros, dist=zeros, web=zeros, final=zeros,
@@ -329,8 +347,7 @@ def reference_evaluate(dataset, split, cfg, store=None):
         records.append(PredictionRecord(
             question_id=q.id, predicted=breakdown.predicted, gold=q.gold,
             correct=breakdown.predicted == q.gold, breakdown=breakdown,
-            question_length=len(cfg.preprocess.segmenter(
-                [t.lower() for t in reference_tokenize(q.stem, DEFAULT_PUNCTUATION)])),
+            question_length=len(reference_clean(q.stem, frozenset(), segmenter)),
             grade=grades[q.text_id], reasoning_type=q.reasoning_type,
         ))
     config = {"method": cfg.method, "distance_aggregation": cfg.distance_aggregation,

@@ -47,6 +47,12 @@ def build_dataset():
         )
         for i in range(60)
     )
+    # a capital sigma lowercases by its neighbours: to ς ending a word, but
+    # to σ before an apostrophe and a letter, which end its token
+    texts += (ReadingText(id="t7", grade=2, body="ΟΔΟΣ'Α mèo ngủ. Mèo ΟΔΟΣ sân ΣΑ'Σ."),)
+    questions += (MCQuestion(id="q60", text_id="t7", stem="Mèo ΟΔΟΣ'Α?",
+                             options=("ΟΔΟΣ'Α sân", "ΟΔΟΣ", "ΣΑ'Σ mèo", "ΟΔΟΣ ngủ"), gold=1,
+                             split="dev", reasoning_type="WM"),)
     return Dataset(texts=texts, questions=questions)
 
 

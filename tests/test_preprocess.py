@@ -22,6 +22,7 @@ from lexmrc.preprocess import (
 
 from oracles import (
     ReferenceDictionarySegmenter,
+    reference_clean,
     reference_load_lexicon,
     reference_load_stopwords,
     reference_split_sentences,
@@ -192,6 +193,10 @@ WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace
 LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 SYLLABLES = st.text(alphabet="abđ_", max_size=3)  # "" and "_" tokens included
 REGEX_MARKS = list("]^\\-[.*+?()|$&~#")
+# capital, small and final sigma, a capital I whose lowercase is two
+# characters, and the marks around which a sigma lowercases by context
+SENTENCE_ALPHABET = "ΣσςİĐđABZ'.: \t\n_"
+SENTENCE_LEXICON = ["aς_b", "aσ_b", "σ_ς", "a_b", "b_σa", "đ_a_b", "i\u0307_a", "ab_đ_σ_σ"]
 
 
 @st.composite
@@ -220,6 +225,14 @@ LEXICONS = st.one_of(
 class TestAgainstReference:
     @given(LEXICONS, st.lists(SYLLABLES, max_size=14))
     @settings(max_examples=500, deadline=None)
+    # a four-syllable entry that ends at the last token
+    @example(lexicon=["a_b_đ_a"], tokens=["a", "a", "b", "đ", "a"])
+    # a prefix run cut off by the end of the list
+    @example(lexicon=["a_b_đ", "b_đ_a_a"], tokens=["a", "b", "đ", "a"])
+    # an opaque token right after the start of a run
+    @example(lexicon=["a_b", "a_a_b"], tokens=["a", "a_b", "b"])
+    @example(lexicon=["a_b"], tokens=["a"])
+    @example(lexicon=["a_b"], tokens=[])
     def test_segmenter(self, lexicon, tokens):
         ref = ReferenceDictionarySegmenter(lexicon, MAX_SYLLABLES)
         seg = DictionarySegmenter(lexicon)
@@ -281,6 +294,36 @@ class TestAgainstReference:
         changed = [c for c in map(chr, range(sys.maxunicode + 1))
                    if not (c.isupper() or c.istitle()) and c.lower() != c]
         assert changed == []
+
+    def test_lowercasing_keeps_tokens_and_only_sigma_reads_its_neighbours(self):
+        # preprocess_sentence lowercases a sentence without a capital sigma
+        # whole. That gives the tokens lowercasing each token gives only
+        # while no character's lowercase moves it between a token character
+        # and a separator, and no character but U+03A3 lowercases by its
+        # neighbours; each Python ships its own Unicode version
+        chars = list(map(chr, range(sys.maxunicode + 1)))
+        moved = [c for c in chars if tokenize(c.lower()) != ([c.lower()] if tokenize(c) else [])]
+        assert moved == []
+        contexts = [("A", ""), ("", "A"), ("A", "A"), ("A'", "'A")]
+        by_context = [c for c in chars
+                      if any((a + c + b).lower() != a.lower() + c.lower() + b.lower()
+                             for a, b in contexts)]
+        assert by_context == ["\u03a3"]
+
+    @given(st.text(alphabet=SENTENCE_ALPHABET, max_size=30),
+           st.frozensets(st.text(alphabet="ΣσςİĐđAB", min_size=1, max_size=2), max_size=4),
+           st.frozensets(st.sampled_from(SENTENCE_LEXICON), max_size=6))
+    @settings(max_examples=500, deadline=None)
+    @example(sentence="ΑΣ'Β", stopwords=frozenset(), lexicon=frozenset())
+    @example(sentence="ΟΔΟΣ.ΑΒ", stopwords=frozenset(), lexicon=frozenset({"οδος_αβ"}))
+    @example(sentence="ΑΣ:Β ΣΑ", stopwords=frozenset({"ΣΑ"}), lexicon=frozenset({"ας_β"}))
+    @example(sentence="İSTANBUL", stopwords=frozenset(), lexicon=frozenset())
+    @example(sentence="Học Sinh", stopwords=frozenset(), lexicon=frozenset({"học_sinh"}))
+    def test_preprocess_sentence(self, sentence, stopwords, lexicon):
+        cfg = PreprocessConfig(stopwords=stopwords, segmenter=DictionarySegmenter(lexicon))
+        want = reference_clean(sentence, {w.lower() for w in stopwords},
+                               ReferenceDictionarySegmenter(lexicon))
+        assert preprocess_sentence(sentence, cfg) == want
 
     @given(st.text(alphabet="aĐ_…,." + "".join(REGEX_MARKS) + WHITESPACE[:8] + WHITESPACE[-8:],
                    max_size=30))
