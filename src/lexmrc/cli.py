@@ -44,7 +44,7 @@ from .evaluation import (
     render_report,
     render_stats,
 )
-from .preprocess import DictionarySegmenter, PreprocessConfig, load_lexicon, load_stopwords
+from .preprocess import DictionarySegmenter, Lexicon, PreprocessConfig, load_lexicon, load_stopwords
 from .scoring import METHODS, MethodConfig
 
 __all__ = ["ConfigError", "RunConfig", "main", "run"]
@@ -122,14 +122,14 @@ def _stamp(files) -> tuple:
 
 
 class _EmbeddingCache:
-    """Per-process cache of every parsed input: datasets, vector stores,
-    stopword sets and segmenters, so a batch parses each file once.
+    """Per-process cache of every parsed input file: datasets, vector
+    stores, stopword sets and lexicons, so a batch parses each file once.
 
     Each entry is stamped with its path and the files it was parsed from. A
-    file that changes is read again and its entry replaced. Vector stores,
-    and the segmenters built from them, are kept per path; the dataset, the
-    stopword set and the lexicon segmenter keep only the last one read, so a
-    batch over many datasets holds one of them at a time.
+    file that changes is read again and its entry replaced. Vector stores
+    are kept per path; the dataset, the stopword set and the lexicon keep
+    only the last one read. A segmenter is built per command: a `Lexicon`
+    keeps its run prefixes, so one over a cached `Lexicon` costs nothing.
     """
 
     def __init__(self):
@@ -155,27 +155,21 @@ class _EmbeddingCache:
     def stopwords(self, path: str) -> frozenset[str]:
         return self._get("stopwords", path, [path], lambda: load_stopwords(path))
 
-    def segmenter(self, lexicon: str | None, embeddings: str | None) -> DictionarySegmenter:
-        """Built from the lexicon file or, without one, from the multi-
-        syllable entries of the embedding vocabulary, when one is given."""
-        if lexicon:
-            return self._get("lexicon", lexicon, [lexicon],
-                             lambda: DictionarySegmenter(load_lexicon(lexicon)))
-        if embeddings:
-            def build():
-                return DictionarySegmenter(self.load(embeddings).multi_syllable_words())
-            return self._get(("store lexicon", embeddings), embeddings, [embeddings], build)
-        return DictionarySegmenter()
+    def lexicon(self, path: str) -> Lexicon:
+        return self._get("lexicon", path, [path], lambda: load_lexicon(path))
 
 
 def _build_runtime(cfg: RunConfig, cache: _EmbeddingCache):
     """The dataset, optional store, and the preprocessing config, from the
-    cache."""
+    cache. Words are segmented by the lexicon file, else by the store's."""
     dataset = cache.dataset(cfg.dataset)
     store = cache.load(cfg.embeddings) if cfg.embeddings else None
     stopwords = cache.stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
-    segmenter = cache.segmenter(cfg.lexicon, cfg.embeddings)
-    return dataset, store, PreprocessConfig(stopwords=stopwords, segmenter=segmenter)
+    if cfg.lexicon:
+        words = cache.lexicon(cfg.lexicon)
+    else:
+        words = store.multi_syllable_words() if store is not None else ()
+    return dataset, store, PreprocessConfig(stopwords=stopwords, segmenter=DictionarySegmenter(words))
 
 
 def _method_config(cfg: RunConfig, preprocess: PreprocessConfig, method: str | None = None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .preprocess import PreprocessConfig, Segmenter, preprocess_sentence
+from .preprocess import PreprocessConfig, Segmenter, preprocess_sentence, preprocess_text
 
 __all__ = [
     "GRADES",
@@ -30,7 +30,6 @@ __all__ = [
     "DatasetParseError",
     "DatasetValidationError",
     "DatasetStats",
-    "GradeStats",
     "MCQuestion",
     "ReadingText",
     "SplitStats",
@@ -300,17 +299,10 @@ class SplitStats:
 
 
 @dataclass(frozen=True)
-class GradeStats:
-    texts: int
-    questions: int
-    vocabulary: int
-
-
-@dataclass(frozen=True)
 class DatasetStats:
     splits: dict[str, SplitStats]
     overall: SplitStats
-    grades: dict[int, GradeStats]
+    grades: dict[int, SplitStats]
 
 
 def _mean(values: list[int]) -> float:
@@ -328,7 +320,7 @@ class _Tally:
         self.correct_lengths: list[int] = []
         self.vocab: set[str] = set()
 
-    def add_text(self, words: list[str]) -> None:
+    def add_text(self, words: tuple[str, ...]) -> None:
         self.text_lengths.append(len(words))
         self.vocab.update(words)
 
@@ -341,7 +333,7 @@ class _Tally:
             if i == gold:
                 self.correct_lengths.append(len(words))
 
-    def split_stats(self) -> SplitStats:
+    def stats(self) -> SplitStats:
         return SplitStats(
             texts=len(self.text_lengths),
             questions=len(self.question_lengths),
@@ -352,23 +344,17 @@ class _Tally:
             vocabulary=len(self.vocab),
         )
 
-    def grade_stats(self) -> GradeStats:
-        return GradeStats(
-            texts=len(self.text_lengths),
-            questions=len(self.question_lengths),
-            vocabulary=len(self.vocab),
-        )
-
 
 def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
     """Per-split, overall, and per-grade counts and average lengths.
 
-    Lengths are measured in segmented words of the raw strings, cleaned by
-    `preprocess_sentence` with no stopwords: punctuation marks are not
-    words. The vocabulary is the set of distinct lowercase segmented words
-    across texts, stems, and options. A split's texts are the ones its
-    questions reference. Each string is segmented once and tallied into
-    every group it belongs to.
+    Lengths are measured in segmented words of the raw strings, cleaned
+    with no stopwords as scoring cleans them: a text by `preprocess_text`,
+    split at sentence breaks first, and a stem or option by
+    `preprocess_sentence`. Punctuation marks are not words. The vocabulary
+    is the set of distinct lowercase segmented words across texts, stems,
+    and options. A split's texts are the ones its questions reference. Each
+    sentence is segmented once and tallied into every group it belongs to.
     """
     raw = PreprocessConfig(segmenter=segmenter)
     overall = _Tally()
@@ -381,7 +367,7 @@ def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
     grade_of = {t.id: t.grade for t in dataset.texts}
 
     for t in dataset.texts:
-        words = preprocess_sentence(t.body, raw)
+        words = preprocess_text(t.body, raw).flat
         groups = [overall] + [splits[s] for s in text_splits.get(t.id, ())]
         if t.grade in grades:
             groups.append(grades[t.grade])
@@ -400,7 +386,7 @@ def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
             group.add_question(stem, options, q.gold)
 
     return DatasetStats(
-        splits={s: tally.split_stats() for s, tally in splits.items() if tally.question_lengths},
-        overall=overall.split_stats(),
-        grades={g: tally.grade_stats() for g, tally in grades.items() if tally.text_lengths},
+        splits={s: tally.stats() for s, tally in splits.items() if tally.question_lengths},
+        overall=overall.stats(),
+        grades={g: tally.stats() for g, tally in grades.items() if tally.text_lengths},
     )

@@ -329,8 +329,8 @@ def _first_bad_row(
     path: Path, linenos: list[int], rests: list[str], dim: int | None
 ) -> EmbeddingFormatError:
     """The error for the first row, in file order, that is not numeric, not
-    finite, or not of the file's dimension (the header's, else the first
-    row's)."""
+    finite, or not of the file's dimension `dim`: None only when the first
+    row is read alone, which then fails only for being bad or empty."""
     for lineno, rest in zip(linenos, rests):
         row = _parse_rows([rest]) if rest else np.zeros((1, 0))
         if row is None:
@@ -339,12 +339,10 @@ def _first_bad_row(
             problem = "non-finite vector component"
         elif dim is None and row.shape[1] == 0:
             problem = "row has no vector components"
-        else:
-            if dim is None:
-                dim = row.shape[1]
-            if row.shape[1] == dim:
-                continue
+        elif dim is not None and row.shape[1] != dim:
             problem = f"expected {dim} components, found {row.shape[1]}"
+        else:
+            continue
         return EmbeddingFormatError(f"{path}:{lineno}: {problem}")
     raise AssertionError("the rows parse one by one but not together")
 

@@ -168,6 +168,14 @@ class TestEvaluate:
             results.append(out)
         assert results[0] == results[1]
 
+    def test_zero_workers(self, capsys):
+        code, out, err = invoke(
+            capsys, "evaluate", "--dataset", FIXTURES, "--split", "dev",
+            "--method", "sw", "--workers", "0",
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: --workers must be >= 1\n"
+
     def test_workers_start_no_thread(self, capsys, monkeypatch):
         def refuse(self):
             raise AssertionError("a thread was started")
@@ -255,6 +263,12 @@ class TestEvaluate:
         code, out, err = invoke(capsys, "stats", "--dataset", INVALID_DATASET)
         assert (code, out) == (EXIT_DATA, "")
         assert err == (DATA_DIR / "invalid_dataset.stderr").read_text(encoding="utf-8")
+
+    def test_dataset_directory_without_json_files(self, capsys, tmp_path):
+        (tmp_path / "notes.txt").write_text("{}", encoding="utf-8")
+        code, out, err = invoke(capsys, "stats", "--dataset", str(tmp_path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"error: {tmp_path}: no .json files in dataset directory\n"
 
     def test_invalid_dataset(self, capsys, tmp_path):
         doc = {
@@ -411,6 +425,27 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err == f"error: config key {next(iter(values))!r} must be an integer\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("distance_agg", "mean", "unknown distance aggregation 'mean'"),
+        ("format", "xml", "unknown format 'xml'"),
+    ], ids=["distance_agg", "format"])
+    def test_unknown_choice_in_config_file(self, capsys, tmp_path, key, value, message):
+        """argparse checks a flag's choices; a config file's value is
+        checked by `RunConfig.validate`."""
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, out, err = invoke(capsys, "evaluate", "--config", str(f), "--dataset", FIXTURES,
+                                "--split", "dev", "--method", "sw")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {message}\n"
+
+    def test_config_file_holding_an_array(self, capsys, tmp_path):
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps([{"dataset": FIXTURES}]), encoding="utf-8")
+        code, out, err = invoke(capsys, "stats", "--config", str(f))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: config file must hold a JSON object\n"
 
     def test_wrongly_typed_config_value(self, capsys, tmp_path):
         f = tmp_path / "run.json"
@@ -716,6 +751,20 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def returned_values(monkeypatch, owner, name):
+    """Replace `owner.name` with a wrapper that keeps each value it
+    returns, alive, so that distinct values have distinct ids."""
+    values = []
+    real = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        values.append(real(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    return values
+
+
 def one_question_doc(options):
     """A dataset whose one question `q` has the given options; `sw` picks
     the option "x"."""
@@ -760,15 +809,15 @@ class TestInputCache:
         calls = {name: count_calls(monkeypatch, cli, name)
                  for name in ("load_dataset", "load_embeddings", "load_stopwords",
                               "load_lexicon", "_build_parser")}
-        calls["multi_syllable_words"] = count_calls(monkeypatch, EmbeddingStore,
-                                                    "multi_syllable_words")
+        # the segmenter is built per command, over the one store's one `Lexicon`
+        lexicons = returned_values(monkeypatch, EmbeddingStore, "multi_syllable_words")
         assert run(["batch", str(batch)]) == EXIT_OK
         counts = {name: len(c) for name, c in calls.items()}
         assert counts == {
             "load_dataset": 1, "load_embeddings": 1, "load_stopwords": 1,
             "load_lexicon": 1 if lexicon else 0, "_build_parser": 1,
-            "multi_syllable_words": 0 if lexicon else 1,
         }
+        assert len({id(v) for v in lexicons}) == (0 if lexicon else 1)
 
         # each output is byte-identical to the command run alone on a fresh cache
         for argv in commands:
@@ -852,11 +901,11 @@ class TestInputCache:
             return code
 
         loads = count_calls(monkeypatch, cli, "load_embeddings")
-        lexicons = count_calls(monkeypatch, EmbeddingStore, "multi_syllable_words")
+        lexicons = returned_values(monkeypatch, EmbeddingStore, "multi_syllable_words")
         monkeypatch.setattr(cli, "run", run_then_rewrite)
         assert real_run(["batch", str(batch)]) == EXIT_OK
         assert len(loads) == 2
-        assert len(lexicons) == 2
+        assert len({id(v) for v in lexicons}) == 2  # one per loaded store
         assert outs[1].read_bytes() == outs[2].read_bytes()
         alone = tmp_path / "alone.out"
         commands[2][-1] = str(alone)

@@ -15,7 +15,7 @@ from lexmrc.corpus import (
     filter_dataset,
     load_dataset,
 )
-from lexmrc.preprocess import DEFAULT_PUNCTUATION, DictionarySegmenter
+from lexmrc.preprocess import DEFAULT_PUNCTUATION, DictionarySegmenter, split_sentences
 
 from oracles import reference_tokenize
 
@@ -475,8 +475,23 @@ class TestStats:
             return SEG(tokens)
 
         stats = compute_stats(fixture_dataset, counting_segmenter)
-        assert len(calls) == len(fixture_dataset.texts) + 5 * len(fixture_dataset.questions)
+        sentences = sum(len(split_sentences(t.body)) for t in fixture_dataset.texts)
+        assert len(calls) == sentences + 5 * len(fixture_dataset.questions)
         assert stats == compute_stats(fixture_dataset, SEG)
+
+    def test_text_is_split_at_sentence_breaks_as_scoring_splits_it(self):
+        """A lexicon entry never joins syllables across a sentence break,
+        in stats as in scoring."""
+        seg = DictionarySegmenter(["học_sinh"])
+        dataset = Dataset(
+            texts=(ReadingText(id="t", grade=1, body="Em là học. Sinh viên"),),
+            questions=(MCQuestion(id="q", text_id="t", stem="em", options=("em", "là", "viên", "là"),
+                                  gold=0, split="dev"),),
+        )
+        stats = compute_stats(dataset, seg)
+        assert stats.overall.avg_text_length == 5
+        # em, là, học, sinh, viên; no học_sinh
+        assert stats.overall.vocabulary == 5
 
     def test_grade_stats(self, fixture_dataset):
         stats = compute_stats(fixture_dataset, SEG)

@@ -208,6 +208,18 @@ class TestBoost:
             assert b == pytest.approx(a, abs=1e-9)
 
 
+class TestMethodConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"method": "sw_web"}, "unknown method 'sw_web'"),
+        ({"distance_aggregation": "mean"}, "unknown distance aggregation 'mean'"),
+        ({"method": "random"}, "method 'random' requires random_seed"),
+    ], ids=["method", "aggregation", "random-seed"])
+    def test_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            MethodConfig(**kwargs)
+        assert str(info.value) == message
+
+
 class TestPredict:
     def options(self, *opts):
         return [list(o) for o in opts]
