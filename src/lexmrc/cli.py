@@ -36,6 +36,7 @@ from .embedding import EmbeddingFormatError, EmbeddingStore, file_stamp, load_em
 from .evaluation import (
     EmptySplitError,
     FACETS,
+    FORMATS,
     _csv_text,
     _json_text,
     compare_reports,
@@ -45,7 +46,7 @@ from .evaluation import (
     render_stats,
 )
 from .preprocess import DictionarySegmenter, Lexicon, PreprocessConfig, load_lexicon, load_stopwords
-from .scoring import METHODS, MethodConfig
+from .scoring import DISTANCE_AGGREGATIONS, METHODS, MethodConfig
 
 __all__ = ["ConfigError", "RunConfig", "main", "run"]
 
@@ -82,9 +83,9 @@ class RunConfig:
             raise ConfigError("--dataset is required")
         if self.split not in SPLITS:
             raise ConfigError(f"unknown split {self.split!r}")
-        if self.distance_agg not in ("min", "max"):
+        if self.distance_agg not in DISTANCE_AGGREGATIONS:
             raise ConfigError(f"unknown distance aggregation {self.distance_agg!r}")
-        if self.format not in ("plain", "csv", "json"):
+        if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.workers < 1:
             raise ConfigError("--workers must be >= 1")
@@ -305,14 +306,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON file with flag defaults")
         p.add_argument("--dataset", help="dataset JSON file or directory")
-        p.add_argument("--split", choices=["train", "dev", "test"])
-        p.add_argument("--method", choices=list(METHODS))
+        p.add_argument("--split", choices=SPLITS)
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--embeddings", help="word-vector text file")
         p.add_argument("--stopwords", help="stopword file, one word per line")
         p.add_argument("--lexicon", help="segmentation word list")
-        p.add_argument("--distance-agg", choices=["min", "max"], dest="distance_agg")
+        p.add_argument("--distance-agg", choices=DISTANCE_AGGREGATIONS, dest="distance_agg")
         p.add_argument("--seed", type=int)
-        p.add_argument("--format", choices=["plain", "csv", "json"])
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--workers", type=int, help="accepted and has no effect")
 
@@ -328,9 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="per-facet improvement of one method over another")
     add_common(p_cmp)
-    p_cmp.add_argument("--baseline", required=True, choices=list(METHODS))
-    p_cmp.add_argument("--candidate", required=True, choices=list(METHODS))
-    p_cmp.add_argument("--facet", required=True, choices=list(FACETS))
+    p_cmp.add_argument("--baseline", required=True, choices=METHODS)
+    p_cmp.add_argument("--candidate", required=True, choices=METHODS)
+    p_cmp.add_argument("--facet", required=True, choices=FACETS)
 
     p_batch = sub.add_parser("batch", help="run commands from a file, one per line")
     p_batch.add_argument("file", help="command file; an unquoted '#' starts a comment")

@@ -8,14 +8,12 @@ exact; words missing from the store are skipped when averaging spans.
 
 from __future__ import annotations
 
-import io
 import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,9 +54,8 @@ def file_stamp(file: str | Path | int) -> tuple[int, int, int, int]:
 @dataclass(frozen=True, eq=False)
 class _RowSource:
     """Where the rows of a loaded store are: the vector file, its stamp at
-    load, and the byte offset, byte length (with a "\n" line end, without
-    a "\r" or "\r\n" one) and line number of each kept row, in row id
-    order."""
+    load, and the byte offset, byte length (without the line end) and line
+    number of each kept row, in row id order."""
 
     path: Path
     stamp: tuple[int, int, int, int]
@@ -165,9 +162,9 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 
     The load keeps, for the first occurrence of each word, the byte range
     and line number of its row; a later duplicate is dropped unread. Lines
-    end as under universal newlines (`_cr_lines`). The file is read in
-    blocks of whole lines of about `_BLOCK` bytes. A plain block
-    (`_scan_plain`) has its lines found by numpy and only its words
+    end at "\n", "\r\n" or a bare "\r", as under universal newlines. The
+    file is read in blocks of whole lines of about `_BLOCK` bytes. A plain
+    block (`_scan_plain`) has its lines found by numpy and only its words
     decoded; line 1 and every other block go line by line through
     `_scan_lines`, which decodes each line as UTF-8, so a decode error
     anywhere raises here. A file with no row is empty, with or without the
@@ -181,12 +178,12 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     scan = _Scan(path)
     with path.open("rb") as handle:
         stamp = file_stamp(handle.fileno())
-        _scan_lines(scan, islice(handle, 1))
+        _scan_lines(scan, handle.readline())
         while block := handle.read(_BLOCK):
             if not block.endswith(b"\n"):
                 block += handle.readline()
             if not _scan_plain(scan, block):
-                _scan_lines(scan, io.BytesIO(block))
+                _scan_lines(scan, block)
     if not scan.index:
         raise EmbeddingFormatError(f"{path}: empty vector file")
     source = _RowSource(path, stamp, *(np.frombuffer(a, dtype=np.int64)
@@ -217,35 +214,35 @@ class _Scan:
         self.starts, self.sizes, self.linenos = array("q"), array("q"), array("q")
 
 
-def _scan_lines(scan: _Scan, lines: Iterable[bytes]) -> None:
-    """Add binary lines `lines`, split at "\n" only and starting where
-    `scan` stopped, one by one: a line with a "\r" is split again, each
-    line is decoded as UTF-8 and split with `str.split(None, 1)`, blank
-    lines are skipped, and line 1 is the header when it is two integers.
-    This is the one definition of the format that `_scan_plain` follows."""
+def _scan_lines(scan: _Scan, data: bytes) -> None:
+    """Add the lines of `data`, whole lines starting where `scan` stopped,
+    one by one: `data` is split at "\n", "\r\n" and a bare "\r" (which
+    never occurs inside a UTF-8 sequence), each line is decoded as UTF-8
+    and split with `str.split(None, 1)`, blank lines are skipped, and line
+    1 is the header when it is two integers. This is the one definition of
+    the format that `_scan_plain` follows."""
     index, starts, sizes, linenos = scan.index, scan.starts, scan.sizes, scan.linenos
     lineno, pos = scan.lineno, scan.pos
-    for raw in lines:
-        for start, line in ((pos, raw),) if b"\r" not in raw else _cr_lines(pos, raw):
-            lineno += 1
-            text = line.decode()  # UTF-8
-            parts = text.split(None, 1)
-            if not parts:
+    for raw in data.splitlines(keepends=True):
+        start, pos, lineno = pos, pos + len(raw), lineno + 1
+        line = raw.rstrip(b"\r\n")
+        text = line.decode()  # UTF-8
+        parts = text.split(None, 1)
+        if not parts:
+            continue
+        if lineno == 1:
+            header = text.split()
+            if len(header) == 2 and _is_int(header[0]) and _is_int(header[1]):
+                scan.dim = int(header[1])
+                if scan.dim <= 0:
+                    raise EmbeddingFormatError(
+                        f"{scan.path}:1: non-positive dimension in header")
                 continue
-            if lineno == 1:
-                header = text.split()
-                if len(header) == 2 and _is_int(header[0]) and _is_int(header[1]):
-                    scan.dim = int(header[1])
-                    if scan.dim <= 0:
-                        raise EmbeddingFormatError(
-                            f"{scan.path}:1: non-positive dimension in header")
-                    continue
-            if parts[0] not in index:
-                index[parts[0]] = len(starts)
-                starts.append(start)
-                sizes.append(len(line))
-                linenos.append(lineno)
-        pos += len(raw)
+        if parts[0] not in index:
+            index[parts[0]] = len(starts)
+            starts.append(start)
+            sizes.append(len(line))
+            linenos.append(lineno)
     scan.lineno, scan.pos = lineno, pos
 
 
@@ -295,23 +292,11 @@ def _scan_plain(scan: _Scan, block: bytes) -> bool:
         return False
     linenos = np.arange(scan.lineno + 1, scan.lineno + n + 1, dtype=np.int64)
     scan.starts.frombytes((firsts + scan.pos).astype(np.int64).tobytes())
-    scan.sizes.frombytes((ends - firsts + 1).astype(np.int64).tobytes())
+    scan.sizes.frombytes((ends - firsts).astype(np.int64).tobytes())
     scan.linenos.frombytes(linenos.tobytes())
     scan.lineno += n
     scan.pos += len(block)
     return True
-
-
-def _cr_lines(pos: int, raw: bytes) -> Iterator[tuple[int, bytes]]:
-    """The offset and bytes of each line of `raw`, a binary line at offset
-    `pos` that holds a "\r", without its line end: "\r\n" and a bare "\r"
-    both end a line, as under universal newlines. "\r" never occurs inside
-    a UTF-8 sequence."""
-    if raw.endswith(b"\n"):
-        raw = raw[:-2] if raw.endswith(b"\r\n") else raw[:-1]
-    for line in raw.split(b"\r"):
-        yield pos, line
-        pos += len(line) + 1
 
 
 def _parse_rows(rests: list[str]) -> np.ndarray | None:

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 FACETS = ("question_length", "grade", "reasoning_type")
+FORMATS = ("plain", "csv", "json")
 
 # question-length bins in segmented words: label, lower, upper (inclusive)
 LENGTH_BINS = (
@@ -229,10 +230,8 @@ def _score_text(
 
 
 def _length_bin(words: int) -> str:
-    for label, low, high in LENGTH_BINS:
-        if words >= low and (high is None or words <= high):
-            return label
-    raise AssertionError("unreachable")
+    # the bins run on from 0 without a gap: the first upper bound that holds
+    return next(label for label, _, high in LENGTH_BINS if high is None or words <= high)
 
 
 def facet_breakdown(report: EvaluationReport, facet: str) -> FacetTable:
@@ -405,7 +404,7 @@ def render_report(obj, fmt: str = "plain") -> str:
     """Deterministic rendering of an evaluation report or an improvement
     table as plain text, CSV, or JSON. A report's plain text holds its
     facet tables."""
-    if fmt not in ("plain", "csv", "json"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(obj, EvaluationReport):
         if fmt == "plain":
@@ -431,6 +430,9 @@ def render_report(obj, fmt: str = "plain") -> str:
 def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
     """Deterministic rendering of dataset statistics as plain text, CSV,
     or JSON."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+
     def split_dict(s):
         return {
             "texts": s.texts,
@@ -463,8 +465,6 @@ def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
         rows += [["grade", g, s.texts, s.questions, "", "", "", "", s.vocabulary]
                  for g, s in stats.grades.items()]
         return _csv_text(header, rows)
-    if fmt != "plain":
-        raise ValueError(f"unknown format {fmt!r}")
     lines = ["split      texts  questions  avg_text  avg_question  avg_option  avg_correct  vocab"]
     for name, s in list(stats.splits.items()) + [("all", stats.overall)]:
         lines.append(

@@ -30,13 +30,14 @@ def max_window_sum(weights: np.ndarray, width: int) -> float:
 
     Windows may start at any position; positions past the end contribute
     nothing. All weights are >= 0, so truncated tail windows never beat the
-    last full window and only full windows need to be enumerated.
+    last full window and only full windows need to be enumerated; a width
+    of n or more has the one window of all n entries. Each window sum is
+    one difference of the running sums.
     """
     n = weights.shape[0]
     if n == 0 or width <= 0:
         return 0.0
-    if width >= n:
-        return float(weights.sum())
+    width = min(width, n)
     prefix = np.concatenate(([0.0], np.cumsum(weights)))
     return float((prefix[width:] - prefix[:-width]).max())
 

@@ -12,9 +12,10 @@ component scores:
 * embedding boost web = best cosine between the option's mean word vector
   and the mean vector of any |O|-token span of T.
 
-The method decides the final score: sw, sw - d, or sw - d + web; ties on
-the final score go to the lowest option index. The random method ignores
-the text entirely and draws from a seeded generator.
+The final score is sw - d + web, with the components a method does not
+use set to zero (d and web for sw, web for sw_d); ties on the final score
+go to the lowest option index. The random method ignores the text
+entirely and draws from a seeded generator.
 """
 
 from __future__ import annotations
@@ -134,23 +135,16 @@ class TextIndex:
         return member[self.ids]
 
     def window_score(self, word_set: frozenset[str] | set[str]) -> float:
-        if not word_set or not self.tokens:
-            return 0.0
         weights = np.where(self.token_mask(word_set), self.log_weights, 0.0)
         return max_window_sum(weights, len(word_set))
 
     def distance(self, question_words: set[str], option_words: set[str], aggregation: str) -> float:
-        n = len(self.tokens)
-        if n <= 1:
-            return 1.0
         pos_q = np.flatnonzero(self.token_mask(question_words))
         pos_o = np.flatnonzero(self.token_mask(option_words))
-        if pos_q.shape[0] == 0 or pos_o.shape[0] == 0:
-            return 1.0
         extreme = extreme_pair_distance(pos_q, pos_o, aggregation == "max")
         if extreme < 0:
             return 1.0
-        return float(extreme) / (n - 1)
+        return float(extreme) / (len(self.tokens) - 1)
 
     def boost(self, option: WordList) -> float:
         if self.store is None:
@@ -165,14 +159,6 @@ class TextIndex:
         if windows is None:
             windows = self._windows[width] = window_means(self.vec_prefix, self.cnt_prefix, width)
         return max_window_cosine(windows, span.vector)
-
-
-def _argmax_first(values: Sequence[float]) -> int:
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
 
 
 @dataclass(frozen=True)
@@ -226,13 +212,8 @@ def decide(scores: OptionScores, cfg: MethodConfig, rng: random.Random | None) -
     sw = scores.sw
     dist = zeros if cfg.method == "sw" else scores.dist[cfg.distance_aggregation]
     web = scores.web if cfg.method == "sw_d_web" else zeros
-    if cfg.method == "sw":
-        final = sw
-    elif cfg.method == "sw_d":
-        final = tuple(s - d for s, d in zip(sw, dist))
-    else:
-        final = tuple(s - d + w for s, d, w in zip(sw, dist, web))
+    final = tuple(s - d + w for s, d, w in zip(sw, dist, web))
     return ScoreBreakdown(
         sw=sw, dist=dist, web=web, final=final,
-        predicted=_argmax_first(final), method=cfg.method,
+        predicted=final.index(max(final)), method=cfg.method,
     )

@@ -2,12 +2,15 @@
 reports must be what a separate `evaluate` gives, byte for byte, and what
 the earlier one-method evaluate (`oracles.reference_evaluate`) gives."""
 
+import dataclasses
 import itertools
 import random
+import struct
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText
 from lexmrc import evaluation
@@ -187,3 +190,55 @@ def test_web_config_requires_a_store():
     with pytest.raises(ValueError, match="embedding store"):
         evaluate_methods(DATASET, "dev", [config("sw", "min", False),
                                           config("sw_d_web", "min", False)])
+
+
+def words(low, high):
+    return st.lists(st.sampled_from(SYLLABLES), min_size=low, max_size=high).map(" ".join)
+
+
+@st.composite
+def permuted_datasets(draw):
+    """A small dev split and the same split with each question's options
+    permuted, plus the permutation of each question: option j of the
+    permuted question is option `perm[j]` of the original."""
+    bodies = draw(st.lists(st.lists(words(0, 9), min_size=1, max_size=3), min_size=1, max_size=3))
+    texts = tuple(ReadingText(id=f"t{i}", grade=1, body=". ".join(b) + "!")
+                  for i, b in enumerate(bodies))
+    questions, permuted, perms = [], [], []
+    for i in range(draw(st.integers(1, 6))):
+        options = tuple(o or "…" for o in draw(st.lists(words(0, 4), min_size=4, max_size=4)))
+        perm = draw(st.permutations(range(4)))
+        q = MCQuestion(id=f"q{i}", text_id=f"t{draw(st.integers(0, len(texts) - 1))}",
+                       stem=draw(words(1, 8)) + "?", options=options, gold=0, split="dev")
+        questions.append(q)
+        permuted.append(dataclasses.replace(q, options=tuple(options[k] for k in perm),
+                                            gold=perm.index(0)))
+        perms.append(perm)
+    return Dataset(texts, tuple(questions)), Dataset(texts, tuple(permuted)), perms
+
+
+def bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@given(permuted_datasets(), st.sampled_from(["min", "max"]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_permuting_options_permutes_scores_and_prediction(datasets, aggregation, stopwords):
+    """Each component score of an option depends on that option alone, so a
+    permutation of the options permutes every score bit for bit. The
+    prediction moves with its option, unless the top finals are bitwise
+    equal: then the lowest index wins in either order."""
+    dataset, permuted, perms = datasets
+    cfgs = [config(m, aggregation, stopwords) for m in ("sw", "sw_d", "sw_d_web")]
+    pairs = zip(evaluate_methods(dataset, "dev", cfgs, STORE),
+                evaluate_methods(permuted, "dev", cfgs, STORE))
+    for want, got in pairs:
+        for before, after, perm in zip(want.records, got.records, perms):
+            b, a = before.breakdown, after.breakdown
+            for name in ("sw", "dist", "web", "final"):
+                assert bits(getattr(a, name)) == bits([getattr(b, name)[k] for k in perm])
+            top = bits([max(a.final)])
+            tied = [j for j in range(4) if bits([a.final[j]]) == top]
+            # one top option: the prediction is that option in both orders
+            assert a.predicted == tied[0]
+            assert b.predicted == min(perm[j] for j in tied)

@@ -1,11 +1,20 @@
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexmrc.embedding import EmbeddingStore
 from lexmrc.preprocess import ProcessedText
-from lexmrc.scoring import MethodConfig, TextIndex, decide, score_options, term_counts
+from lexmrc.scoring import (
+    MethodConfig,
+    OptionScores,
+    TextIndex,
+    decide,
+    score_options,
+    term_counts,
+)
 
 from oracles import boost_oracle, distance_oracle, random_instance, window_score_oracle
 
@@ -52,9 +61,11 @@ class TestSlidingWindow:
         assert got == pytest.approx(LN2, abs=1e-12)
 
     def test_empty_text_and_empty_words(self):
-        assert TextIndex(pt()).window_score({"a", "b"}) == 0.0
-        text = pt("a")
-        assert TextIndex(text).window_score(set()) == 0.0
+        # +0.0, not -0.0: `==` alone would pass either
+        empty_text = TextIndex(pt()).window_score({"a", "b"})
+        empty_words = TextIndex(pt("a")).window_score(set())
+        for got in (empty_text, empty_words):
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     def test_duplicates_collapse_in_window_set(self):
         # set semantics: repeating an option word must not change the score
@@ -109,7 +120,9 @@ class TestDistance:
         assert TextIndex(text).distance({"q"}, {"a"}, "max") == pytest.approx(3 / 3)
 
     def test_single_token_text(self):
-        assert TextIndex(pt("q")).distance({"q"}, {"q"}, "min") == 1.0
+        for agg in ("min", "max"):
+            got = TextIndex(pt("q")).distance({"q"}, {"q"}, agg)
+            assert struct.pack("<d", got) == struct.pack("<d", 1.0)
 
     def test_shared_word_same_position_excluded(self):
         # "q" serves both sides; its self-pair must not produce distance 0
@@ -249,6 +262,26 @@ class TestPredict:
         bd = decide(score_options(index, ["b", "c"], opts, (cfg,)), cfg, None)
         assert bd.final == tuple(s - d + w for s, d, w in zip(bd.sw, bd.dist, bd.web))
         assert bd.predicted == bd.final.index(max(bd.final))
+
+    @given(
+        st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=4, max_size=4),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+    )
+    @settings(max_examples=200)
+    def test_final_is_bitwise_each_methods_formula(self, sw, dist, web):
+        """One expression, `sw - d + web` with unused components zero,
+        gives each method's own formula bit for bit."""
+        scores = OptionScores(sw=tuple(sw), dist={"min": tuple(dist)}, web=tuple(web))
+        want = {
+            "sw": sw,
+            "sw_d": [s - d for s, d in zip(sw, dist)],
+            "sw_d_web": [s - d + w for s, d, w in zip(sw, dist, web)],
+        }
+        for method, final in want.items():
+            bd = decide(scores, MethodConfig(method=method), None)
+            assert struct.pack("<4d", *bd.final) == struct.pack("<4d", *final)
+            assert bd.predicted == min(i for i in range(4) if final[i] == max(final))
 
     def test_wrong_option_count_rejected(self):
         with pytest.raises(ValueError):
