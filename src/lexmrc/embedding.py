@@ -13,7 +13,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -87,29 +87,17 @@ class _RowSource:
 
 
 class EmbeddingStore:
-    """Immutable word -> dense vector table of fixed dimension.
+    """Immutable word -> dense vector table of fixed dimension over a vector
+    file that `load_embeddings` scanned: `_index` gives each word's row id,
+    `_source` where each row is, and `_rows` each converted row, row 0
+    (whose width is the dimension) from the start and any other from when
+    `convert` or `rows` first asks for it."""
 
-    `_rows` maps the id of each converted row to its vector. A store built
-    from a mapping has every row there. A store that `load_embeddings`
-    reads has its words and its first row there, and converts each other
-    row from `_source` when `convert` or `rows` first asks for it.
-    """
-
-    def __init__(self, dim: int, vectors: Mapping[str, Sequence[float]] | None = None):
-        if dim <= 0:
-            raise ValueError("embedding dimension must be positive")
-        self.dim = dim
-        self._index: dict[str, int] = {}
-        self._rows: dict[int, np.ndarray] = {}
-        for word, vec in (vectors or {}).items():
-            arr = np.array(vec, dtype=np.float64)  # a copy: the caller's array may change
-            if arr.shape != (dim,):
-                raise ValueError(f"vector for {word!r} has shape {arr.shape}, expected ({dim},)")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"vector for {word!r} has non-finite components")
-            row = self._index[word] = len(self._index)
-            self._rows[row] = arr
-        self._source: _RowSource | None = None
+    def __init__(self, source: _RowSource, index: dict[str, int], first_row: np.ndarray):
+        self.dim = first_row.shape[0]
+        self._source = source
+        self._index = index
+        self._rows = {0: first_row}
         self._lexicon: Lexicon | None = None
 
     def __len__(self) -> int:
@@ -120,14 +108,6 @@ class EmbeddingStore:
 
     def __iter__(self):
         return iter(self._index)
-
-    def get(self, word: str) -> np.ndarray | None:
-        """Vector for `word`, or None when the word is unknown (a stored
-        zero vector and a missing word are distinguishable)."""
-        row = self._index.get(word)
-        if row is None:
-            return None
-        return self.rows([row])[0]
 
     def row_index(self, word: str) -> int | None:
         return self._index.get(word)
@@ -178,10 +158,10 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     scan = _Scan(path)
     with path.open("rb") as handle:
         stamp = file_stamp(handle.fileno())
-        _scan_lines(scan, handle.readline())
+        _scan_lines(scan, _to_line_end(handle, b""))
         while block := handle.read(_BLOCK):
             if not block.endswith(b"\n"):
-                block += handle.readline()
+                block = _to_line_end(handle, block)
             if not _scan_plain(scan, block):
                 _scan_lines(scan, block)
     if not scan.index:
@@ -189,15 +169,26 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     source = _RowSource(path, stamp, *(np.frombuffer(a, dtype=np.int64)
                                        for a in (scan.starts, scan.sizes, scan.linenos)))
     first = source.read(np.zeros(1, dtype=np.intp), scan.dim)
-    store = EmbeddingStore(first.shape[1])
-    store._index, store._rows, store._source = scan.index, {0: first[0]}, source
-    return store
+    return EmbeddingStore(source, scan.index, first[0])
 
 
 # bytes read at a time; a block then runs on to the end of its last line
 _BLOCK = 1 << 18
 # in a plain block every word ends at a space within this many bytes of its line start
 _WIDTH = 64
+
+
+def _to_line_end(handle, data: bytes) -> bytes:
+    """`data`, just read from `handle`, run on through the end of its line:
+    the next "\n" or "\r", with the "\n" of a "\r\n", or the end of the
+    file. Nothing past that is read, so a file whose lines end in a bare
+    "\r" is read in blocks of about `_BLOCK` bytes too."""
+    while not data.endswith((b"\n", b"\r")) and (ahead := handle.peek()):
+        ends = [i for i in (ahead.find(b"\n"), ahead.find(b"\r")) if i >= 0]
+        data += handle.read(min(ends) + 1 if ends else len(ahead))
+    if data.endswith(b"\r") and handle.peek(1)[:1] == b"\n":
+        data += handle.read(1)
+    return data
 
 
 class _Scan:

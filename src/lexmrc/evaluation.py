@@ -59,7 +59,7 @@ LENGTH_BINS = (
 
 
 # the component scores of a question when every config is random
-_NO_SCORES = OptionScores(sw=None, dist={}, web=None)
+_NO_SCORES = OptionScores(sw=None, dist=None, web=None)
 
 
 class EmptySplitError(ValueError):
@@ -143,15 +143,17 @@ def evaluate_methods(
     """One report per config in `cfgs`, each equal to what `evaluate`
     gives for it alone, from one pass over the split.
 
-    The configs share one pre-processing config. The split is scored one
+    The configs share one pre-processing config and one distance
+    aggregation; their random seeds may differ. The split is scored one
     text at a time (`_score_text`), so one text's index is alive at a time,
     and each component score is computed once for all configs. Decisions
     are taken in dataset order, so a random config draws from its own
     generator in question order.
     """
-    preprocess = cfgs[0].preprocess
-    if any(cfg.preprocess != preprocess for cfg in cfgs):
-        raise ValueError("method configs must share one pre-processing config")
+    shared = (cfgs[0].preprocess, cfgs[0].distance_aggregation)
+    if any((cfg.preprocess, cfg.distance_aggregation) != shared for cfg in cfgs):
+        raise ValueError(
+            "method configs must share one pre-processing config and one distance aggregation")
     subset = filter_dataset(dataset, split=split)
     if not subset.questions:
         raise EmptySplitError(f"split {split!r} contains no questions")

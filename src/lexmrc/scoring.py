@@ -163,12 +163,12 @@ class TextIndex:
 
 @dataclass(frozen=True)
 class OptionScores:
-    """The component scores of a question's four options: `sw`, `d` per
-    distance aggregation, and `web`; a component no config asked for is
-    None (`d`: absent)."""
+    """The component scores of a question's four options: `sw`, `d` at the
+    one distance aggregation of a scoring pass, and `web`; a component no
+    config asked for is None."""
 
     sw: tuple[float, float, float, float] | None
-    dist: dict[str, tuple[float, float, float, float]]
+    dist: tuple[float, float, float, float] | None
     web: tuple[float, float, float, float] | None
 
 
@@ -179,22 +179,19 @@ def score_options(
     cfgs: Sequence[MethodConfig],
 ) -> OptionScores:
     """Every component score that some config in `cfgs` needs, each
-    computed once: `sw`, `d` once per distinct aggregation of the sw_d and
-    sw_d_web configs, and `web` for sw_d_web. The caller scores no
-    question when every config is random."""
+    computed once: `sw`, `d` for sw_d and sw_d_web at the distance
+    aggregation the configs share, and `web` for sw_d_web. The caller
+    scores no question when every config is random."""
     if len(options) != 4:
         raise ValueError(f"expected exactly 4 options, got {len(options)}")
     methods = {cfg.method for cfg in cfgs}
     question_set = set(question)
     option_sets = [set(o) for o in options]
     sw = tuple(index.window_score(question_set | o) for o in option_sets)
-    aggregations = dict.fromkeys(
-        cfg.distance_aggregation for cfg in cfgs if cfg.method in ("sw_d", "sw_d_web")
-    )
-    dist = {
-        agg: tuple(index.distance(question_set, o, agg) for o in option_sets)
-        for agg in aggregations
-    }
+    dist = None
+    if not methods.isdisjoint(("sw_d", "sw_d_web")):
+        aggregation = cfgs[0].distance_aggregation
+        dist = tuple(index.distance(question_set, o, aggregation) for o in option_sets)
     web = tuple(index.boost(o) for o in options) if "sw_d_web" in methods else None
     return OptionScores(sw=sw, dist=dist, web=web)
 
@@ -210,7 +207,7 @@ def decide(scores: OptionScores, cfg: MethodConfig, rng: random.Random | None) -
             predicted=rng.randrange(4), method=cfg.method,
         )
     sw = scores.sw
-    dist = zeros if cfg.method == "sw" else scores.dist[cfg.distance_aggregation]
+    dist = zeros if cfg.method == "sw" else scores.dist
     web = scores.web if cfg.method == "sw_d_web" else zeros
     final = tuple(s - d + w for s, d, w in zip(sw, dist, web))
     return ScoreBreakdown(

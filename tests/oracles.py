@@ -3,27 +3,34 @@
 Everything here is deliberately naive pure Python: windows are enumerated
 one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
-but `reference_load_embeddings`' error class and the store it fills,
-`reference_average_embedding`'s result type, the `ProcessedText`,
-`TextIndex` and report types `reference_evaluate` runs on, the lexicon
-and stopwords of its config, and the unchanged helpers
-`ReferenceTextIndex` calls (`term_counts` and the `sw` and `d` kernels).
+but `reference_load_embeddings`' error class, the store lookups
+(`row_index`, `rows`) that `reference_average_embedding` and
+`ReferenceTextIndex` read vectors through, `reference_average_embedding`'s
+result type, the `ProcessedText`, `TextIndex` and report types
+`reference_evaluate` runs on, the lexicon and stopwords of its config, and
+the unchanged helpers `ReferenceTextIndex` calls (`term_counts` and the
+`sw` and `d` kernels).
 
 The `reference_*` functions are earlier versions of package code, kept
 unchanged so that differential tests can hold the current code to them.
+`vector_store` is no oracle: it builds the store that a test names by a
+mapping, through the package's own loader.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import tempfile
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from lexmrc.corpus import filter_dataset
-from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, SpanVector
+from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, SpanVector, load_embeddings
 from lexmrc.evaluation import EvaluationReport, PredictionRecord
 from lexmrc.kernels import extreme_pair_distance, max_window_sum
 from lexmrc.preprocess import DEFAULT_PUNCTUATION, ProcessedText
@@ -119,10 +126,28 @@ def random_instance(rng: random.Random, max_tokens=30, max_vocab=10, max_side=3)
     return tokens, question, option
 
 
+def vector_store(vectors):
+    """The store of `vectors`, a mapping of each word to its components:
+    `load_embeddings` of a file with a "count dim" header and one row a
+    word, in mapping order, whose components are written by `repr` and so
+    read back bit for bit. The store reads its rows when they are first
+    looked up, so the file is removed only when the store is."""
+    rows = {word: [float(x) for x in vec] for word, vec in vectors.items()}
+    dim = len(next(iter(rows.values())))
+    fd, name = tempfile.mkstemp(suffix=".vec")
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        handle.write(f"{len(rows)} {dim}\n")
+        handle.writelines(f"{word} {' '.join(map(repr, vec))}\n" for word, vec in rows.items())
+    store = load_embeddings(name)
+    weakref.finalize(store, os.unlink, name)
+    return store
+
+
 def reference_load_embeddings(path):
     """The vector-file loader as it was before the one-pass parse: every row
     split into strings and converted on its own, with Python's `float`
-    grammar."""
+    grammar. Returns the dimension, the words in row order and their rows
+    as one matrix."""
     path = Path(path)
     words: list[str] = []
     index: dict[str, int] = {}
@@ -162,7 +187,7 @@ def reference_load_embeddings(path):
             rows.append(vec)
     if not rows:
         raise EmbeddingFormatError(f"{path}: empty vector file")
-    return EmbeddingStore(dim, dict(zip(words, rows)))
+    return dim, words, np.vstack(rows)
 
 
 def reference_average_embedding(store, words):
@@ -172,7 +197,7 @@ def reference_average_embedding(store, words):
     total = np.zeros(store.dim)
     found = 0
     for word in sorted(counts):
-        total += counts[word] * store.get(word)
+        total += counts[word] * store.rows([store.row_index(word)])[0]
         found += counts[word]
     if found == 0:
         return SpanVector(vector=total, support=0)
@@ -385,7 +410,8 @@ class ReferenceTextIndex:
             vec_prefix = np.zeros((n + 1, store.dim))
             cnt_prefix = np.zeros(n + 1, dtype=np.int64)
             for i, tok in enumerate(self.tokens):
-                vec = store.get(tok)
+                row = store.row_index(tok)
+                vec = None if row is None else store.rows([row])[0]
                 vec_prefix[i + 1] = vec_prefix[i] if vec is None else vec_prefix[i] + vec
                 cnt_prefix[i + 1] = cnt_prefix[i] + (0 if vec is None else 1)
             self.vec_prefix = vec_prefix

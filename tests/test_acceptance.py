@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText, compute_stats, load_dataset
-from lexmrc.embedding import EmbeddingStore, average_embedding
+from lexmrc.embedding import average_embedding, load_embeddings
 from lexmrc.evaluation import evaluate, render_report
 from lexmrc.preprocess import DictionarySegmenter, ProcessedText
 from lexmrc.scoring import MethodConfig, TextIndex, decide, score_options
 
-from oracles import boost_oracle, distance_oracle, random_instance, window_score_oracle
+from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
 
 DATASET_ENV = "LEXMRC_DATASET"
 EMBEDDINGS_ENV = "LEXMRC_EMBEDDINGS"
@@ -68,7 +68,7 @@ class TestOracleEquivalence:
         vectors = {
             f"w{i}": [rng.uniform(-1, 1), rng.uniform(-1, 1)] for i in range(8)
         }
-        store = EmbeddingStore(2, vectors)
+        store = vector_store(vectors)
         vocab = list(vectors) + ["w8", "w9"]  # two words without vectors
         start = time.perf_counter()
         for _ in range(500):
@@ -108,8 +108,7 @@ class TestInvariantSuite:
         rng = random.Random(20240905)
 
         # span averaging is permutation invariant (bitwise)
-        store = EmbeddingStore(3, {f"w{i}": [rng.uniform(-1, 1) for _ in range(3)]
-                                   for i in range(6)})
+        store = vector_store({f"w{i}": [rng.uniform(-1, 1) for _ in range(3)] for i in range(6)})
         words = ["w0", "w3", "w1", "w0", "oov", "w5"]
         base = average_embedding(store, words)
         for _ in range(20):
@@ -120,8 +119,8 @@ class TestInvariantSuite:
             assert np.array_equal(other.vector, base.vector)
 
         # sw >= 0, d in range, web in [-1, 1]
-        store2 = EmbeddingStore(2, {f"w{i}": [rng.uniform(-1, 1), rng.uniform(-1, 1)]
-                                    for i in range(10)})
+        store2 = vector_store({f"w{i}": [rng.uniform(-1, 1), rng.uniform(-1, 1)]
+                               for i in range(10)})
         for _ in range(300):
             tokens, question, option = random_instance(rng)
             index = TextIndex(pt(*tokens), store2)
@@ -190,13 +189,18 @@ class TestReasoningFixtures:
 
 
 class TestThroughput:
-    def test_514_questions_100k_vocabulary_under_60s(self):
+    def test_514_questions_100k_vocabulary_under_60s(self, tmp_path):
         rng = np.random.default_rng(20240906)
         py_rng = random.Random(20240906)
         n_words = 100_000
         dim = 100
-        words = [f"w{i}" for i in range(n_words)]
-        store = EmbeddingStore(dim, dict(zip(words, rng.standard_normal((n_words, dim)))))
+        vectors = tmp_path / "v.vec"
+        row = "w%d" + " %.6f" * dim + "\n"
+        with vectors.open("w", encoding="utf-8") as handle:
+            handle.write(f"{n_words} {dim}\n")
+            handle.writelines(row % (i, *vec) for i, vec
+                              in enumerate(rng.standard_normal((n_words, dim)).tolist()))
+        store = load_embeddings(vectors)
 
         texts = []
         for t in range(83):

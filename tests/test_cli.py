@@ -945,6 +945,13 @@ class TestLazyVectorRows:
                                   "--embeddings", "tests/data/toy_vectors_used_bad_row.vec")
             assert (code, err) == (code_want, "" if code_want == EXIT_OK else want)
 
+    def test_a_non_positive_header_dimension_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA_DIR.parent.parent)
+        vectors = tmp_path / "v.vec"
+        vectors.write_text("2 0\na\n", encoding="utf-8")
+        code, out, err = self.evaluate(capsys, str(vectors))
+        assert (code, out, err) == (EXIT_IO, "", f"error: {vectors}:1: non-positive dimension in header\n")
+
     def test_a_file_rewritten_before_conversion_exits_3(self, capsys, tmp_path, monkeypatch):
         vectors = tmp_path / "v.vec"
         vectors.write_bytes(Path(VECTORS).read_bytes())

@@ -8,19 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexmrc import embedding
-from lexmrc.embedding import (
-    EmbeddingFormatError,
-    EmbeddingStore,
-    average_embedding,
-    load_embeddings,
-)
+from lexmrc.embedding import EmbeddingFormatError, average_embedding, load_embeddings
 
-from oracles import _is_int, reference_average_embedding, reference_load_embeddings
+from oracles import _is_int, reference_average_embedding, reference_load_embeddings, vector_store
 
 
 def make_store(**vectors):
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingStore(dim, vectors)
+    return vector_store(vectors)
 
 
 def load_all(path):
@@ -28,6 +22,11 @@ def load_all(path):
     store = load_embeddings(path)
     store.rows(range(len(store)))
     return store
+
+
+def vector(store, word):
+    """The row of `word`, a word the store knows."""
+    return store.rows([store.row_index(word)])[0]
 
 
 def count_conversions(monkeypatch):
@@ -50,7 +49,7 @@ class TestLoader:
         store = load_embeddings(f)
         assert store.dim == 3
         assert set(store) == {"a", "b"}
-        assert np.array_equal(store.get("a"), [1.0, 0.0, 0.0])
+        assert np.array_equal(vector(store, "a"), [1.0, 0.0, 0.0])
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         f = tmp_path / "v.vec"
@@ -74,13 +73,13 @@ class TestLoader:
         assert s1.dim == s2.dim == 3
         assert set(s1) == set(s2)
         for w in s1:
-            assert np.array_equal(s1.get(w), s2.get(w))
+            assert np.array_equal(vector(s1, w), vector(s2, w))
 
     def test_first_duplicate_wins(self, tmp_path):
         f = tmp_path / "v.vec"
         f.write_text("a 1 0\nb 0 1\na 9 9\n", encoding="utf-8")
         store = load_embeddings(f)
-        assert np.array_equal(store.get("a"), [1.0, 0.0])
+        assert np.array_equal(vector(store, "a"), [1.0, 0.0])
 
     def test_non_numeric_component(self, tmp_path):
         f = tmp_path / "v.vec"
@@ -107,8 +106,9 @@ class TestLoader:
         f = tmp_path / "v.vec"
         f.write_text("zero 0 0\n", encoding="utf-8")
         store = load_embeddings(f)
-        assert store.get("zero") is not None
-        assert store.get("missing") is None
+        assert store.row_index("zero") == 0
+        assert vector(store, "zero").tolist() == [0.0, 0.0]
+        assert store.row_index("missing") is None and "missing" not in store
 
     def test_multi_syllable_words(self, tmp_path):
         f = tmp_path / "v.vec"
@@ -133,7 +133,7 @@ class TestNumberGrammar:
         with pytest.raises(EmbeddingFormatError) as exc:
             load_all(f)
         assert str(exc.value) == f"{f}:2: non-numeric vector component"
-        assert reference_load_embeddings(f).get("b")[1] == float(token)
+        assert reference_load_embeddings(f)[2][1, 1] == float(token)
 
     @pytest.mark.parametrize("sep", list(WHITESPACE.replace("\n", "").replace("\r", "")))
     def test_every_whitespace_character_separates(self, tmp_path, sep):
@@ -198,15 +198,27 @@ def vector_files(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-def load_outcome(load, path):
-    """What loading `path` and converting every kept row gives: the store
-    as words and row bytes, or the error message."""
+def outcome(read, path):
+    """What `read(path)` gives: the dimension, the words and the row bytes,
+    or the error message."""
     try:
-        store = load(path)
-        matrix = store.rows(range(len(store)))
+        dim, words, matrix = read(path)
     except EmbeddingFormatError as exc:
         return ("error", str(exc))
-    return ("ok", store.dim, list(store), matrix.dtype, matrix.shape, matrix.tobytes())
+    return ("ok", dim, words, matrix.dtype, matrix.shape, matrix.tobytes())
+
+
+def load_outcome(load, path):
+    """`outcome` of the store that `load(path)` gives, with every kept row
+    converted."""
+    def read(f):
+        store = load(f)
+        return store.dim, list(store), store.rows(range(len(store)))
+    return outcome(read, path)
+
+
+def reference_outcome(path):
+    return outcome(reference_load_embeddings, path)
 
 
 def first_rows(lines):
@@ -238,7 +250,7 @@ def test_loader_matches_reference(vector_path, text):
     # line after a "\r" would join a "\n" to it), until the two agree.
     lines = io.StringIO(text, newline="").readlines()
     first = first_rows(lines)
-    while (want := load_outcome(reference_load_embeddings, vector_path)) != got:
+    while (want := reference_outcome(vector_path)) != got:
         assert want[0] == "error"
         lineno = int(want[1][len(str(vector_path)) + 1:].split(":")[0])
         line = lines[lineno - 1]
@@ -420,7 +432,7 @@ class TestBlocks:
         assert calls == [b"40 2\n"]
         assert len(plain) >= 3 and all(plain)
         assert store._source.linenos.tolist() == list(range(2, 42))
-        assert load_outcome(lambda _: store, f) == load_outcome(reference_load_embeddings, f)
+        assert load_outcome(lambda _: store, f) == reference_outcome(f)
 
 
 class TestLazyRows:
@@ -431,9 +443,9 @@ class TestLazyRows:
         f.write_text(self.ROWS, encoding="utf-8")
         store = load_embeddings(f)
         assert list(store) == ["a", "b", "c"] and store.dim == 2
-        assert store.get("c").tolist() == [4.0, 5.0]
+        assert vector(store, "c").tolist() == [4.0, 5.0]
         with pytest.raises(EmbeddingFormatError) as exc:
-            store.get("b")
+            vector(store, "b")
         assert str(exc.value) == f"{f}:2: non-numeric vector component"
         # a failed conversion leaves the store as it was
         assert store.rows([2, 0]).tolist() == [[4.0, 5.0], [1.0, 2.0]]
@@ -443,7 +455,7 @@ class TestLazyRows:
     def test_a_bad_later_duplicate_is_never_read(self, tmp_path):
         f = tmp_path / "v.vec"
         f.write_text("a 1 2\nb 3 4\na x\n", encoding="utf-8")
-        assert load_all(f).get("a").tolist() == [1.0, 2.0]
+        assert vector(load_all(f), "a").tolist() == [1.0, 2.0]
         with pytest.raises(EmbeddingFormatError, match=":3: non-numeric"):
             reference_load_embeddings(f)
 
@@ -468,7 +480,7 @@ class TestLazyRows:
         passes = count_conversions(monkeypatch)
         store = load_embeddings(f)
         assert (store.dim, passes) == (2, [[0]])
-        assert store.get("a").tolist() == [1.0, 2.0]
+        assert vector(store, "a").tolist() == [1.0, 2.0]
         assert passes == [[0]]
         f.write_text("a\nb 1 2\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match=r":1: row has no vector components$"):
@@ -481,15 +493,16 @@ class TestLazyRows:
         f.write_text("".join(f"w{i} {i / 7} {-i}e-3 {i * 1e300}\n" for i in range(40)),
                      encoding="utf-8")
         store = load_embeddings(f)
-        want = reference_load_embeddings(f)
+        _, words, want = reference_load_embeddings(f)
+        assert words == [f"w{i}" for i in range(40)]
         for i in range(0, 40, step):
             ids = order[i:i + step]
-            assert store.rows(ids).tobytes() == np.vstack([want.get(f"w{j}") for j in ids]).tobytes()
+            assert store.rows(ids).tobytes() == want[ids].tobytes()
         with pytest.MonkeyPatch.context() as patch:
             passes = count_conversions(patch)
             store.rows(range(40))
         assert passes == []
-        assert load_outcome(lambda _: store, f) == load_outcome(reference_load_embeddings, f)
+        assert load_outcome(lambda _: store, f) == reference_outcome(f)
 
     @pytest.mark.parametrize("change", ["rewrite", "same-size", "replace"])
     def test_a_file_changed_after_load_raises(self, tmp_path, change):
@@ -509,7 +522,7 @@ class TestLazyRows:
             other.write_text(self.ROWS.replace("x", "9"), encoding="utf-8")
             os.replace(other, f)
         with pytest.raises(EmbeddingFormatError) as exc:
-            store.get("c")
+            vector(store, "c")
         assert str(exc.value) == f"{f}: file changed since it was loaded"
 
     def test_a_decode_error_anywhere_raises_at_load(self, tmp_path):
@@ -533,15 +546,40 @@ class TestLazyRows:
             # a span ends before its line end, whichever it is
             assert spans == [b"a 1 2", b"b 0 3", b"c 4 5", b"d 8 9"]
         assert load_outcome(lambda f: stores[1], other) == load_outcome(lambda f: stores[0], lf)
-        assert load_outcome(load_embeddings, other) == \
-            load_outcome(reference_load_embeddings, other)
+        assert load_outcome(load_embeddings, other) == reference_outcome(other)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_bare_cr_files_are_read_in_bounded_pieces(self, tmp_path, monkeypatch, end):
+        # a bare "\r" is no end for `readline`; a "\r\n" may be cut between
+        # its two bytes at a block end, and must still end one line only
+        text = "40 2\n" + "".join(f"w{i} {i / 3!r} {-i}\n" for i in range(40)) + "\n \nlast 1 2"
+        lf, other = tmp_path / "lf.vec", tmp_path / "other.vec"
+        lf.write_text(text, encoding="utf-8", newline="\n")
+        other.write_text(text, encoding="utf-8", newline=end)
+        longest = max(map(len, other.read_bytes().splitlines(keepends=True)))
+        pieces = []
+        scan_lines = embedding._scan_lines
+
+        def recording(scan, data):
+            pieces.append(data)
+            return scan_lines(scan, data)
+
+        monkeypatch.setattr(embedding, "_scan_lines", recording)
+        want = load_embeddings(lf)
+        for block in range(1, 2 * longest):  # a block end at every offset of a line
+            monkeypatch.setattr(embedding, "_BLOCK", block)
+            pieces.clear()
+            store = load_embeddings(other)
+            assert max(map(len, pieces)) <= block + longest
+            assert store._source.linenos.tolist() == want._source.linenos.tolist()
+            assert load_outcome(lambda f: store, other) == load_outcome(lambda f: want, lf)
 
     def test_mixed_line_ends(self, tmp_path):
         f = tmp_path / "v.vec"
         f.write_bytes(b"a 1\r\r\nb 2\rc 3\n\rd 4\r")
         store = load_embeddings(f)
         assert store._source.linenos.tolist() == [1, 3, 4, 6]
-        assert load_outcome(lambda f: store, f) == load_outcome(reference_load_embeddings, f)
+        assert load_outcome(lambda f: store, f) == reference_outcome(f)
 
     def test_header_only_file(self, tmp_path):
         f = tmp_path / "v.vec"
@@ -588,14 +626,6 @@ class TestConvert:
         passes = count_conversions(monkeypatch)
         assert store.rows([3, 1]).tolist() == [[6.0, 7.0], [0.0, 3.0]]
         assert passes == [[3]]
-
-    def test_a_store_from_a_mapping_never_reads(self, monkeypatch):
-        passes = count_conversions(monkeypatch)
-        store = make_store(a=(1.0, 2.0), b=(3.0, 4.0))
-        store.convert([1, 0, 1])
-        assert store.rows([1, 0]).tolist() == [[3.0, 4.0], [1.0, 2.0]]
-        assert store.rows([]).shape == (0, 2)
-        assert passes == []
 
 
 class TestAverage:
@@ -656,7 +686,7 @@ def test_average_matches_reference(dim, data):
     vectors = {w: data.draw(st.one_of(st.lists(VALUES, min_size=dim, max_size=dim),
                                       st.just([0.0] * dim)))
                for w in vocab}
-    store = EmbeddingStore(dim, vectors)
+    store = vector_store(vectors)
     words = data.draw(st.lists(st.sampled_from(vocab + ["oov"]), max_size=16))
     got = average_embedding(store, words)
     want = reference_average_embedding(store, words)
@@ -666,17 +696,23 @@ def test_average_matches_reference(dim, data):
 
 
 class TestStoreConstruction:
-    def test_dim_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EmbeddingStore(0)
+    """A store is only ever made from a vector file, so the loader's checks
+    are the store's: a positive dimension, rows of that width, finite
+    components."""
 
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingStore(3, {"a": (1.0, 2.0)})
+    def test_dim_must_be_positive(self, tmp_path):
+        f = tmp_path / "v.vec"
+        f.write_text("2 0\na\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_embeddings(f)
+        assert str(exc.value) == f"{f}:1: non-positive dimension in header"
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddingStore(2, {"a": (1.0, float("nan"))})
+    def test_the_mapping_helper_round_trips_bit_for_bit(self):
+        # signed zeros, the smallest subnormal, a huge value and a third
+        values = [-0.0, 0.0, 5e-324, 1e308, 1 / 3, -2.5]
+        store = make_store(a=values[:3], b=values[3:])
+        assert (store.dim, list(store)) == (3, ["a", "b"])
+        assert store.rows([0, 1]).tobytes() == np.array([values[:3], values[3:]]).tobytes()
 
     def test_len_and_contains(self):
         store = make_store(a=(1.0,), b=(2.0,))

@@ -1,9 +1,13 @@
 """`evaluate_methods` scores a split once for several methods; each of its
 reports must be what a separate `evaluate` gives, byte for byte, and what
-the earlier one-method evaluate (`oracles.reference_evaluate`) gives."""
+the earlier one-method evaluate (`oracles.reference_evaluate`) gives.
+
+The metamorphic relations at the end hold whatever the data: they run on
+small generated splits, through `evaluate_methods` or through `cli.run`."""
 
 import dataclasses
 import itertools
+import json
 import random
 import struct
 import weakref
@@ -14,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText
 from lexmrc import evaluation
-from lexmrc.embedding import EmbeddingStore
+from lexmrc.cli import EXIT_OK, run
+from lexmrc.corpus import OPTION_LABELS
 from lexmrc.evaluation import evaluate, evaluate_methods, render_report
 from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig
 from lexmrc.scoring import METHODS, MethodConfig, TextIndex
 
-from oracles import reference_evaluate
+from oracles import reference_evaluate, vector_store
 
 SYLLABLES = ("mèo", "chó", "ngủ", "chạy", "sân", "ghế", "học", "sinh", "giáo", "viên",
              "nhà", "trường", "và", "là", "của", "Mèo", "Học")
@@ -59,15 +64,16 @@ def build_dataset():
     return Dataset(texts=texts, questions=questions)
 
 
-def build_store():
+def build_vectors():
     rng = np.random.default_rng(5)
     vocab = sorted({s.lower() for s in SYLLABLES} | LEXICON)
     # a few words stay out of the store: spans and options without support
-    return EmbeddingStore(3, {w: rng.normal(size=3) for w in vocab if w not in ("sân", "học_sinh")})
+    return {w: rng.normal(size=3).tolist() for w in vocab if w not in ("sân", "học_sinh")}
 
 
 DATASET = build_dataset()
-STORE = build_store()
+VECTORS = build_vectors()
+STORE = vector_store(VECTORS)
 SEGMENTER = DictionarySegmenter(LEXICON)
 PREPROCESS = {
     False: PreprocessConfig(segmenter=SEGMENTER),
@@ -99,8 +105,9 @@ def test_shared_pass_equals_separate_evaluates(baseline, candidate, aggregation,
             assert render_report(report, fmt) == render_report(alone, fmt)
 
 
-def test_every_method_and_aggregation_in_one_pass():
-    cfgs = [config(m, agg, True) for m in METHODS for agg in ("min", "max")]
+@pytest.mark.parametrize("aggregation", ["min", "max"])
+def test_every_method_in_one_pass(aggregation):
+    cfgs = [config(m, aggregation, True) for m in METHODS]
     shared = evaluate_methods(DATASET, "dev", cfgs, STORE)
     for cfg, report in zip(cfgs, shared):
         assert render_report(report, "json") == render_report(
@@ -116,11 +123,11 @@ def test_text_indexes_carry_the_store_only_for_web(monkeypatch):
         real(self, text, store)
 
     monkeypatch.setattr(TextIndex, "__init__", counted)
-    evaluate_methods(DATASET, "dev", [config("sw", "min", False), config("sw_d", "max", False)],
+    evaluate_methods(DATASET, "dev", [config("sw", "max", False), config("sw_d", "max", False)],
                      STORE)
     assert stores and all(s is None for s in stores)
     stores.clear()
-    evaluate_methods(DATASET, "dev", [config("sw", "min", False), config("sw_d_web", "max", False)],
+    evaluate_methods(DATASET, "dev", [config("sw", "max", False), config("sw_d_web", "max", False)],
                      STORE)
     assert stores and all(s is STORE for s in stores)
 
@@ -138,7 +145,7 @@ def test_at_most_one_text_index_is_alive(monkeypatch):
         real(self, text, store)
 
     monkeypatch.setattr(TextIndex, "__init__", counted)
-    cfgs = [config("sw", "min", False), config("sw_d_web", "max", False)]
+    cfgs = [config("sw", "max", False), config("sw_d_web", "max", False)]
     evaluate_methods(DATASET, "dev", cfgs, STORE)
     assert len(built) == len(DATASET.texts)
     assert alive_at_build == [0] * len(built)
@@ -174,7 +181,8 @@ def test_random_only_computes_no_component(monkeypatch):
 
     monkeypatch.setattr(TextIndex, "__init__", fail)
     monkeypatch.setattr(evaluation, "score_options", fail)
-    cfgs = [config("random", agg, True) for agg in ("min", "max")]
+    cfgs = [dataclasses.replace(config("random", "min", True), random_seed=seed)
+            for seed in (11, 12)]
     zeros = (0.0, 0.0, 0.0, 0.0)
     for report in evaluate_methods(DATASET, "dev", cfgs, STORE):
         for b in (r.breakdown for r in report.records):
@@ -184,6 +192,15 @@ def test_random_only_computes_no_component(monkeypatch):
 def test_configs_must_share_preprocessing():
     with pytest.raises(ValueError, match="pre-processing"):
         evaluate_methods(DATASET, "dev", [config("sw", "min", False), config("sw", "min", True)])
+
+
+@pytest.mark.parametrize("methods", [("sw_d", "sw_d"), ("sw", "sw_d_web"), ("random", "sw")])
+def test_configs_must_share_a_distance_aggregation(methods):
+    """A pass computes `d` at one aggregation; configs that ask for two,
+    even where one of them never reads `d`, are refused."""
+    cfgs = [config(methods[0], "min", False), config(methods[1], "max", False)]
+    with pytest.raises(ValueError, match="distance aggregation"):
+        evaluate_methods(DATASET, "dev", cfgs, STORE)
 
 
 def test_web_config_requires_a_store():
@@ -196,22 +213,32 @@ def words(low, high):
     return st.lists(st.sampled_from(SYLLABLES), min_size=low, max_size=high).map(" ".join)
 
 
+def draw_texts(draw):
+    bodies = draw(st.lists(st.lists(words(0, 9), min_size=1, max_size=3), min_size=1, max_size=3))
+    return tuple(ReadingText(id=f"t{i}", grade=1, body=". ".join(b) + "!")
+                 for i, b in enumerate(bodies))
+
+
+def draw_question(draw, i, texts, options):
+    """Question `i` on one of `texts`, with `options` (an empty one
+    becomes "…", as an option may not be blank)."""
+    return MCQuestion(id=f"q{i}", text_id=f"t{draw(st.integers(0, len(texts) - 1))}",
+                      stem=draw(words(1, 8)) + "?", options=tuple(o or "…" for o in options),
+                      gold=0, split="dev")
+
+
 @st.composite
 def permuted_datasets(draw):
     """A small dev split and the same split with each question's options
     permuted, plus the permutation of each question: option j of the
     permuted question is option `perm[j]` of the original."""
-    bodies = draw(st.lists(st.lists(words(0, 9), min_size=1, max_size=3), min_size=1, max_size=3))
-    texts = tuple(ReadingText(id=f"t{i}", grade=1, body=". ".join(b) + "!")
-                  for i, b in enumerate(bodies))
+    texts = draw_texts(draw)
     questions, permuted, perms = [], [], []
     for i in range(draw(st.integers(1, 6))):
-        options = tuple(o or "…" for o in draw(st.lists(words(0, 4), min_size=4, max_size=4)))
+        q = draw_question(draw, i, texts, draw(st.lists(words(0, 4), min_size=4, max_size=4)))
         perm = draw(st.permutations(range(4)))
-        q = MCQuestion(id=f"q{i}", text_id=f"t{draw(st.integers(0, len(texts) - 1))}",
-                       stem=draw(words(1, 8)) + "?", options=options, gold=0, split="dev")
         questions.append(q)
-        permuted.append(dataclasses.replace(q, options=tuple(options[k] for k in perm),
+        permuted.append(dataclasses.replace(q, options=tuple(q.options[k] for k in perm),
                                             gold=perm.index(0)))
         perms.append(perm)
     return Dataset(texts, tuple(questions)), Dataset(texts, tuple(permuted)), perms
@@ -242,3 +269,89 @@ def test_permuting_options_permutes_scores_and_prediction(datasets, aggregation,
             # one top option: the prediction is that option in both orders
             assert a.predicted == tied[0]
             assert b.predicted == min(perm[j] for j in tied)
+
+
+@st.composite
+def repeated_option_datasets(draw):
+    """A small dev split whose questions each hold an option string at least
+    twice: four options drawn from at most three strings."""
+    texts = draw_texts(draw)
+    questions = []
+    for i in range(draw(st.integers(1, 6))):
+        pool = draw(st.lists(words(0, 4), min_size=1, max_size=3))
+        options = [draw(st.sampled_from(pool)) for _ in range(4)]
+        questions.append(draw_question(draw, i, texts, options))
+    return Dataset(texts, tuple(questions))
+
+
+@given(repeated_option_datasets(), st.sampled_from(["min", "max"]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_equal_options_get_bitwise_equal_scores(dataset, aggregation, stopwords):
+    """Each component score of an option depends on its words alone, so two
+    equal option strings of a question get the same floats, bit for bit."""
+    cfgs = [config(m, aggregation, stopwords) for m in ("sw", "sw_d", "sw_d_web")]
+    for report in evaluate_methods(dataset, "dev", cfgs, STORE):
+        for q, record in zip(dataset.questions, report.records):
+            b = record.breakdown
+            for i, j in itertools.combinations(range(4), 2):
+                if q.options[i] == q.options[j]:
+                    for name in ("sw", "dist", "web", "final"):
+                        values = getattr(b, name)
+                        assert bits([values[i]]) == bits([values[j]]), (name, q, i, j)
+
+
+@st.composite
+def split_datasets(draw):
+    """A small dev split with reasoning types and grades, as a dataset file
+    would hold it."""
+    texts = tuple(dataclasses.replace(t, grade=draw(st.integers(1, 5))) for t in draw_texts(draw))
+    questions = []
+    for i in range(draw(st.integers(1, 6))):
+        q = draw_question(draw, i, texts, draw(st.lists(words(0, 4), min_size=4, max_size=4)))
+        questions.append(dataclasses.replace(q, gold=draw(st.integers(0, 3)),
+                                             reasoning_type=draw(st.sampled_from(REASONING))))
+    return Dataset(texts, tuple(questions))
+
+
+def dataset_json(dataset):
+    return json.dumps({
+        "texts": [{"id": t.id, "grade": t.grade, "body": t.body} for t in dataset.texts],
+        "questions": [{"id": q.id, "text_id": q.text_id, "stem": q.stem,
+                       "options": list(q.options), "gold": OPTION_LABELS[q.gold],
+                       "split": q.split, "reasoning_type": q.reasoning_type}
+                      for q in dataset.questions],
+    }, ensure_ascii=False)
+
+
+# letters no syllable holds, so a word spelled from them occurs nowhere
+ABSENT = st.text(alphabet="fjwzFJWZ", min_size=1, max_size=5)
+
+
+@given(split_datasets(), st.lists(ABSENT, min_size=1, max_size=4), st.sampled_from(METHODS),
+       st.sampled_from(["min", "max"]), st.sampled_from(["plain", "csv", "json"]))
+@settings(max_examples=40, deadline=None)
+def test_stopwords_that_occur_nowhere_change_no_byte(tmp_path_factory, dataset, stopwords,
+                                                     method, aggregation, fmt):
+    """A stopword file whose words occur nowhere in the dataset gives the
+    same `evaluate` and `stats` bytes as no stopword file."""
+    strings = [t.body for t in dataset.texts]
+    strings += [s for q in dataset.questions for s in (q.stem, *q.options)]
+    assert not set("fjwz") & set("".join(strings).lower())
+    tmp = tmp_path_factory.mktemp("absent")
+    files = {"dataset.json": dataset_json(dataset),
+             "lexicon.txt": "".join(f"{w}\n" for w in sorted(LEXICON)),
+             "vectors.vec": "".join(f"{w} {' '.join(map(repr, v))}\n" for w, v in VECTORS.items()),
+             "stopwords.txt": "# words no text holds\n" + "".join(f"{w}\n" for w in stopwords)}
+    for name, text in files.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    common = ["--dataset", str(tmp / "dataset.json"), "--lexicon", str(tmp / "lexicon.txt"),
+              "--format", fmt]
+    commands = [["evaluate", "--split", "dev", "--method", method, "--distance-agg", aggregation,
+                 "--seed", "7", "--embeddings", str(tmp / "vectors.vec")], ["stats"]]
+    for command in commands:
+        outputs = []
+        for extra in ([], ["--stopwords", str(tmp / "stopwords.txt")]):
+            out = tmp / f"out{len(outputs)}"
+            assert run(command + common + extra + ["--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

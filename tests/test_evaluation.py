@@ -6,7 +6,6 @@ import json
 import pytest
 
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText, compute_stats
-from lexmrc.embedding import EmbeddingStore
 from lexmrc.evaluation import (
     FACETS,
     EmptySplitError,
@@ -22,6 +21,8 @@ from lexmrc.evaluation import (
 )
 from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig
 from lexmrc.scoring import MethodConfig
+
+from oracles import vector_store
 
 
 def make_question(qid, text_id, stem, options, gold, split="dev", reasoning=None):
@@ -132,7 +133,7 @@ class TestBoostDirection:
             ["là mèo", "là cún", "là gà", "là vịt"], 1, reasoning="PP",
         )
         dataset = Dataset(texts=(text,), questions=(question,))
-        store = EmbeddingStore(4, {
+        store = vector_store({
             "chó": (1.0, 0.0, 0.0, 0.0),
             "cún": (0.95, 0.05, 0.0, 0.0),   # near-synonym of chó
             "mèo": (0.0, 1.0, 0.0, 0.0),

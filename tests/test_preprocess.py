@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexmrc import preprocess
-from lexmrc.embedding import EmbeddingStore
 from lexmrc.preprocess import (
     DEFAULT_PUNCTUATION,
     DictionarySegmenter,
@@ -27,6 +26,7 @@ from oracles import (
     reference_load_stopwords,
     reference_split_sentences,
     reference_tokenize,
+    vector_store,
 )
 
 BASIC = PreprocessConfig()
@@ -273,7 +273,7 @@ class TestAgainstReference:
         assert next(iter(Lexicon(normal))) is next(iter(normal))
 
     def test_segmenters_from_one_store_share_its_lexicon(self):
-        store = EmbeddingStore(1, {"Học_Sinh": [1.0], "học": [2.0], "a_b_c": [3.0]})
+        store = vector_store({"Học_Sinh": [1.0], "học": [2.0], "a_b_c": [3.0]})
         lexicon = store.multi_syllable_words()
         assert lexicon == {"học_sinh", "a_b_c"} and store.multi_syllable_words() is lexicon
         assert DictionarySegmenter(store.multi_syllable_words()).lexicon is lexicon

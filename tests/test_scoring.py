@@ -5,7 +5,6 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexmrc.embedding import EmbeddingStore
 from lexmrc.preprocess import ProcessedText
 from lexmrc.scoring import (
     MethodConfig,
@@ -16,7 +15,7 @@ from lexmrc.scoring import (
     term_counts,
 )
 
-from oracles import boost_oracle, distance_oracle, random_instance, window_score_oracle
+from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
 
 LN2 = math.log(2.0)
 # 32 / (sqrt(14) * sqrt(77)) evaluated at 40 decimal digits with mpmath
@@ -162,7 +161,7 @@ def toy_vectors():
 
 
 def toy_store():
-    return EmbeddingStore(2, toy_vectors())
+    return vector_store(toy_vectors())
 
 
 class TestBoost:
@@ -171,7 +170,7 @@ class TestBoost:
         assert TextIndex(pt("c", "a", "d"), store).boost(["a"]) == pytest.approx(1.0)
 
     def test_against_high_precision_value(self):
-        store = EmbeddingStore(3, {"u": [1.0, 2.0, 3.0], "v": [4.0, 5.0, 6.0]})
+        store = vector_store({"u": [1.0, 2.0, 3.0], "v": [4.0, 5.0, 6.0]})
         assert TextIndex(pt("v"), store).boost(["u"]) == pytest.approx(COS_123_456, abs=1e-12)
 
     def test_all_oov_option(self):
@@ -210,7 +209,7 @@ class TestBoost:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_embedding_scale_leaves_boost_unchanged(self):
-        scaled = EmbeddingStore(2, {w: [7.5 * x for x in v] for w, v in toy_vectors().items()})
+        scaled = vector_store({w: [7.5 * x for x in v] for w, v in toy_vectors().items()})
         rng = random.Random(9)
         vocab = list(toy_vectors())
         for _ in range(100):
@@ -272,7 +271,7 @@ class TestPredict:
     def test_final_is_bitwise_each_methods_formula(self, sw, dist, web):
         """One expression, `sw - d + web` with unused components zero,
         gives each method's own formula bit for bit."""
-        scores = OptionScores(sw=tuple(sw), dist={"min": tuple(dist)}, web=tuple(web))
+        scores = OptionScores(sw=tuple(sw), dist=tuple(dist), web=tuple(web))
         want = {
             "sw": sw,
             "sw_d": [s - d for s, d in zip(sw, dist)],

@@ -18,11 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexmrc import scoring
-from lexmrc.embedding import EmbeddingStore
 from lexmrc.preprocess import ProcessedText
 from lexmrc.scoring import TextIndex
 
-from oracles import ReferenceTextIndex
+from oracles import ReferenceTextIndex, vector_store
 
 # w*: words with vectors, z*: words whose vector is zero, u*: words the
 # store does not know, "absent": a word no text contains
@@ -43,7 +42,7 @@ def stores(draw):
     dim = draw(st.integers(1, 4))
     vectors = {w: [draw(components) for _ in range(dim)] for w in KNOWN}
     vectors.update({w: [0.0] * dim for w in ZERO})
-    return EmbeddingStore(dim, vectors)
+    return vector_store(vectors)
 
 
 texts = st.lists(st.sampled_from(TEXT_WORDS), max_size=48).map(
@@ -99,7 +98,7 @@ def pt(*tokens):
 
 @pytest.fixture
 def store():
-    return EmbeddingStore(2, {"a": [1.0, 0.0], "b": [0.0, 1.0], "z": [0.0, 0.0]})
+    return vector_store({"a": [1.0, 0.0], "b": [0.0, 1.0], "z": [0.0, 0.0]})
 
 
 class TestIds:
@@ -172,7 +171,7 @@ def test_threads_sharing_one_index_get_the_reference_floats():
     boost must still be the reference float."""
     rng = np.random.default_rng(3)
     words = [f"w{i}" for i in range(40)]
-    store = EmbeddingStore(8, {w: rng.normal(size=8) for w in words[:30]})
+    store = vector_store({w: rng.normal(size=8) for w in words[:30]})
     text = ProcessedText(tuple(words[i] for i in rng.integers(0, 40, size=300)))
     options = [[words[i] for i in rng.integers(0, 30, size=k)] for k in range(1, 13)] * 4
     ref = ReferenceTextIndex(text, store)
