@@ -355,6 +355,8 @@ def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
     is the set of distinct lowercase segmented words across texts, stems,
     and options. A split's texts are the ones its questions reference. Each
     sentence is segmented once and tallied into every group it belongs to.
+    The dataset holds what `load_dataset` checks: every split is in
+    `SPLITS`, every grade in `GRADES`, and every `text_id` names a text.
     """
     raw = PreprocessConfig(segmenter=segmenter)
     overall = _Tally()
@@ -362,27 +364,18 @@ def compute_stats(dataset: Dataset, segmenter: Segmenter) -> DatasetStats:
     grades = {grade: _Tally() for grade in GRADES}
     text_splits: dict[str, set[str]] = {}
     for q in dataset.questions:
-        if q.split in splits:
-            text_splits.setdefault(q.text_id, set()).add(q.split)
+        text_splits.setdefault(q.text_id, set()).add(q.split)
     grade_of = {t.id: t.grade for t in dataset.texts}
 
     for t in dataset.texts:
         words = preprocess_text(t.body, raw).flat
-        groups = [overall] + [splits[s] for s in text_splits.get(t.id, ())]
-        if t.grade in grades:
-            groups.append(grades[t.grade])
+        groups = [overall, grades[t.grade]] + [splits[s] for s in text_splits.get(t.id, ())]
         for group in groups:
             group.add_text(words)
     for q in dataset.questions:
         stem = preprocess_sentence(q.stem, raw)
         options = [preprocess_sentence(o, raw) for o in q.options]
-        groups = [overall]
-        if q.split in splits:
-            groups.append(splits[q.split])
-        grade = grade_of.get(q.text_id)
-        if grade in grades:
-            groups.append(grades[grade])
-        for group in groups:
+        for group in (overall, splits[q.split], grades[grade_of[q.text_id]]):
             group.add_question(stem, options, q.gold)
 
     return DatasetStats(

@@ -22,7 +22,6 @@ from .preprocess import Lexicon
 __all__ = [
     "EmbeddingFormatError",
     "EmbeddingStore",
-    "SpanVector",
     "average_embedding",
     "file_stamp",
     "load_embeddings",
@@ -31,15 +30,6 @@ __all__ = [
 
 class EmbeddingFormatError(ValueError):
     """Raised when a vector file cannot be parsed."""
-
-
-@dataclass(frozen=True, eq=False)
-class SpanVector:
-    """Mean embedding of a word span: the vector plus how many words of the
-    span were actually found in the store (0 means a zero vector)."""
-
-    vector: np.ndarray
-    support: int
 
 
 def file_stamp(file: str | Path | int) -> tuple[int, int, int, int]:
@@ -331,9 +321,9 @@ def _is_int(token: str) -> bool:
         return False
 
 
-def average_embedding(store: EmbeddingStore, words: Iterable[str]) -> SpanVector:
-    """Arithmetic mean of the vectors of the in-vocabulary words. An empty
-    or fully out-of-vocabulary span yields support 0 and the zero vector.
+def average_embedding(store: EmbeddingStore, words: Iterable[str]) -> np.ndarray | None:
+    """Arithmetic mean of the vectors of the in-vocabulary words, or None
+    when no word of the span is in the store.
 
     Summation runs in sorted word order: each row, scaled by its count, is
     added in turn to a zero row by one cumulative sum (`np.add.accumulate`,
@@ -343,10 +333,9 @@ def average_embedding(store: EmbeddingStore, words: Iterable[str]) -> SpanVector
     index = store._index
     counts = Counter(w for w in words if w in index)
     if not counts:
-        return SpanVector(vector=np.zeros(store.dim), support=0)
+        return None
     order = sorted(counts)
     terms = np.zeros((len(order) + 1, store.dim))
     np.multiply(store.rows([index[w] for w in order]),
                 np.array([counts[w] for w in order], dtype=np.float64)[:, None], out=terms[1:])
-    found = sum(counts.values())
-    return SpanVector(vector=np.add.accumulate(terms)[-1] / found, support=found)
+    return np.add.accumulate(terms)[-1] / sum(counts.values())

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence
 
 from .corpus import (
@@ -24,6 +24,7 @@ from .corpus import (
     MCQuestion,
     REASONING_TYPES,
     ReadingText,
+    SplitStats,
     filter_dataset,
 )
 from .embedding import EmbeddingStore
@@ -48,13 +49,14 @@ __all__ = [
 FACETS = ("question_length", "grade", "reasoning_type")
 FORMATS = ("plain", "csv", "json")
 
-# question-length bins in segmented words: label, lower, upper (inclusive)
+# question-length bins in segmented words, from 0 without a gap: label and
+# inclusive upper bound
 LENGTH_BINS = (
-    ("<=10", 0, 10),
-    ("11-15", 11, 15),
-    ("16-20", 16, 20),
-    ("21-25", 21, 25),
-    (">=26", 26, None),
+    ("<=10", 10),
+    ("11-15", 15),
+    ("16-20", 20),
+    ("21-25", 25),
+    (">=26", None),
 )
 
 
@@ -232,8 +234,8 @@ def _score_text(
 
 
 def _length_bin(words: int) -> str:
-    # the bins run on from 0 without a gap: the first upper bound that holds
-    return next(label for label, _, high in LENGTH_BINS if high is None or words <= high)
+    # the first upper bound that holds
+    return next(label for label, high in LENGTH_BINS if high is None or words <= high)
 
 
 def facet_breakdown(report: EvaluationReport, facet: str) -> FacetTable:
@@ -241,29 +243,28 @@ def facet_breakdown(report: EvaluationReport, facet: str) -> FacetTable:
     when empty; reasoning-type records without a label are only counted in
     `skipped`."""
     if facet == "question_length":
-        labels = [label for label, _, _ in LENGTH_BINS]
+        labels = [label for label, _ in LENGTH_BINS]
         key = lambda r: _length_bin(r.question_length)
-        skipped_records = []
     elif facet == "grade":
         labels = [str(g) for g in GRADES]
         key = lambda r: str(r.grade)
-        skipped_records = []
     elif facet == "reasoning_type":
         labels = list(REASONING_TYPES)
         key = lambda r: r.reasoning_type
-        skipped_records = [r for r in report.records if r.reasoning_type is None]
     else:
         raise ValueError(f"unknown facet {facet!r}")
     totals = {label: 0 for label in labels}
     corrects = {label: 0 for label in labels}
+    skipped = 0
     for r in report.records:
         label = key(r)
         if label is None:
+            skipped += 1
             continue
         totals[label] += 1
         corrects[label] += r.correct
     rows = tuple(FacetRow(label, corrects[label], totals[label]) for label in labels)
-    return FacetTable(facet=facet, rows=rows, skipped=len(skipped_records))
+    return FacetTable(facet=facet, rows=rows, skipped=skipped)
 
 
 def compare_reports(
@@ -327,22 +328,11 @@ def _report_dict(report: EvaluationReport) -> dict:
     }
 
 
-def _improvement_dict(table: ImprovementTable) -> dict:
-    return {
-        "facet": table.facet,
-        "rows": [
-            {"label": r.label, "ratio": r.ratio, "baseline_accuracy": r.baseline_accuracy,
-             "method_accuracy": r.method_accuracy, "improvement": r.improvement}
-            for r in table.rows
-        ],
-    }
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -418,14 +408,8 @@ def render_report(obj, fmt: str = "plain") -> str:
         if fmt == "plain":
             return _render_improvement_plain(obj)
         if fmt == "csv":
-            rows = [
-                [r.label, repr(r.ratio), repr(r.baseline_accuracy), repr(r.method_accuracy), repr(r.improvement)]
-                for r in obj.rows
-            ]
-            return _csv_text(
-                ["label", "ratio", "baseline_accuracy", "method_accuracy", "improvement"], rows
-            )
-        return _json_text(_improvement_dict(obj))
+            return _csv_text([f.name for f in fields(ImprovementRow)], [astuple(r) for r in obj.rows])
+        return _json_text(asdict(obj))
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -434,22 +418,10 @@ def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
     or JSON."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-
-    def split_dict(s):
-        return {
-            "texts": s.texts,
-            "questions": s.questions,
-            "avg_text_length": s.avg_text_length,
-            "avg_question_length": s.avg_question_length,
-            "avg_option_length": s.avg_option_length,
-            "avg_correct_length": s.avg_correct_length,
-            "vocabulary": s.vocabulary,
-        }
-
     if fmt == "json":
         payload = {
-            "splits": {name: split_dict(s) for name, s in stats.splits.items()},
-            "overall": split_dict(stats.overall),
+            "splits": {name: asdict(s) for name, s in stats.splits.items()},
+            "overall": asdict(stats.overall),
             "grades": {
                 str(g): {"texts": s.texts, "questions": s.questions, "vocabulary": s.vocabulary}
                 for g, s in stats.grades.items()
@@ -457,11 +429,9 @@ def render_stats(stats: DatasetStats, fmt: str = "plain") -> str:
         }
         return _json_text(payload)
     if fmt == "csv":
-        header = ["section", "name", "texts", "questions", "avg_text_length", "avg_question_length",
-                  "avg_option_length", "avg_correct_length", "vocabulary"]
+        header = ["section", "name"] + [f.name for f in fields(SplitStats)]
         rows = [
-            ["split", name, s.texts, s.questions, repr(s.avg_text_length), repr(s.avg_question_length),
-             repr(s.avg_option_length), repr(s.avg_correct_length), s.vocabulary]
+            ("split", name) + astuple(s)
             for name, s in list(stats.splits.items()) + [("all", stats.overall)]
         ]
         rows += [["grade", g, s.texts, s.questions, "", "", "", "", s.vocabulary]

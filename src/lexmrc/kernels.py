@@ -67,27 +67,19 @@ class WindowMeans(NamedTuple):
 
 
 def window_means(vec_prefix: np.ndarray, cnt_prefix: np.ndarray, width: int) -> WindowMeans:
-    """The mean vector of every window of `width` tokens (all n tokens when
-    `width` >= n), from the running sums of a text.
+    """The mean vector of every window of `width` tokens, from the running
+    sums of a text of n tokens, for 1 <= `width` <= n.
 
     `vec_prefix` is the (n+1, dim) running sum of per-token vectors (zero
     rows for unknown tokens) and `cnt_prefix` the (n+1,) running count of
-    known tokens. An empty text or a width <= 0 has no windows. The arrays
-    are read-only, so a caller may cache them.
+    known tokens. The arrays are read-only, so a caller may cache them.
     """
-    n = cnt_prefix.shape[0] - 1
-    if n == 0 or width <= 0:
-        means = np.zeros((0, vec_prefix.shape[1]))
-        norms = np.zeros(0)
-        valid = np.zeros(0, dtype=bool)
-    else:
-        w = min(width, n)
-        sums = vec_prefix[w:] - vec_prefix[:-w]
-        cnts = (cnt_prefix[w:] - cnt_prefix[:-w]).astype(np.float64)
-        means = sums / np.maximum(cnts, 1.0)[:, None]
-        norms = np.sqrt((means * means).sum(axis=1))
-        valid = (cnts > 0) & (norms > 0)
-        means, norms = means[valid], norms[valid]
+    sums = vec_prefix[width:] - vec_prefix[:-width]
+    cnts = (cnt_prefix[width:] - cnt_prefix[:-width]).astype(np.float64)
+    means = sums / np.maximum(cnts, 1.0)[:, None]
+    norms = np.sqrt((means * means).sum(axis=1))
+    valid = (cnts > 0) & (norms > 0)
+    means, norms = means[valid], norms[valid]
     for array in (means, norms, valid):
         array.setflags(write=False)
     return WindowMeans(means, norms, valid)
@@ -98,10 +90,8 @@ def max_window_cosine(windows: WindowMeans, target: np.ndarray) -> float:
     `windows` (see `window_means`).
 
     Windows with no known token or a zero-norm mean count as similarity 0.
-    Returns 0.0 when there are no windows or `target` has zero norm.
+    Returns 0.0 when `target` has zero norm.
     """
-    if windows.valid.shape[0] == 0:
-        return 0.0
     target_norm = float(np.sqrt(target @ target))
     if target_norm == 0.0:
         return 0.0

@@ -151,14 +151,14 @@ class TextIndex:
             raise ValueError("text index was built without an embedding store")
         if not option or not self.tokens:
             return 0.0
-        span = average_embedding(self.store, option)
-        if span.support == 0:
+        target = average_embedding(self.store, option)
+        if target is None:
             return 0.0
         width = min(len(option), len(self.tokens))
         windows = self._windows.get(width)
         if windows is None:
             windows = self._windows[width] = window_means(self.vec_prefix, self.cnt_prefix, width)
-        return max_window_cosine(windows, span.vector)
+        return max_window_cosine(windows, target)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
 but `reference_load_embeddings`' error class, the store lookups
 (`row_index`, `rows`) that `reference_average_embedding` and
-`ReferenceTextIndex` read vectors through, `reference_average_embedding`'s
-result type, the `ProcessedText`, `TextIndex` and report types
+`ReferenceTextIndex` read vectors through, the `ProcessedText`,
+`TextIndex` and report types
 `reference_evaluate` runs on, the lexicon and stopwords of its config, and
 the unchanged helpers `ReferenceTextIndex` calls (`term_counts` and the
 `sw` and `d` kernels).
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from lexmrc.corpus import filter_dataset
-from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, SpanVector, load_embeddings
+from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, load_embeddings
 from lexmrc.evaluation import EvaluationReport, PredictionRecord
 from lexmrc.kernels import extreme_pair_distance, max_window_sum
 from lexmrc.preprocess import DEFAULT_PUNCTUATION, ProcessedText
@@ -192,7 +192,8 @@ def reference_load_embeddings(path):
 
 def reference_average_embedding(store, words):
     """`average_embedding` as it was before the one-gather sum: one numpy
-    multiply and add per distinct word, in sorted word order."""
+    multiply and add per distinct word, in sorted word order. None when no
+    word of the span is in the store."""
     counts = Counter(w for w in words if w in store)
     total = np.zeros(store.dim)
     found = 0
@@ -200,8 +201,8 @@ def reference_average_embedding(store, words):
         total += counts[word] * store.rows([store.row_index(word)])[0]
         found += counts[word]
     if found == 0:
-        return SpanVector(vector=total, support=0)
-    return SpanVector(vector=total / found, support=found)
+        return None
+    return total / found
 
 
 def _is_int(token):
@@ -447,10 +448,10 @@ class ReferenceTextIndex:
             raise ValueError("text index was built without an embedding store")
         if not option or not self.tokens:
             return 0.0
-        span = reference_average_embedding(self.store, option)
-        if span.support == 0:
+        target = reference_average_embedding(self.store, option)
+        if target is None:
             return 0.0
-        return reference_max_window_cosine(self.vec_prefix, self.cnt_prefix, span.vector, len(option))
+        return reference_max_window_cosine(self.vec_prefix, self.cnt_prefix, target, len(option))
 
 
 def reference_max_window_cosine(

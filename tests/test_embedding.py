@@ -631,38 +631,29 @@ class TestConvert:
 class TestAverage:
     def test_singleton(self):
         store = make_store(a=(1.0, 0.0, 0.0))
-        span = average_embedding(store, ["a"])
-        assert span.support == 1
-        assert np.array_equal(span.vector, [1.0, 0.0, 0.0])
+        assert np.array_equal(average_embedding(store, ["a"]), [1.0, 0.0, 0.0])
 
     def test_midpoint(self):
         store = make_store(a=(1.0, 0.0, 0.0), b=(0.0, 1.0, 0.0))
-        span = average_embedding(store, ["a", "b"])
-        assert span.support == 2
-        assert np.allclose(span.vector, [0.5, 0.5, 0.0])
+        assert np.allclose(average_embedding(store, ["a", "b"]), [0.5, 0.5, 0.0])
 
     def test_oov_words_skipped(self):
         store = make_store(a=(1.0, 0.0, 0.0), b=(0.0, 1.0, 0.0))
         with_oov = average_embedding(store, ["a", "oov", "b"])
         without = average_embedding(store, ["a", "b"])
-        assert with_oov.support == without.support == 2
-        assert np.array_equal(with_oov.vector, without.vector)
+        assert np.array_equal(with_oov, without)
 
     def test_all_oov(self):
         store = make_store(a=(1.0, 0.0))
-        span = average_embedding(store, ["x", "y"])
-        assert span.support == 0
-        assert np.array_equal(span.vector, [0.0, 0.0])
+        assert average_embedding(store, ["x", "y"]) is None
 
     def test_empty_span(self):
         store = make_store(a=(1.0, 0.0))
-        assert average_embedding(store, []).support == 0
+        assert average_embedding(store, []) is None
 
     def test_duplicates_weighted(self):
         store = make_store(a=(3.0,), b=(0.0,))
-        span = average_embedding(store, ["a", "a", "b"])
-        assert span.support == 3
-        assert span.vector[0] == pytest.approx(2.0)
+        assert average_embedding(store, ["a", "a", "b"])[0] == pytest.approx(2.0)
 
     @given(st.permutations(["a", "b", "c", "oov", "a"]))
     @settings(max_examples=60, deadline=None)
@@ -670,8 +661,7 @@ class TestAverage:
         store = make_store(a=(0.1, 0.7), b=(-0.3, 0.2), c=(0.9, -0.4))
         base = average_embedding(store, ["a", "b", "c", "oov", "a"])
         other = average_embedding(store, list(words))
-        assert other.support == base.support
-        assert np.array_equal(other.vector, base.vector)
+        assert np.array_equal(other, base)
 
 
 # sevenths, whose sums round differently in another order, and signed zeros
@@ -690,9 +680,11 @@ def test_average_matches_reference(dim, data):
     words = data.draw(st.lists(st.sampled_from(vocab + ["oov"]), max_size=16))
     got = average_embedding(store, words)
     want = reference_average_embedding(store, words)
-    assert got.support == want.support
-    assert got.vector.shape == want.vector.shape
-    assert got.vector.tobytes() == want.vector.tobytes()
+    if want is None:
+        assert got is None
+    else:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStoreConstruction:

@@ -9,6 +9,8 @@ import dataclasses
 import itertools
 import json
 import random
+import re
+import string
 import struct
 import weakref
 
@@ -24,6 +26,7 @@ from lexmrc.evaluation import evaluate, evaluate_methods, render_report
 from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig
 from lexmrc.scoring import METHODS, MethodConfig, TextIndex
 
+from conftest import DATA_DIR
 from oracles import reference_evaluate, vector_store
 
 SYLLABLES = ("mèo", "chó", "ngủ", "chạy", "sân", "ghế", "học", "sinh", "giáo", "viên",
@@ -355,3 +358,88 @@ def test_stopwords_that_occur_nowhere_change_no_byte(tmp_path_factory, dataset, 
             assert run(command + common + extra + ["--out", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# a syllable: a maximal run of letters; digits, "_" and punctuation stay
+_SYLLABLE = re.compile(r"[^\W\d_]+")
+
+
+def respell(files):
+    """An order-reversing one-to-one respelling of every syllable in
+    `files` (name -> text): each distinct lowercased syllable becomes a
+    fixed-length code of ASCII letters, the codes sorting in the reverse
+    order of the syllables they replace. Fixed-length codes keep the
+    respelling one-to-one on whole tokens and words."""
+    syllables = sorted({s.lower() for text in files.values() for s in _SYLLABLE.findall(text)})
+    size = 1
+    while 26 ** size < len(syllables):
+        size += 1
+
+    def code(rank):
+        letters = []
+        for _ in range(size):
+            rank, digit = divmod(rank, 26)
+            letters.append(string.ascii_lowercase[digit])
+        return "".join(reversed(letters))
+
+    codes = {s: code(len(syllables) - 1 - i) for i, s in enumerate(syllables)}
+    return lambda text: _SYLLABLE.sub(lambda m: codes[m.group().lower()], text)
+
+
+@pytest.fixture(scope="module")
+def respelled(tmp_path_factory):
+    """The toy dataset, vector, lexicon and stopword files, and their
+    respelling: the strings the pipeline reads as words are respelled, and
+    ids, titles and vector components are kept."""
+    names = {"dataset": "reasoning_fixtures.json", "vectors": "toy_vectors.vec",
+             "lexicon": "toy_lexicon.txt", "stopwords": "toy_stopwords.txt"}
+    texts = {key: (DATA_DIR / name).read_text(encoding="utf-8") for key, name in names.items()}
+    doc = json.loads(texts["dataset"])
+    words = [t["body"] for t in doc["texts"]]
+    words += [s for q in doc["questions"] for s in (q["stem"], *q["options"])]
+    rows = [line.split(" ", 1) for line in texts["vectors"].splitlines()]
+    new = respell({"dataset": "\n".join(words), "vectors": "\n".join(w for w, _ in rows),
+                   "lexicon": texts["lexicon"], "stopwords": texts["stopwords"]})
+    for t in doc["texts"]:
+        t["body"] = new(t["body"])
+    for q in doc["questions"]:
+        q["stem"], q["options"] = new(q["stem"]), [new(o) for o in q["options"]]
+    tmp = tmp_path_factory.mktemp("respelled")
+    (tmp / names["dataset"]).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    (tmp / names["vectors"]).write_text(
+        "".join(f"{new(w)} {rest}\n" for w, rest in rows), encoding="utf-8")
+    for key in ("lexicon", "stopwords"):
+        (tmp / names[key]).write_text(new(texts[key]), encoding="utf-8")
+    return {key: (DATA_DIR / name, tmp / name) for key, name in names.items()}
+
+
+RESPELLED_COMMANDS = [
+    pytest.param(["evaluate", "--split", "dev", "--method", method, "--distance-agg", aggregation],
+                 stopwords, id=f"{method}-{aggregation}{'-stopwords' if stopwords else ''}")
+    for method in ("sw", "sw_d") for aggregation in ("min", "max") for stopwords in (False, True)
+] + [pytest.param(["stats"], stopwords, id=f"stats{'-stopwords' if stopwords else ''}")
+     for stopwords in (False, True)] + [
+    # `average_embedding` sums a span's rows in sorted word order, and the
+    # spelling decides that order: the `web` and final floats of some
+    # options move by one ulp, and no prediction changes
+    pytest.param(["evaluate", "--split", "dev", "--method", "sw_d_web"], False, id="sw_d_web",
+                 marks=pytest.mark.xfail(strict=True, reason="web sums in sorted word order")),
+]
+
+
+@pytest.mark.parametrize("command, stopwords", RESPELLED_COMMANDS)
+def test_a_respelling_changes_no_byte(respelled, tmp_path, command, stopwords):
+    """A one-to-one respelling of every word in the dataset, vector,
+    lexicon and stopword files gives the same report bytes."""
+    outputs = []
+    for side in (0, 1):
+        files = {key: str(pair[side]) for key, pair in respelled.items()}
+        argv = command + ["--dataset", files["dataset"], "--lexicon", files["lexicon"],
+                          "--format", "json", "--out", str(tmp_path / f"out{side}")]
+        if command[0] == "evaluate":
+            argv += ["--embeddings", files["vectors"]]
+        if stopwords:
+            argv += ["--stopwords", files["stopwords"]]
+        assert run(argv) == EXIT_OK
+        outputs.append((tmp_path / f"out{side}").read_bytes())
+    assert outputs[0] == outputs[1]

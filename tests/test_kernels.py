@@ -124,14 +124,6 @@ class TestMaxWindowCosine:
         assert got == pytest.approx(-np.sqrt(0.5))
 
 
-    @both_call_forms(window_cosine)
-    def test_no_windows(self, impl):
-        vec, cnt = prefixes(np.zeros((0, 2)), [])
-        assert impl(vec, cnt, np.array([1.0, 0.0]), 1) == 0.0
-        vec, cnt = prefixes([[1.0, 0.0]], [1])
-        assert impl(vec, cnt, np.array([1.0, 0.0]), 0) == 0.0
-
-
 class TestWindowMeans:
     def test_cached_arrays_are_read_only(self):
         vec, cnt = prefixes([[1.0, 0.0], [0.0, 0.0]], [1, 1])
@@ -148,8 +140,8 @@ class TestWindowMeans:
         assert windows.means.tolist() == [[1.0, 0.0]]
         assert windows.norms.tolist() == [1.0]
 
-    def test_width_past_the_end_is_one_window(self):
+    def test_width_of_the_whole_text_is_one_window(self):
         vec, cnt = prefixes([[1.0, 0.0], [0.0, 1.0]], [1, 1])
-        windows = kernels.window_means(vec, cnt, 5)
+        windows = kernels.window_means(vec, cnt, 2)
         assert windows.valid.tolist() == [True]
         assert windows.means.tolist() == [[0.5, 0.5]]

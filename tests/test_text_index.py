@@ -92,6 +92,28 @@ def test_matches_reference_without_a_store(text, queries):
              ref.distance(set(question), set(option), "min"))
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=texts, store=stores(), queries=queries)
+def test_boost_builds_window_means_only_inside_the_text(text, store, queries):
+    """The kernels rely on `boost` for the web edge cases: every width it
+    builds window means for is 1 <= width <= n, whatever the option (empty,
+    with no known word, or longer than the text) and whatever the text
+    (from 0 tokens)."""
+    original = scoring.window_means
+
+    def checked(vec_prefix, cnt_prefix, width):
+        n = cnt_prefix.shape[0] - 1
+        assert n == len(text.flat)
+        assert 1 <= width <= n
+        return original(vec_prefix, cnt_prefix, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scoring, "window_means", checked)
+        index = TextIndex(text, store)
+        for _, option in queries:
+            index.boost(option)
+
+
 def pt(*tokens):
     return ProcessedText(tuple(tokens))
 
