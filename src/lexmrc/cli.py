@@ -37,6 +37,7 @@ from .evaluation import (
     EmptySplitError,
     FACETS,
     FORMATS,
+    _breakdown_dict,
     _csv_text,
     _json_text,
     compare_reports,
@@ -226,16 +227,8 @@ def cmd_answer(cfg: RunConfig, question_id: str, cache: _EmbeddingCache) -> str:
     report = evaluate(one, question.split, _method_config(cfg, preprocess), store)
     breakdown = report.records[0].breakdown
     if cfg.format == "json":
-        payload = {
-            "question_id": question_id,
-            "method": breakdown.method,
-            "sw": list(breakdown.sw),
-            "dist": list(breakdown.dist),
-            "web": list(breakdown.web),
-            "final": list(breakdown.final),
-            "predicted": OPTION_LABELS[breakdown.predicted],
-        }
-        return _json_text(payload)
+        return _json_text({**_breakdown_dict(breakdown), "question_id": question_id,
+                           "predicted": OPTION_LABELS[breakdown.predicted]})
     if cfg.format == "csv":
         rows = [
             [OPTION_LABELS[i], repr(breakdown.sw[i]), repr(breakdown.dist[i]),

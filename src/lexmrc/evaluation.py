@@ -303,17 +303,20 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}%"
 
 
+def _breakdown_dict(b: ScoreBreakdown) -> dict:
+    return {
+        "sw": b.sw, "dist": b.dist, "web": b.web, "final": b.final,
+        "predicted": b.predicted, "method": b.method,
+    }
+
+
 def _record_dict(r: PredictionRecord) -> dict:
-    b = r.breakdown
     return {
         "question_id": r.question_id,
         "predicted": r.predicted,
         "gold": r.gold,
         "correct": r.correct,
-        "breakdown": {
-            "sw": b.sw, "dist": b.dist, "web": b.web, "final": b.final,
-            "predicted": b.predicted, "method": b.method,
-        },
+        "breakdown": _breakdown_dict(r.breakdown),
         "question_length": r.question_length,
         "grade": r.grade,
         "reasoning_type": r.reasoning_type,

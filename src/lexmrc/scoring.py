@@ -46,7 +46,6 @@ __all__ = [
     "TextIndex",
     "decide",
     "score_options",
-    "term_counts",
 ]
 
 METHODS = ("random", "sw", "sw_d", "sw_d_web")
@@ -83,15 +82,10 @@ class ScoreBreakdown:
     method: str
 
 
-def term_counts(text: ProcessedText) -> dict[str, int]:
-    """Multiset counts over the flat token sequence."""
-    return dict(Counter(text.flat))
-
-
 class TextIndex:
     """Per-text arrays the scorers share, over integer token ids.
 
-    `vocab` lists the text's distinct words in `term_counts` order, and
+    `vocab` lists the text's distinct words in order of first occurrence, and
     `ids[i]` is the vocabulary id of token i. `counts` keeps the int count
     of each word. Per-id tables are gathered through `ids` once per text:
     the token log-weights of `sw` and, when an embedding store is given,
@@ -104,7 +98,7 @@ class TextIndex:
 
     def __init__(self, text: ProcessedText, store: EmbeddingStore | None = None):
         self.tokens = text.flat
-        self.counts = term_counts(text)
+        self.counts = dict(Counter(text.flat))
         self.vocab = tuple(self.counts)
         self.word_ids = {w: i for i, w in enumerate(self.vocab)}
         n = len(self.tokens)

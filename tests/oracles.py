@@ -8,8 +8,7 @@ but `reference_load_embeddings`' error class, the store lookups
 `ReferenceTextIndex` read vectors through, the `ProcessedText`,
 `TextIndex` and report types
 `reference_evaluate` runs on, the lexicon and stopwords of its config, and
-the unchanged helpers `ReferenceTextIndex` calls (`term_counts` and the
-`sw` and `d` kernels).
+the unchanged kernels `ReferenceTextIndex` calls (`sw` and `d`).
 
 The `reference_*` functions are earlier versions of package code, kept
 unchanged so that differential tests can hold the current code to them.
@@ -34,7 +33,7 @@ from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, load_embeddin
 from lexmrc.evaluation import EvaluationReport, PredictionRecord
 from lexmrc.kernels import extreme_pair_distance, max_window_sum
 from lexmrc.preprocess import DEFAULT_PUNCTUATION, ProcessedText
-from lexmrc.scoring import ScoreBreakdown, TextIndex, term_counts
+from lexmrc.scoring import ScoreBreakdown, TextIndex
 
 
 def window_score_oracle(tokens, question, option):
@@ -397,7 +396,7 @@ class ReferenceTextIndex:
     def __init__(self, text: ProcessedText, store: EmbeddingStore | None = None):
         self.text = text
         self.tokens = text.flat
-        self.counts = term_counts(text)
+        self.counts = dict(Counter(text.flat))
         n = len(self.tokens)
         self.log_weights = np.empty(n)
         for i, tok in enumerate(self.tokens):

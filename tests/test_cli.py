@@ -73,7 +73,7 @@ class TestAnswer:
             "--method", "sw_d_web",
         )
         assert code == EXIT_CONFIG
-        assert "embeddings" in err
+        assert err == "error: method sw_d_web requires --embeddings\n"
 
     def test_null_fields_are_validation_errors(self, capsys, tmp_path):
         doc = {
@@ -205,7 +205,7 @@ class TestEvaluate:
             "--method", "random",
         )
         assert code == EXIT_CONFIG
-        assert "seed" in err
+        assert err == "error: method random requires --seed\n"
 
     def test_missing_dataset_file(self, capsys):
         code, _, _ = invoke(
@@ -429,14 +429,19 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value, message", [
         ("distance_agg", "mean", "unknown distance aggregation 'mean'"),
         ("format", "xml", "unknown format 'xml'"),
-    ], ids=["distance_agg", "format"])
+        ("split", "val", "unknown split 'val'"),
+        ("method", "sw_web", "unknown method 'sw_web'"),
+    ], ids=["distance_agg", "format", "split", "method"])
     def test_unknown_choice_in_config_file(self, capsys, tmp_path, key, value, message):
         """argparse checks a flag's choices; a config file's value is
-        checked by `RunConfig.validate`."""
+        checked by `RunConfig.validate`. A flag would override the key, so
+        the key under test is given by the file alone."""
         f = tmp_path / "run.json"
         f.write_text(json.dumps({key: value}), encoding="utf-8")
+        flags = {"split": "dev", "method": "sw"}
+        flags.pop(key, None)
         code, out, err = invoke(capsys, "evaluate", "--config", str(f), "--dataset", FIXTURES,
-                                "--split", "dev", "--method", "sw")
+                                *(arg for k, v in flags.items() for arg in (f"--{k}", v)))
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"error: {message}\n"
 
@@ -916,8 +921,9 @@ class TestInputCache:
 
 class TestLazyVectorRows:
     """A vector row is converted, and checked, when a command first looks
-    it up. The two committed files each hold one bad row; CI runs the
-    installed `lexmrc` on both and compares the same bytes."""
+    it up. The two committed files each hold one bad row: one that no
+    question looks up, which `tests/test_golden.py` also reads in place of
+    the clean vectors, and one that a question looks up."""
 
     def evaluate(self, capsys, vectors, *extra):
         return invoke(capsys, "evaluate", "--dataset", "tests/data/reasoning_fixtures.json",

@@ -90,17 +90,15 @@ def config(method, aggregation, stopwords):
                         preprocess=PREPROCESS[stopwords])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("stopwords", [False, True], ids=["plain", "stopwords"])
 @pytest.mark.parametrize("aggregation", ["min", "max"])
 @pytest.mark.parametrize("baseline,candidate", list(itertools.product(METHODS, repeat=2)))
-def test_shared_pass_equals_separate_evaluates(baseline, candidate, aggregation, stopwords,
-                                               workers):
+def test_shared_pass_equals_separate_evaluates(baseline, candidate, aggregation, stopwords):
     cfgs = [config(m, aggregation, stopwords) for m in (baseline, candidate)]
     shared = evaluate_methods(DATASET, "dev", cfgs, STORE)
     assert len(shared) == 2
     for cfg, report in zip(cfgs, shared):
-        alone = evaluate(DATASET, "dev", cfg, STORE, workers=workers)
+        alone = evaluate(DATASET, "dev", cfg, STORE)
         assert report.records == alone.records
         assert report == alone
         assert report == reference_evaluate(DATASET, "dev", cfg, STORE)

@@ -4,7 +4,21 @@ Each file under `tests/data/golden/` is the `--out` file of the command
 listed for it below, run from the repository root. A change that alters a
 report on purpose regenerates the file with that command and says which
 bytes changed and why.
+
+`REWRITES` lists input changes that must leave every golden unchanged:
+each golden's command is run again with the rewritten file in place of
+the original it reads.
+
+Run as a script, `python tests/test_golden.py OUT_DIR` prints one
+`lexmrc batch` line per golden, writing the file of that name into
+`OUT_DIR`, so the installed script can be held to the same table.
 """
+
+import json
+import runpy
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +70,44 @@ COMMANDS = {
 }
 
 
+def _upper_dataset(text):
+    doc = json.loads(text)
+    for t in doc["texts"]:
+        t["body"] = t["body"].upper()
+    for q in doc["questions"]:
+        q["stem"] = q["stem"].upper()
+        q["options"] = [o.upper() for o in q["options"]]
+    return json.dumps(doc, ensure_ascii=False)
+
+
+# name: (the file replaced, its rewritten text from the original's)
+REWRITES = {
+    # CRLF and bare-CR vector files go line by line, where the plain file
+    # takes the block route
+    "vectors_crlf": ("toy_vectors.vec", lambda text: text.replace("\n", "\r\n")),
+    "vectors_cr": ("toy_vectors.vec", lambda text: text.replace("\n", "\r")),
+    # a vector row is checked only when a command looks it up
+    "vectors_unused_bad_row": ("toy_vectors.vec", lambda text: (
+        DATA_DIR / "toy_vectors_unused_bad_row.vec").read_text(encoding="utf-8")),
+    # a lexicon entry loads lowercased, its spaces joined by "_"
+    "lexicon_upper_crlf": ("toy_lexicon.txt", lambda text: (
+        text.upper().replace("_", " ").replace("\n", "\r\n"))),
+    # every string is lowercased in cleaning, whole or token by token
+    "dataset_upper": ("reasoning_fixtures.json", _upper_dataset),
+}
+
+REWRITE_PAIRS = [
+    (rewrite, name) for rewrite, (original, _) in REWRITES.items() for name in sorted(COMMANDS)
+    if str(DATA_DIR / original) in COMMANDS[name]
+]
+
+
+def batch_lines(out_dir):
+    """One `batch` line per golden, writing it into `out_dir`."""
+    return [shlex.join(COMMANDS[name] + ["--out", str(Path(out_dir) / name)])
+            for name in sorted(COMMANDS)]
+
+
 def test_every_golden_file_has_a_command():
     assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(COMMANDS)
 
@@ -65,3 +117,35 @@ def test_output_bytes_match_golden(name, tmp_path):
     out = tmp_path / name
     assert run(COMMANDS[name] + ["--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("rewrite, name", REWRITE_PAIRS,
+                         ids=[f"{rewrite}-{name}" for rewrite, name in REWRITE_PAIRS])
+def test_rewritten_input_gives_golden_bytes(rewrite, name, tmp_path):
+    original, rewritten = REWRITES[rewrite]
+    source = DATA_DIR / original
+    text = source.read_bytes().decode("utf-8")
+    changed = rewritten(text)
+    assert changed != text
+    copy = tmp_path / original
+    copy.write_bytes(changed.encode("utf-8"))
+    argv = [str(copy) if arg == str(source) else arg for arg in COMMANDS[name]]
+    out = tmp_path / name
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_printed_batch_writes_every_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["test_golden.py", str(tmp_path)])
+    runpy.run_path(__file__, run_name="__main__")
+    commands = tmp_path / "commands.txt"
+    commands.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run(["batch", str(commands)]) == EXIT_OK
+    for name in COMMANDS:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/test_golden.py OUT_DIR")
+    print("\n".join(batch_lines(sys.argv[1])))

@@ -12,7 +12,6 @@ from lexmrc.scoring import (
     TextIndex,
     decide,
     score_options,
-    term_counts,
 )
 
 from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
@@ -24,24 +23,6 @@ COS_123_456 = 0.9746318461970762710785724911261228634989
 
 def pt(*tokens):
     return ProcessedText(tuple(tokens))
-
-
-class TestTermCounts:
-    def test_basic(self):
-        assert term_counts(pt("a", "b", "a")) == {"a": 2, "b": 1}
-
-    def test_empty(self):
-        assert term_counts(pt()) == {}
-
-    def test_large_random_text_matches_recount(self):
-        rng = random.Random(5)
-        tokens = [f"w{rng.randrange(12)}" for _ in range(1000)]
-        counts = term_counts(pt(*tokens))
-        recount = {}
-        for tok in tokens:
-            recount[tok] = recount.get(tok, 0) + 1
-        assert counts == recount
-        assert sum(counts.values()) == 1000
 
 
 class TestSlidingWindow:
