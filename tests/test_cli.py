@@ -59,6 +59,25 @@ class TestAnswer:
         assert code == EXIT_OK
         assert "predicted: A" in out
 
+    def test_json_is_the_evaluate_records_breakdown(self, capsys):
+        """`answer --format json` writes the breakdown of the question's
+        record in `evaluate --format json`, with its id and the predicted
+        option's label."""
+        common = ("--dataset", FIXTURES, "--method", "sw_d_web", "--embeddings", VECTORS,
+                  "--lexicon", LEXICON, "--format", "json")
+        code, out, _ = invoke(capsys, "evaluate", "--split", "dev", *common)
+        assert code == EXIT_OK
+        records = json.loads(out)["records"]
+        assert records
+        for record in records:
+            code, out, _ = invoke(capsys, "answer", "--question-id", record["question_id"],
+                                  *common)
+            assert code == EXIT_OK
+            assert json.loads(out) == {
+                **record["breakdown"], "question_id": record["question_id"],
+                "predicted": OPTION_LABELS[record["predicted"]],
+            }
+
     def test_unknown_question_id(self, capsys):
         code, _, err = invoke(
             capsys, "answer", "--dataset", FIXTURES, "--question-id", "nope",

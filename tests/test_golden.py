@@ -15,8 +15,10 @@ Run as a script, `python tests/test_golden.py OUT_DIR` prints one
 """
 
 import json
+import os
 import runpy
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from lexmrc.cli import EXIT_OK, run
 from conftest import DATA_DIR
 
 GOLDEN_DIR = DATA_DIR / "golden"
+REPO_ROOT = DATA_DIR.parent.parent
 DATASET = ["--dataset", str(DATA_DIR / "reasoning_fixtures.json")]
 LEXICON = ["--lexicon", str(DATA_DIR / "toy_lexicon.txt")]
 VECTORS = ["--embeddings", str(DATA_DIR / "toy_vectors.vec")]
@@ -143,6 +146,56 @@ def test_printed_batch_writes_every_golden(tmp_path, capsys, monkeypatch):
     assert run(["batch", str(commands)]) == EXIT_OK
     for name in COMMANDS:
         assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+
+@pytest.mark.parametrize("rewrite", sorted(REWRITES))
+def test_every_rewrite_reaches_a_golden(rewrite):
+    """A rewrite whose file no golden's command reads would check nothing."""
+    assert any(r == rewrite for r, _ in REWRITE_PAIRS)
+
+
+def test_script_without_out_dir_prints_usage():
+    result = subprocess.run([sys.executable, __file__], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "usage: python tests/test_golden.py OUT_DIR\n"
+
+
+def _ci_step(step_name):
+    """The `run:` block of the named step in the CI workflow."""
+    lines = (REPO_ROOT / ".github" / "workflows" / "tests.yml").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index(f"      - name: {step_name}")
+    assert lines[start + 1] == "        run: |"
+    block = []
+    for line in lines[start + 2:]:
+        if line.strip() and not line.startswith(" " * 10):
+            break
+        block.append(line[10:])
+    return "\n".join(block) + "\n"
+
+
+def test_ci_step_writes_every_golden_through_a_console_script(tmp_path):
+    """CI's installed-script step, run under `bash -e` with a stand-in
+    `lexmrc` that runs the package from the source tree."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "python").symlink_to(sys.executable)
+    lexmrc = bin_dir / "lexmrc"
+    lexmrc.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m lexmrc.cli "$@"\n',
+                      encoding="utf-8")
+    lexmrc.chmod(0o755)
+    runner_temp = tmp_path / "runner"
+    runner_temp.mkdir()
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                               os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
+           "PYTHONPATH": pythonpath, "RUNNER_TEMP": str(runner_temp)}
+    result = subprocess.run(["bash", "-e", "-c", _ci_step("Installed lexmrc writes every golden")],
+                            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    for name in COMMANDS:
+        assert (runner_temp / "golden" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 if __name__ == "__main__":
