@@ -55,6 +55,7 @@ def answer(question_id, method, fmt, *extra):
 COMMANDS = {
     "evaluate_sw.json": evaluate("sw"),
     "evaluate_sw_d.json": evaluate("sw_d"),
+    "evaluate_sw_d_max.json": evaluate("sw_d", "--distance-agg", "max"),
     "evaluate_sw_d_web.json": evaluate("sw_d_web"),
     # with stopwords, question_length is counted on the raw stem
     "evaluate_sw_d_web_stopwords.json": evaluate("sw_d_web", *STOPWORDS),
