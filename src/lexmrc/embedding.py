@@ -134,11 +134,11 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     and line number of its row; a later duplicate is dropped unread. Lines
     end at "\n", "\r\n" or a bare "\r", as under universal newlines. The
     file is read in blocks of whole lines of about `_BLOCK` bytes. A plain
-    block (`_scan_plain`) has its lines found by numpy and only its words
-    decoded; line 1 and every other block go line by line through
-    `_scan_lines`, which decodes each line as UTF-8, so a decode error
-    anywhere raises here. A file with no row is empty, with or without the
-    optional header line. The first row is converted here: its width is
+    block (`_scan_plain`), whose lines end in "\n" or "\r\n", has its
+    lines found by numpy and only its words decoded; line 1 and every
+    other block go line by line through `_scan_lines`, which decodes each
+    line as UTF-8, so a decode error anywhere raises here. A file with no
+    row is empty, with or without the optional header line. The first row is converted here: its width is
     the dimension, and it must match the header's when there is one.
     Components follow `np.loadtxt`'s number grammar, and every other row
     is checked when it is converted: a bad row that no lookup reaches
@@ -230,18 +230,22 @@ def _scan_lines(scan: _Scan, data: bytes) -> None:
 def _scan_plain(scan: _Scan, block: bytes) -> bool:
     """Add `block`, whole lines after line 1 starting where `scan` stopped,
     and return True, when it is plain; else add nothing and return False.
-    In a plain block every line ends in "\n" and has no other byte below
-    0x20. It starts with a word that ends at a space within `_WIDTH`
-    bytes, decodes as UTF-8 and holds no whitespace that `str.split`
+    In a plain block every line ends in "\n" or "\r\n" and has no other
+    byte below 0x20. It starts with a word that ends at a space within
+    `_WIDTH` bytes, decodes as UTF-8 and holds no whitespace that `str.split`
     knows; the rest of the line is ASCII. No word repeats or is already in
     the store. Each line then has the word, byte range and line number
     that `_scan_lines` would give it, and only the words are decoded."""
     padded = block + b" " * _WIDTH  # a full window at every line start
     data = np.frombuffer(padded, dtype=np.uint8)
     odd = np.flatnonzero(data.view(np.int8) < 0x20)  # each byte below 0x20 or from 0x80
-    ends = odd[data[odd] == 0x0A]
+    odd_bytes = data[odd]
+    ends = odd[odd_bytes == 0x0A]
     n = ends.size
     if n == 0 or ends[-1] != len(block) - 1:
+        return False
+    crs = odd[odd_bytes == 0x0D]
+    if crs.size and (data[crs + 1] != 0x0A).any():  # a bare "\r" ends a line too
         return False
     firsts = np.concatenate(([0], ends[:-1] + 1))
     # row i is the _WIDTH bytes from offset i
@@ -250,8 +254,8 @@ def _scan_plain(scan: _Scan, block: bytes) -> bool:
     if not stops.all() or (data[firsts + stops] != 0x20).any():
         return False
     spelled = windows[np.arange(_WIDTH) <= stops[:, None]]  # each word and its space
-    # no byte below 0x20 but "\n", and every byte from 0x80 in a word
-    if np.count_nonzero(spelled >= 0x80) != odd.size - n:
+    # no byte below 0x20 but line ends, and every byte from 0x80 in a word
+    if np.count_nonzero(spelled >= 0x80) != odd.size - n - crs.size:
         return False
     try:
         text = spelled.tobytes().decode()
@@ -273,7 +277,10 @@ def _scan_plain(scan: _Scan, block: bytes) -> bool:
         return False
     linenos = np.arange(scan.lineno + 1, scan.lineno + n + 1, dtype=np.int64)
     scan.starts.frombytes((firsts + scan.pos).astype(np.int64).tobytes())
-    scan.sizes.frombytes((ends - firsts).astype(np.int64).tobytes())
+    sizes = ends - firsts
+    if crs.size:  # a row stops before the "\r" of its "\r\n"
+        sizes -= data[ends - 1] == 0x0D
+    scan.sizes.frombytes(sizes.astype(np.int64).tobytes())
     scan.linenos.frombytes(linenos.tobytes())
     scan.lineno += n
     scan.pos += len(block)

@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .embedding import EmbeddingStore
 from .preprocess import PreprocessConfig, preprocess_sentence, preprocess_text
-from .scoring import MethodConfig, OptionScores, ScoreBreakdown, TextIndex, decide, score_options
+from .scoring import MethodConfig, OptionScores, ScoreBreakdown, TextIndex, decide, score_questions
 
 __all__ = [
     "EmptySplitError",
@@ -206,8 +206,9 @@ def _score_text(
     store: EmbeddingStore | None,
 ) -> list[tuple[int, OptionScores]]:
     """The `(question_length, OptionScores)` of each of `questions` against
-    `text`. With a `store`, the vector rows of the text's words and its
-    options' words are converted in one pass before the text is indexed."""
+    `text`, all scored through one index of the text. With a `store`, the
+    vector rows of the text's words and its options' words are converted
+    in one pass before the text is indexed."""
     preprocess = cfgs[0].preprocess
     stems = [preprocess_sentence(q.stem, preprocess) for q in questions]
     # question_length counts the segmented raw stem. Without stopwords that
@@ -226,11 +227,7 @@ def _score_text(
     if store is not None:
         words = set(body.flat).union(*(option for q_options in options for option in q_options))
         store.convert(row for row in map(store.row_index, words) if row is not None)
-    index = TextIndex(body, store)
-    return [
-        (length, score_options(index, stem, q_options, cfgs))
-        for length, stem, q_options in zip(lengths, stems, options)
-    ]
+    return list(zip(lengths, score_questions(TextIndex(body, store), stems, options, cfgs)))
 
 
 def _length_bin(words: int) -> str:

@@ -12,6 +12,11 @@ component scores:
 * embedding boost web = best cosine between the option's mean word vector
   and the mean vector of any |O|-token span of T.
 
+`score_questions` scores every question of one text through its
+`TextIndex`: `sw` and `d` of all the text's options in one batch each,
+with the floats that scoring each option alone gives, and `web` option
+by option.
+
 The final score is sw - d + web, with the components a method does not
 use set to zero (d and web for sw, web for sw_d); ties on the final score
 go to the lowest option index. The random method ignores the text
@@ -24,7 +29,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain, islice, repeat
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
@@ -46,6 +52,7 @@ __all__ = [
     "TextIndex",
     "decide",
     "score_options",
+    "score_questions",
 ]
 
 METHODS = ("random", "sw", "sw_d", "sw_d_web")
@@ -90,8 +97,9 @@ class TextIndex:
     of each word. Per-id tables are gathered through `ids` once per text:
     the token log-weights of `sw` and, when an embedding store is given,
     the prefix sums of the per-token vectors and known-token counts that
-    `web` averages spans from. The tokens a word set hits, the `sw` mask
-    and the `d` positions, are one gather of a per-word membership array.
+    `web` averages spans from. The tokens that each of a batch of word
+    sets hits, the `sw` masks and the `d` positions of every option of the
+    text, are one gather of a membership array over the vocabulary.
     `boost` caches the window means of each width it sees on the index,
     so they live as long as the index does.
     """
@@ -121,24 +129,43 @@ class TextIndex:
             self.vec_prefix = np.cumsum(table[token_rows], axis=0)
             self.cnt_prefix = np.cumsum(known[token_rows], dtype=np.int64)
 
-    def token_mask(self, words: Iterable[str]) -> np.ndarray:
-        """Which tokens of the text are in `words`: a membership array over
-        the vocabulary, gathered through `ids`."""
-        member = np.zeros(len(self.vocab), dtype=bool)
-        member[[self.word_ids[w] for w in words if w in self.word_ids]] = True
-        return member[self.ids]
+    def token_masks(self, word_sets: Sequence[AbstractSet[str]]) -> np.ndarray:
+        """Which tokens of the text each of `word_sets` holds, as a
+        (sets, n) bool array: one membership array over the vocabulary,
+        gathered through `ids`."""
+        # a word the text does not have marks column V, which no token reads
+        v = len(self.vocab)
+        rows = np.repeat(np.arange(len(word_sets)), [len(words) for words in word_sets])
+        cols = list(map(self.word_ids.get, chain.from_iterable(word_sets), repeat(v)))
+        member = np.zeros((len(word_sets), v + 1), dtype=bool)
+        member[rows, cols] = True
+        return member[:, self.ids]
 
-    def window_score(self, word_set: frozenset[str] | set[str]) -> float:
-        weights = np.where(self.token_mask(word_set), self.log_weights, 0.0)
-        return max_window_sum(weights, len(word_set))
+    def window_score(self, word_sets: Sequence[AbstractSet[str]]) -> list[float]:
+        """The `sw` of each of `word_sets`: its best window sum of the log
+        weights of the tokens it holds, in windows as wide as the set."""
+        weights = np.where(self.token_masks(word_sets), self.log_weights, 0.0)
+        prefix = np.zeros((len(word_sets), len(self.tokens) + 1))
+        np.cumsum(weights, axis=1, out=prefix[:, 1:])
+        return max_window_sum(prefix, np.array([len(s) for s in word_sets], dtype=np.intp)).tolist()
 
-    def distance(self, question_words: set[str], option_words: set[str], aggregation: str) -> float:
-        pos_q = np.flatnonzero(self.token_mask(question_words))
-        pos_o = np.flatnonzero(self.token_mask(option_words))
-        extreme = extreme_pair_distance(pos_q, pos_o, aggregation == "max")
-        if extreme < 0:
-            return 1.0
-        return float(extreme) / (len(self.tokens) - 1)
+    def distance(
+        self,
+        question_sets: Sequence[AbstractSet[str]],
+        option_sets: Sequence[Sequence[AbstractSet[str]]],
+        aggregation: str,
+    ) -> list[tuple[float, ...]]:
+        """The `d` of each option of each question, where `option_sets[i]`
+        holds the option word sets of `question_sets[i]`: the extreme
+        distance between a question token and an option token at another
+        position, over n - 1, or the neutral 1.0 when there is no such
+        pair."""
+        q = len(question_sets)
+        masks = self.token_masks([*question_sets, *chain.from_iterable(option_sets)])
+        question_of = np.repeat(np.arange(q), [len(options) for options in option_sets])
+        extreme = extreme_pair_distance(masks[:q], masks[q:], question_of, aggregation == "max")
+        dist = iter(np.where(extreme >= 0, extreme / max(len(self.tokens) - 1, 1), 1.0).tolist())
+        return [tuple(islice(dist, len(options))) for options in option_sets]
 
     def boost(self, option: WordList) -> float:
         if self.store is None:
@@ -166,28 +193,44 @@ class OptionScores:
     web: tuple[float, float, float, float] | None
 
 
+def score_questions(
+    index: TextIndex,
+    stems: Sequence[WordList],
+    options: Sequence[Sequence[WordList]],
+    cfgs: Sequence[MethodConfig],
+) -> list[OptionScores]:
+    """The `OptionScores` of each question of one text, whose stem is
+    `stems[i]` and whose four options are `options[i]`: every component
+    score that some config in `cfgs` needs, each computed once. `sw` and
+    `d` (for sw_d and sw_d_web, at the distance aggregation the configs
+    share) are scored for every option of the text in one call each, and
+    `web` (for sw_d_web) option by option. The caller scores no question
+    when every config is random."""
+    for q_options in options:
+        if len(q_options) != 4:
+            raise ValueError(f"expected exactly 4 options, got {len(q_options)}")
+    methods = {cfg.method for cfg in cfgs}
+    stem_sets = [set(stem) for stem in stems]
+    option_sets = [[set(o) for o in q_options] for q_options in options]
+    sw = iter(index.window_score([s | o for s, q_sets in zip(stem_sets, option_sets)
+                                  for o in q_sets]))
+    dist = [None] * len(stems)
+    if not methods.isdisjoint(("sw_d", "sw_d_web")):
+        dist = index.distance(stem_sets, option_sets, cfgs[0].distance_aggregation)
+    web = [None] * len(stems)
+    if "sw_d_web" in methods:
+        web = [tuple(index.boost(o) for o in q_options) for q_options in options]
+    return [OptionScores(sw=tuple(islice(sw, 4)), dist=d, web=w) for d, w in zip(dist, web)]
+
+
 def score_options(
     index: TextIndex,
     question: WordList,
     options: Sequence[WordList],
     cfgs: Sequence[MethodConfig],
 ) -> OptionScores:
-    """Every component score that some config in `cfgs` needs, each
-    computed once: `sw`, `d` for sw_d and sw_d_web at the distance
-    aggregation the configs share, and `web` for sw_d_web. The caller
-    scores no question when every config is random."""
-    if len(options) != 4:
-        raise ValueError(f"expected exactly 4 options, got {len(options)}")
-    methods = {cfg.method for cfg in cfgs}
-    question_set = set(question)
-    option_sets = [set(o) for o in options]
-    sw = tuple(index.window_score(question_set | o) for o in option_sets)
-    dist = None
-    if not methods.isdisjoint(("sw_d", "sw_d_web")):
-        aggregation = cfgs[0].distance_aggregation
-        dist = tuple(index.distance(question_set, o, aggregation) for o in option_sets)
-    web = tuple(index.boost(o) for o in options) if "sw_d_web" in methods else None
-    return OptionScores(sw=sw, dist=dist, web=web)
+    """`score_questions` of one question."""
+    return score_questions(index, [question], [options], cfgs)[0]
 
 
 def decide(scores: OptionScores, cfg: MethodConfig, rng: random.Random | None) -> ScoreBreakdown:

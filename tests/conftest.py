@@ -31,3 +31,13 @@ def toy_store():
 def toy_preprocess():
     lexicon = load_lexicon(DATA_DIR / "toy_lexicon.txt")
     return PreprocessConfig(segmenter=DictionarySegmenter(lexicon))
+
+
+def sw_of(index, words):
+    """The `sw` of one word set, through the batched `TextIndex.window_score`."""
+    return index.window_score([set(words)])[0]
+
+
+def d_of(index, question, option, aggregation):
+    """The `d` of one option, through the batched `TextIndex.distance`."""
+    return index.distance([set(question)], [[set(option)]], aggregation)[0][0]

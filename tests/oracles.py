@@ -5,10 +5,9 @@ one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
 but `reference_load_embeddings`' error class, the store lookups
 (`row_index`, `rows`) that `reference_average_embedding` and
-`ReferenceTextIndex` read vectors through, the `ProcessedText`,
-`TextIndex` and report types
-`reference_evaluate` runs on, the lexicon and stopwords of its config, and
-the unchanged kernels `ReferenceTextIndex` calls (`sw` and `d`).
+`ReferenceTextIndex` read vectors through, the `ProcessedText` and
+report types `reference_evaluate` runs on, and the lexicon and stopwords
+of its config.
 
 The `reference_*` functions are earlier versions of package code, kept
 unchanged so that differential tests can hold the current code to them.
@@ -31,9 +30,8 @@ import numpy as np
 from lexmrc.corpus import filter_dataset
 from lexmrc.embedding import EmbeddingFormatError, EmbeddingStore, load_embeddings
 from lexmrc.evaluation import EvaluationReport, PredictionRecord
-from lexmrc.kernels import extreme_pair_distance, max_window_sum
 from lexmrc.preprocess import DEFAULT_PUNCTUATION, ProcessedText
-from lexmrc.scoring import ScoreBreakdown, TextIndex
+from lexmrc.scoring import ScoreBreakdown
 
 
 def window_score_oracle(tokens, question, option):
@@ -341,7 +339,8 @@ def reference_clean(sentence, stopwords, segmenter):
 def reference_evaluate(dataset, split, cfg, store=None):
     """One method's report, the way `evaluate` made it before the methods
     of a comparison shared one pass: its own pre-processing, its own
-    indexes and its own component scores. Texts, stems and options are
+    `ReferenceTextIndex` of each text and each option's component scores
+    on their own. Texts, stems and options are
     cleaned by `reference_split_sentences` and `reference_clean`, with a
     `ReferenceDictionarySegmenter` over the config segmenter's lexicon.
     `question_length` counts the raw stem cleaned with no stopwords."""
@@ -353,8 +352,8 @@ def reference_evaluate(dataset, split, cfg, store=None):
     def clean(sentence):
         return reference_clean(sentence, stopwords, segmenter)
 
-    indexes = {t.id: TextIndex(ProcessedText(tuple(w for s in reference_split_sentences(t.body)
-                                                   for w in clean(s))), need_store)
+    indexes = {t.id: ReferenceTextIndex(ProcessedText(tuple(
+                   w for s in reference_split_sentences(t.body) for w in clean(s))), need_store)
                for t in subset.texts}
     grades = {t.id: t.grade for t in subset.texts}
     rng = random.Random(cfg.random_seed) if cfg.method == "random" else None
@@ -382,12 +381,15 @@ def reference_evaluate(dataset, split, cfg, store=None):
 
 
 # The scoring index and the `web` kernel as they were before integer token
-# ids and the per-width cache of window means.
+# ids, the per-width cache of window means and the per-text batches of `sw`
+# and `d`.
 
 class ReferenceTextIndex:
-    """`TextIndex` as it was before integer token ids: per-token Python
-    loops for the log-weights, positions and prefix sums, a generator for
-    each `sw` mask, and every window mean formed again on each `boost`.
+    """`TextIndex` as it was before integer token ids and before a text's
+    options were scored in one batch: per-token Python loops for the
+    log-weights, positions and prefix sums, a generator for each `sw` mask,
+    the `sw` and `d` arithmetic of one option at a time, and every window
+    mean formed again on each `boost`.
 
     Per-text arrays the scorers share: token log-weights, occurrence
     positions, and (when an embedding store is given) prefix sums of the
@@ -421,13 +423,22 @@ class ReferenceTextIndex:
             self.cnt_prefix = None
 
     def window_score(self, word_set: frozenset[str] | set[str]) -> float:
-        if not word_set or not self.tokens:
+        """One option's `sw`, as it was scored before a text's options were
+        batched: the running sums of its own weights from +0.0, and the
+        best difference of them `len(word_set)` apart."""
+        n = len(self.tokens)
+        if not word_set or n == 0:
             return 0.0
-        mask = np.fromiter((tok in word_set for tok in self.tokens), dtype=bool, count=len(self.tokens))
+        mask = np.fromiter((tok in word_set for tok in self.tokens), dtype=bool, count=n)
         weights = np.where(mask, self.log_weights, 0.0)
-        return max_window_sum(weights, len(word_set))
+        width = min(len(word_set), n)
+        prefix = np.concatenate(([0.0], np.cumsum(weights)))
+        return float((prefix[width:] - prefix[:-width]).max())
 
     def distance(self, question_words: set[str], option_words: set[str], aggregation: str) -> float:
+        """One option's `d`, as it was scored before a text's options were
+        batched: the extreme of the matrix of |p - q| over all position
+        pairs, same-position pairs skipped."""
         n = len(self.tokens)
         if n <= 1:
             return 1.0
@@ -437,9 +448,11 @@ class ReferenceTextIndex:
             return 1.0
         pos_q = np.concatenate([self.positions[w] for w in sorted(sq)])
         pos_o = np.concatenate([self.positions[w] for w in sorted(so)])
-        extreme = extreme_pair_distance(pos_q, pos_o, aggregation == "max")
-        if extreme < 0:
+        dist = np.abs(pos_q[:, None] - pos_o[None, :])
+        valid = dist > 0
+        if not valid.any():
             return 1.0
+        extreme = dist[valid].max() if aggregation == "max" else dist[valid].min()
         return float(extreme) / (n - 1)
 
     def boost(self, option: WordList) -> float:

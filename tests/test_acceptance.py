@@ -21,6 +21,7 @@ from lexmrc.evaluation import evaluate, render_report
 from lexmrc.preprocess import DictionarySegmenter, ProcessedText
 from lexmrc.scoring import MethodConfig, TextIndex, decide, score_options
 
+from conftest import d_of, sw_of
 from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
 
 DATASET_ENV = "LEXMRC_DATASET"
@@ -41,7 +42,7 @@ class TestOracleEquivalence:
         start = time.perf_counter()
         for _ in range(1000):
             tokens, question, option = random_instance(rng)
-            got = TextIndex(pt(*tokens)).window_score(set(question) | set(option))
+            got = sw_of(TextIndex(pt(*tokens)), set(question) | set(option))
             want = window_score_oracle(tokens, question, option)
             assert abs(got - want) <= 1e-12
         elapsed = time.perf_counter() - start
@@ -56,7 +57,7 @@ class TestOracleEquivalence:
             tokens, question, option = random_instance(rng)
             index = TextIndex(pt(*tokens))
             for agg in ("min", "max"):
-                got = index.distance(set(question), set(option), agg)
+                got = d_of(index, set(question), set(option), agg)
                 want = distance_oracle(tokens, question, option, agg == "max")
                 assert got == want
         elapsed = time.perf_counter() - start
@@ -123,10 +124,10 @@ class TestInvariantSuite:
         for _ in range(300):
             tokens, question, option = random_instance(rng)
             index = TextIndex(pt(*tokens), store2)
-            sw = index.window_score(set(question) | set(option))
+            sw = sw_of(index, set(question) | set(option))
             assert sw >= 0.0
             for agg in ("min", "max"):
-                d = index.distance(set(question), set(option), agg)
+                d = d_of(index, set(question), set(option), agg)
                 assert 0.0 < d <= 1.0
                 if len(tokens) >= 2 and d != 1.0:
                     assert d >= 1.0 / (len(tokens) - 1)

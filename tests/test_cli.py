@@ -378,10 +378,12 @@ class TestCompare:
         # one index per text, built with the store the sw_d_web side needs
         assert len(builds) == len({args[1].flat for args in builds}) == len(texts)
         assert all(isinstance(args[2], EmbeddingStore) for args in builds)
-        # one pre-processing of each stem and option, one sw per option
+        # one pre-processing of each stem and option, and one sw call per
+        # text that scores every option of the text once
         assert [args[0] for args in sentences] == [
             s for q in questions for s in (q.stem, *q.options)]
-        assert len(windows) == 4 * len(questions)
+        assert len(windows) == len(texts)
+        assert sum(len(args[1]) for args in windows) == 4 * len(questions)
 
 
 class TestConfigFile:

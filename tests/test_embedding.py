@@ -300,8 +300,8 @@ def record_blocks(patch):
 @st.composite
 def block_files(draw):
     """The bytes of a vector file of mostly plain rows (a word, single
-    spaces, ASCII numbers, "\n"), with lines that each break one rule of
-    a plain block mixed in, and words that repeat."""
+    spaces, ASCII numbers, "\n"), with "\r\n" lines and lines that each
+    break one rule of a plain block mixed in, and words that repeat."""
     dim = draw(st.integers(1, 3))
     lines = []
     if draw(st.booleans()):
@@ -344,7 +344,7 @@ class TestBlocks:
     HEAD = b"a 1 2\nb 3 4\n"  # line 1, then a plain block
     # one line that breaks each rule of a plain block
     NOT_PLAIN = {
-        "crlf": b"c 5 6\r\n",
+        "bare cr": b"c 5 6\r",
         "tab": b"c\t5 6\n",
         "leading space": b" c 5 6\n",
         "nbsp in word": "c\xa0d 5 6\n".encode(),
@@ -400,6 +400,42 @@ class TestBlocks:
         plain = record_blocks(monkeypatch)
         assert scan_outcome(f) == line_by_line(f)
         assert plain == [width == 3]
+
+    def test_a_bare_cr_inside_a_block_goes_line_by_line(self, tmp_path, monkeypatch):
+        f = tmp_path / "v.vec"
+        f.write_bytes(self.HEAD + b"c 5 6\rd 7 8\n")
+        monkeypatch.setattr(embedding, "_BLOCK", 64)
+        plain = record_blocks(monkeypatch)
+        got = scan_outcome(f)
+        assert plain == [False]  # "b 3 4\nc 5 6\rd 7 8\n"
+        assert got == line_by_line(f)
+        assert got[1][0][2] == [1, 2, 3, 4]
+
+    def test_crlf_lines_are_plain(self, tmp_path, monkeypatch):
+        """A file whose lines end in "\r\n", or in a mix of "\r\n" and
+        "\n", is read in plain blocks into the store of its LF copy; each
+        row's byte range stops before the "\r"."""
+        rows = [f"từ_{i} {i / 3!r} {-i}\n" for i in range(40)]
+        lf, crlf, mixed = (tmp_path / name for name in ("lf.vec", "crlf.vec", "mixed.vec"))
+        lf.write_text("40 2\n" + "".join(rows), encoding="utf-8", newline="\n")
+        crlf.write_text("40 2\n" + "".join(rows), encoding="utf-8", newline="\r\n")
+        mixed.write_text("40 2\n" + "".join(r.replace("\n", "\r\n") if i % 3 else r
+                                          for i, r in enumerate(rows)),
+                         encoding="utf-8", newline="")
+        monkeypatch.setattr(embedding, "_BLOCK", 256)
+        plain = record_blocks(monkeypatch)
+        want = load_embeddings(lf)
+        for f in (crlf, mixed):
+            plain.clear()
+            store = load_embeddings(f)
+            assert len(plain) >= 3 and all(plain)
+            data = f.read_bytes()
+            spans = [data[start:start + size]
+                     for start, size in zip(store._source.starts, store._source.sizes)]
+            assert spans == [r.rstrip("\n").encode() for r in rows]
+            assert store._source.linenos.tolist() == want._source.linenos.tolist()
+            assert load_outcome(lambda _: store, f) == load_outcome(lambda _: want, lf)
+            assert scan_outcome(f) == line_by_line(f)
 
     def test_every_other_whitespace_character_is_unprintable(self):
         # the plain check reads a printable word list as free of whitespace

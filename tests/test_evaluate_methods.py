@@ -181,7 +181,7 @@ def test_random_only_computes_no_component(monkeypatch):
         raise AssertionError("a random-only pass scored a component")
 
     monkeypatch.setattr(TextIndex, "__init__", fail)
-    monkeypatch.setattr(evaluation, "score_options", fail)
+    monkeypatch.setattr(evaluation, "score_questions", fail)
     cfgs = [dataclasses.replace(config("random", "min", True), random_seed=seed)
             for seed in (11, 12)]
     zeros = (0.0, 0.0, 0.0, 0.0)

@@ -34,44 +34,81 @@ def both_call_forms(kernel):
     )
 
 
+def running(*rows):
+    """The (rows, n + 1) running sums of rows of n weights, from 0.0, as
+    `TextIndex.window_score` hands them to `max_window_sum`."""
+    weights = np.array(rows, dtype=np.float64)
+    prefix = np.zeros((weights.shape[0], weights.shape[1] + 1))
+    np.cumsum(weights, axis=1, out=prefix[:, 1:])
+    return prefix
+
+
+def masks(n, *position_lists):
+    """One (rows, n) bool row per list of positions."""
+    out = np.zeros((len(position_lists), n), dtype=bool)
+    for row, positions in zip(out, position_lists):
+        row[list(positions)] = True
+    return out
+
+
+def widths(*values):
+    return np.array(values, dtype=np.intp)
+
+
 class TestMaxWindowSum:
     @both_call_forms(kernels.max_window_sum)
     def test_basic(self, impl):
-        w = np.array([0.0, 1.0, 1.0, 0.0])
-        assert impl(w, 2) == pytest.approx(2.0)
-        assert impl(w, 1) == pytest.approx(1.0)
+        w = [0.0, 1.0, 1.0, 0.0]
+        assert impl(running(w, w), widths(2, 1)).tolist() == pytest.approx([2.0, 1.0])
 
     @both_call_forms(kernels.max_window_sum)
     def test_window_wider_than_text(self, impl):
-        w = np.array([0.5, 0.25])
-        assert impl(w, 10) == pytest.approx(0.75)
+        assert impl(running([0.5, 0.25]), widths(10)).tolist() == pytest.approx([0.75])
 
     @both_call_forms(kernels.max_window_sum)
     def test_empty(self, impl):
-        assert impl(np.zeros(0), 3) == 0.0
-        assert impl(np.ones(3), 0) == 0.0
+        assert impl(running([], []), widths(3, 0)).tolist() == [0.0, 0.0]
+        assert impl(running([1.0] * 3), widths(0)).tolist() == [0.0]
+        assert impl(np.zeros((0, 4)), widths()).tolist() == []
+
+    def test_rows_of_many_widths_are_scored_each_on_its_own(self):
+        rows = [[0.5, 0.0, 0.25, 1.0, 0.125], [1.0, 1.0, 0.0, 0.0, 2.0], [0.0] * 5]
+        batch = [(r, w) for r in rows for w in (0, 1, 2, 3, 5, 9)]
+        got = kernels.max_window_sum(running(*(r for r, _ in batch)),
+                                     widths(*(w for _, w in batch)))
+        want = [kernels.max_window_sum(running(r), widths(w))[0] for r, w in batch]
+        assert got.tolist() == want
 
 
 class TestExtremePairDistance:
     @both_call_forms(kernels.extreme_pair_distance)
     def test_min_and_max(self, impl):
-        a = np.array([1, 5], dtype=np.int64)
-        b = np.array([4], dtype=np.int64)
-        assert impl(a, b, False) == 1
-        assert impl(a, b, True) == 3
+        q, o = masks(6, [1, 5]), masks(6, [4])
+        assert impl(q, o, np.zeros(1, dtype=np.intp), False).tolist() == [1]
+        assert impl(q, o, np.zeros(1, dtype=np.intp), True).tolist() == [3]
 
     @both_call_forms(kernels.extreme_pair_distance)
     def test_same_position_pairs_skipped(self, impl):
-        a = np.array([2], dtype=np.int64)
-        assert impl(a, a, False) == -1
-        b = np.array([2, 4], dtype=np.int64)
-        assert impl(a, b, False) == 2
+        q, o = masks(5, [2]), masks(5, [2], [2, 4])
+        for use_max in (False, True):
+            assert impl(q, o, np.zeros(2, dtype=np.intp), use_max).tolist() == [-1, 2]
 
     @both_call_forms(kernels.extreme_pair_distance)
     def test_empty(self, impl):
-        a = np.zeros(0, dtype=np.int64)
-        b = np.array([1], dtype=np.int64)
-        assert impl(a, b, False) == -1
+        q, o = masks(3, [], [1]), masks(3, [1], [])
+        for use_max in (False, True):
+            assert impl(q, o, np.array([0, 1]), use_max).tolist() == [-1, -1]
+            assert impl(masks(0, []), masks(0, []), np.zeros(1, dtype=np.intp),
+                        use_max).tolist() == [-1]
+
+    def test_each_option_is_held_to_its_own_question(self):
+        # token 3 is next to question 0's token 2; question 1's tokens
+        # are at 0 and 7
+        q = masks(8, [2], [0, 7])
+        o = masks(8, [3], [3], [0, 6])
+        question_of = np.array([0, 1, 1])
+        assert kernels.extreme_pair_distance(q, o, question_of, False).tolist() == [1, 3, 1]
+        assert kernels.extreme_pair_distance(q, o, question_of, True).tolist() == [1, 4, 7]
 
 
 def prefixes(rows, known):

@@ -14,6 +14,7 @@ from lexmrc.scoring import (
     score_options,
 )
 
+from conftest import d_of, sw_of
 from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
 
 LN2 = math.log(2.0)
@@ -28,22 +29,22 @@ def pt(*tokens):
 class TestSlidingWindow:
     def test_two_word_option(self):
         text = pt("a", "b", "c", "a")
-        got = TextIndex(text).window_score({"b", "c"})
+        got = sw_of(TextIndex(text), {"b", "c"})
         assert got == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_no_overlap(self):
         text = pt("a", "b")
-        assert TextIndex(text).window_score({"x", "y"}) == 0.0
+        assert sw_of(TextIndex(text), {"x", "y"}) == 0.0
 
     def test_single_token(self):
         text = pt("x")
-        got = TextIndex(text).window_score({"x"})
+        got = sw_of(TextIndex(text), {"x"})
         assert got == pytest.approx(LN2, abs=1e-12)
 
     def test_empty_text_and_empty_words(self):
         # +0.0, not -0.0: `==` alone would pass either
-        empty_text = TextIndex(pt()).window_score({"a", "b"})
-        empty_words = TextIndex(pt("a")).window_score(set())
+        empty_text = sw_of(TextIndex(pt()), {"a", "b"})
+        empty_words = sw_of(TextIndex(pt("a")), set())
         for got in (empty_text, empty_words):
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
@@ -60,16 +61,16 @@ class TestSlidingWindow:
         for _ in range(200):
             tokens, question, option = random_instance(rng)
             text = pt(*tokens)
-            score = TextIndex(text).window_score(set(question) | set(option))
+            score = sw_of(TextIndex(text), set(question) | set(option))
             overlap = (set(question) | set(option)) & set(tokens)
             assert score >= 0.0
             assert (score == 0.0) == (not overlap)
 
     def test_appending_neutral_tokens_never_lowers_score(self):
         text = pt("a", "b", "c", "a")
-        base = TextIndex(text).window_score({"a", "c"})
+        base = sw_of(TextIndex(text), {"a", "c"})
         grown = pt("a", "b", "c", "a", "zz", "zz")
-        grown_score = TextIndex(grown).window_score({"a", "c"})
+        grown_score = sw_of(TextIndex(grown), {"a", "c"})
         assert grown_score >= base
 
     def test_matches_oracle(self):
@@ -77,38 +78,38 @@ class TestSlidingWindow:
         for _ in range(300):
             tokens, question, option = random_instance(rng)
             text = pt(*tokens)
-            got = TextIndex(text).window_score(set(question) | set(option))
+            got = sw_of(TextIndex(text), set(question) | set(option))
             want = window_score_oracle(tokens, question, option)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestDistance:
     def test_guard_when_question_absent(self):
-        assert TextIndex(pt("x", "a")).distance({"q"}, {"a"}, "min") == 1.0
+        assert d_of(TextIndex(pt("x", "a")), {"q"}, {"a"}, "min") == 1.0
 
     def test_min_pair(self):
-        got = TextIndex(pt("x", "q", "y", "y", "a")).distance({"q"}, {"a"}, "min")
+        got = d_of(TextIndex(pt("x", "q", "y", "y", "a")), {"q"}, {"a"}, "min")
         assert got == pytest.approx(3 / 4)
 
     def test_adjacent_pair(self):
-        got = TextIndex(pt("x", "q", "a", "y", "y")).distance({"q"}, {"a"}, "min")
+        got = d_of(TextIndex(pt("x", "q", "a", "y", "y")), {"q"}, {"a"}, "min")
         assert got == pytest.approx(1 / 4)
 
     def test_max_aggregation(self):
         text = pt("q", "a", "x", "a")
-        assert TextIndex(text).distance({"q"}, {"a"}, "min") == pytest.approx(1 / 3)
-        assert TextIndex(text).distance({"q"}, {"a"}, "max") == pytest.approx(3 / 3)
+        assert d_of(TextIndex(text), {"q"}, {"a"}, "min") == pytest.approx(1 / 3)
+        assert d_of(TextIndex(text), {"q"}, {"a"}, "max") == pytest.approx(3 / 3)
 
     def test_single_token_text(self):
         for agg in ("min", "max"):
-            got = TextIndex(pt("q")).distance({"q"}, {"q"}, agg)
+            got = d_of(TextIndex(pt("q")), {"q"}, {"q"}, agg)
             assert struct.pack("<d", got) == struct.pack("<d", 1.0)
 
     def test_shared_word_same_position_excluded(self):
         # "q" serves both sides; its self-pair must not produce distance 0
-        got = TextIndex(pt("q", "x")).distance({"q"}, {"q"}, "min")
+        got = d_of(TextIndex(pt("q", "x")), {"q"}, {"q"}, "min")
         assert got == 1.0
-        got = TextIndex(pt("q", "x", "q")).distance({"q"}, {"q"}, "min")
+        got = d_of(TextIndex(pt("q", "x", "q")), {"q"}, {"q"}, "min")
         assert got == pytest.approx(2 / 2)
 
     def test_range_invariant(self):
@@ -116,7 +117,7 @@ class TestDistance:
         for _ in range(300):
             tokens, question, option = random_instance(rng)
             for agg in ("min", "max"):
-                d = TextIndex(pt(*tokens)).distance(set(question), set(option), agg)
+                d = d_of(TextIndex(pt(*tokens)), set(question), set(option), agg)
                 assert 0.0 < d <= 1.0
                 if len(tokens) >= 2:
                     assert d == 1.0 or d >= 1 / (len(tokens) - 1)
@@ -126,7 +127,7 @@ class TestDistance:
         rng = random.Random(42 if agg == "min" else 43)
         for _ in range(300):
             tokens, question, option = random_instance(rng)
-            got = TextIndex(pt(*tokens)).distance(set(question), set(option), agg)
+            got = d_of(TextIndex(pt(*tokens)), set(question), set(option), agg)
             want = distance_oracle(tokens, question, option, agg == "max")
             assert got == want
 

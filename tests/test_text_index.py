@@ -4,7 +4,8 @@
 loops and every window mean formed again on each `boost`. The current
 index must give the same float, bit for bit, for `sw`, `d` (min and max)
 and `web`, with its per-width cache of window means hit and missed in any
-order.
+order, and with `sw` and `d` of every option of a text scored in one
+batch where the reference scores one option at a time.
 """
 
 import gc
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 
 from lexmrc import scoring
 from lexmrc.preprocess import ProcessedText
-from lexmrc.scoring import TextIndex
+from lexmrc.scoring import MethodConfig, TextIndex, score_questions
 
+from conftest import d_of, sw_of
 from oracles import ReferenceTextIndex, vector_store
 
 # w*: words with vectors, z*: words whose vector is zero, u*: words the
@@ -52,11 +54,24 @@ word_lists = st.lists(st.sampled_from(QUERY_WORDS), max_size=8)
 queries = st.lists(st.tuples(word_lists, word_lists), min_size=1, max_size=10)
 
 
+def pt(*tokens):
+    return ProcessedText(tuple(tokens))
+
+
 def same(got, want):
     """Equal as the reports print them: the same float, down to the sign
     of a zero."""
     assert type(got) is type(want)
     assert repr(got) == repr(want)
+
+
+def batched(index, queries, aggregation):
+    """`sw` and `d` of every (question, option) of `queries` from one call
+    each, every option a question of its own."""
+    sw = index.window_score([set(q) | set(o) for q, o in queries])
+    dist = index.distance([set(q) for q, _ in queries], [[set(o)] for _, o in queries],
+                          aggregation)
+    return sw, [d for (d,) in dist]
 
 
 @settings(max_examples=300, deadline=None)
@@ -67,15 +82,16 @@ def test_matches_reference_bit_for_bit(text, store, queries):
     assert index.log_weights.tobytes() == ref.log_weights.tobytes()
     assert index.vec_prefix.tobytes() == ref.vec_prefix.tobytes()
     assert index.cnt_prefix.tolist() == ref.cnt_prefix.tolist()
-    for word in QUERY_WORDS:
+    masks = index.token_masks([{word} for word in QUERY_WORDS])
+    for word, mask in zip(QUERY_WORDS, masks):
         want = ref.positions[word].tolist() if word in ref.positions else []
-        assert np.flatnonzero(index.token_mask({word})).tolist() == want
-    for question, option in queries:
-        words = set(question) | set(option)
-        same(index.window_score(words), ref.window_score(words))
-        for aggregation in ("min", "max"):
-            same(index.distance(set(question), set(option), aggregation),
-                 ref.distance(set(question), set(option), aggregation))
+        assert np.flatnonzero(mask).tolist() == want
+    for aggregation in ("min", "max"):
+        sw, dist = batched(index, queries, aggregation)
+        for (question, option), got_sw, got_d in zip(queries, sw, dist):
+            same(got_sw, ref.window_score(set(question) | set(option)))
+            same(got_d, ref.distance(set(question), set(option), aggregation))
+    for _, option in queries:
         same(index.boost(option), ref.boost(option))
 
 
@@ -85,11 +101,40 @@ def test_matches_reference_without_a_store(text, queries):
     index = TextIndex(text)
     ref = ReferenceTextIndex(text)
     assert index.vec_prefix is None and index.cnt_prefix is None
-    for question, option in queries:
-        words = set(question) | set(option)
-        same(index.window_score(words), ref.window_score(words))
-        same(index.distance(set(question), set(option), "min"),
-             ref.distance(set(question), set(option), "min"))
+    sw, dist = batched(index, queries, "min")
+    for (question, option), got_sw, got_d in zip(queries, sw, dist):
+        same(got_sw, ref.window_score(set(question) | set(option)))
+        same(got_d, ref.distance(set(question), set(option), "min"))
+
+
+# whole texts as a split gives them to `score_questions`: from 0 tokens,
+# with "_" tokens, and many questions of four options, any stem or option
+# empty and any window wider than the text
+OPAQUE = ["w0_w1", "u_0"]
+whole_texts = st.lists(st.sampled_from(TEXT_WORDS + OPAQUE), max_size=24).map(
+    lambda words: ProcessedText(tuple(words)))
+whole_words = st.lists(st.sampled_from(QUERY_WORDS + OPAQUE), max_size=30)
+whole_questions = st.lists(st.tuples(whole_words, st.lists(whole_words, min_size=4, max_size=4)),
+                           min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(whole_texts, st.sampled_from([pt(), pt("w0"), pt("w0_w1")])),
+       questions=whole_questions, aggregation=st.sampled_from(["min", "max"]))
+def test_whole_texts_match_reference_option_by_option(text, questions, aggregation):
+    """Every option of a text scored in one batch gives the floats of the
+    reference, which scores each option on its own."""
+    cfg = MethodConfig(method="sw_d", distance_aggregation=aggregation)
+    stems = [stem for stem, _ in questions]
+    options = [q_options for _, q_options in questions]
+    got = score_questions(TextIndex(text), stems, options, (cfg,))
+    ref = ReferenceTextIndex(text)
+    assert len(got) == len(questions)
+    for scores, stem, q_options in zip(got, stems, options):
+        for sw, d, option in zip(scores.sw, scores.dist, q_options):
+            same(sw, ref.window_score(set(stem) | set(option)))
+            same(d, ref.distance(set(stem), set(option), aggregation))
+        assert scores.web is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,10 +159,6 @@ def test_boost_builds_window_means_only_inside_the_text(text, store, queries):
             index.boost(option)
 
 
-def pt(*tokens):
-    return ProcessedText(tuple(tokens))
-
-
 @pytest.fixture
 def store():
     return vector_store({"a": [1.0, 0.0], "b": [0.0, 1.0], "z": [0.0, 0.0]})
@@ -134,10 +175,10 @@ class TestIds:
         index = TextIndex(pt(), store)
         assert index.vocab == ()
         assert index.ids.tolist() == []
-        assert index.token_mask({"a"}).tolist() == []
+        assert index.token_masks([{"a"}]).tolist() == [[]]
         assert index.vec_prefix.shape == (1, 2)
-        assert index.window_score({"a"}) == 0.0
-        assert index.distance({"a"}, {"b"}, "min") == 1.0
+        assert sw_of(index, {"a"}) == 0.0
+        assert d_of(index, {"a"}, {"b"}, "min") == 1.0
         assert index.boost(["a"]) == 0.0
 
 
