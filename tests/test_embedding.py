@@ -301,7 +301,8 @@ def record_blocks(patch):
 def block_files(draw):
     """The bytes of a vector file of mostly plain rows (a word, single
     spaces, ASCII numbers, "\n"), with "\r\n" lines and lines that each
-    break one rule of a plain block mixed in, and words that repeat."""
+    break one rule of a plain block (a bare "\r" among them) mixed in, and
+    words that repeat."""
     dim = draw(st.integers(1, 3))
     lines = []
     if draw(st.booleans()):
@@ -310,8 +311,8 @@ def block_files(draw):
         word = draw(st.sampled_from(["a", "b", "c", "d", "x1", "học_sinh", "ờ", "#", "1"]))
         components = draw(st.lists(GOOD_TOKENS, min_size=dim, max_size=dim))
         kind = draw(st.sampled_from(["plain"] * 12 + [
-            "crlf", "tab", "lead", "nbsp", "long", "fullwidth", "blank", "word only",
-            "bad byte"]))
+            "crlf", "bare cr", "tab", "lead", "nbsp", "long", "fullwidth", "blank",
+            "word only", "bad byte"]))
         if kind == "nbsp":
             word += "\xa0b"
         elif kind == "long":
@@ -321,7 +322,8 @@ def block_files(draw):
         elif kind == "word only":
             components = []
         line = " ".join([word] + components) + "\n"
-        line = {"crlf": line.replace("\n", "\r\n"), "tab": line.replace(" ", "\t", 1),
+        line = {"crlf": line.replace("\n", "\r\n"), "bare cr": line.replace("\n", "\r"),
+                "tab": line.replace(" ", "\t", 1),
                 "lead": " " + line, "blank": "\n"}.get(kind, line)
         lines.append(line.encode() if kind != "bad byte" else b"w\xff " + line.encode())
     data = b"".join(lines)
