@@ -31,14 +31,17 @@ from conftest import DATA_DIR
 GOLDEN_DIR = DATA_DIR / "golden"
 REPO_ROOT = DATA_DIR.parent.parent
 DATASET = ["--dataset", str(DATA_DIR / "reasoning_fixtures.json")]
+# the same dataset, its question ids holding characters that JSON escapes
+# or that are not ASCII
+HOSTILE_IDS = ["--dataset", str(DATA_DIR / "hostile_ids.json")]
 LEXICON = ["--lexicon", str(DATA_DIR / "toy_lexicon.txt")]
 VECTORS = ["--embeddings", str(DATA_DIR / "toy_vectors.vec")]
 STOPWORDS = ["--stopwords", str(DATA_DIR / "toy_stopwords.txt")]
 
 
-def evaluate(method, *extra):
-    return ["evaluate", *DATASET, "--split", "dev", "--method", method, *VECTORS, *LEXICON,
-            *extra, "--format", "json"]
+def evaluate(method, *extra, dataset=DATASET, fmt="json"):
+    return ["evaluate", *dataset, "--split", "dev", "--method", method, *VECTORS, *LEXICON,
+            *extra, "--format", fmt]
 
 
 def compare(baseline, candidate, facet, fmt, *extra):
@@ -56,6 +59,8 @@ COMMANDS = {
     "evaluate_sw.json": evaluate("sw"),
     "evaluate_sw_d.json": evaluate("sw_d"),
     "evaluate_sw_d_max.json": evaluate("sw_d", "--distance-agg", "max"),
+    "evaluate_sw_d_hostile_ids.json": evaluate("sw_d", dataset=HOSTILE_IDS),
+    "evaluate_sw_d_hostile_ids.csv": evaluate("sw_d", dataset=HOSTILE_IDS, fmt="csv"),
     "evaluate_sw_d_web.json": evaluate("sw_d_web"),
     # with stopwords, question_length is counted on the raw stem
     "evaluate_sw_d_web_stopwords.json": evaluate("sw_d_web", *STOPWORDS),
