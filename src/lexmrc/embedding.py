@@ -71,6 +71,7 @@ class _RowSource:
             matrix is None
             or matrix.shape != (len(rests), dim or matrix.shape[1])
             or not np.isfinite(matrix).all()
+            or _norm_overflows(matrix)
         ):
             raise _first_bad_row(self.path, self.linenos[ids].tolist(), rests, dim)
         return matrix
@@ -298,12 +299,21 @@ def _parse_rows(rests: list[str]) -> np.ndarray | None:
         return None
 
 
+def _norm_overflows(rows: np.ndarray) -> bool:
+    """Whether the squared norm of a row of `rows` is not finite (`einsum`
+    raises no floating-point warning). No mean of rows that pass has a
+    larger squared norm than its largest row, so `web`'s cosines stay
+    finite."""
+    return not np.isfinite(np.einsum("ij,ij->i", rows, rows)).all()
+
+
 def _first_bad_row(
     path: Path, linenos: list[int], rests: list[str], dim: int | None
 ) -> EmbeddingFormatError:
     """The error for the first row, in file order, that is not numeric, not
-    finite, or not of the file's dimension `dim`: None only when the first
-    row is read alone, which then fails only for being bad or empty."""
+    finite, not of the file's dimension `dim`, or too large for its squared
+    norm to be finite: `dim` is None only when the first row is read alone,
+    which then fails only for being bad or empty."""
     for lineno, rest in zip(linenos, rests):
         row = _parse_rows([rest]) if rest else np.zeros((1, 0))
         if row is None:
@@ -314,6 +324,8 @@ def _first_bad_row(
             problem = "row has no vector components"
         elif dim is not None and row.shape[1] != dim:
             problem = f"expected {dim} components, found {row.shape[1]}"
+        elif _norm_overflows(row):
+            problem = "vector too large (its squared norm overflows)"
         else:
             continue
         return EmbeddingFormatError(f"{path}:{lineno}: {problem}")

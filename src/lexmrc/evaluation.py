@@ -15,6 +15,7 @@ import io
 import json
 import random
 from dataclasses import asdict, astuple, dataclass, fields
+from json.encoder import encode_basestring
 from typing import Sequence
 
 from .corpus import (
@@ -307,29 +308,73 @@ def _breakdown_dict(b: ScoreBreakdown) -> dict:
     }
 
 
-def _record_dict(r: PredictionRecord) -> dict:
-    return {
-        "question_id": r.question_id,
-        "predicted": r.predicted,
-        "gold": r.gold,
-        "correct": r.correct,
-        "breakdown": _breakdown_dict(r.breakdown),
-        "question_length": r.question_length,
-        "grade": r.grade,
-        "reasoning_type": r.reasoning_type,
-    }
-
-
-def _report_dict(report: EvaluationReport) -> dict:
-    return {
-        "config": report.config,
-        "accuracy": report.accuracy,
-        "records": [_record_dict(r) for r in report.records],
-    }
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+# one record of a report's JSON, keys sorted, at the indents of
+# `json.dumps(indent=2)`
+_RECORD_JSON = """\
+    {
+      "breakdown": {
+        "dist": [
+          %s
+        ],
+        "final": [
+          %s
+        ],
+        "method": %s,
+        "predicted": %s,
+        "sw": [
+          %s
+        ],
+        "web": [
+          %s
+        ]
+      },
+      "correct": %s,
+      "gold": %s,
+      "grade": %s,
+      "predicted": %s,
+      "question_id": %s,
+      "question_length": %s,
+      "reasoning_type": %s
+    }"""
+_SCORE_SEP = ",\n          "
+# `json.dumps` spells the non-finite floats its own way
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scores_json(values) -> str:
+    text = _SCORE_SEP.join(map(float.__repr__, values))
+    if "n" in text:  # no finite repr holds an "n"
+        text = _SCORE_SEP.join(_NON_FINITE.get(v, v) for v in text.split(_SCORE_SEP))
+    return text
+
+
+def _record_json(r: PredictionRecord) -> str:
+    b = r.breakdown
+    return _RECORD_JSON % (
+        _scores_json(b.dist), _scores_json(b.final), encode_basestring(b.method),
+        int.__repr__(b.predicted), _scores_json(b.sw), _scores_json(b.web),
+        "true" if r.correct else "false", int.__repr__(r.gold), int.__repr__(r.grade),
+        int.__repr__(r.predicted), encode_basestring(r.question_id),
+        int.__repr__(r.question_length),
+        "null" if r.reasoning_type is None else encode_basestring(r.reasoning_type),
+    )
+
+
+def _report_json(report: EvaluationReport) -> str:
+    """What `_json_text` gives for the report as a dict, with each record
+    written from `_RECORD_JSON` as `json.dumps` would write it: strings
+    escaped by the function it uses under `ensure_ascii=False`, numbers as
+    `float.__repr__` and `int.__repr__`. Only the head goes through
+    `json.dumps`; "records" sorts after its "accuracy" and "config"."""
+    head = _json_text({"accuracy": report.accuracy, "config": report.config})[:-3]
+    if not report.records:
+        return head + ',\n  "records": []\n}\n'
+    records = ",\n".join(map(_record_json, report.records))
+    return f'{head},\n  "records": [\n{records}\n  ]\n}}\n'
 
 
 def _csv_text(header: list[str], rows: list[Sequence]) -> str:
@@ -403,7 +448,7 @@ def render_report(obj, fmt: str = "plain") -> str:
             return _render_report_plain(obj)
         if fmt == "csv":
             return _csv_text(*_record_csv_rows(obj))
-        return _json_text(_report_dict(obj))
+        return _report_json(obj)
     if isinstance(obj, ImprovementTable):
         if fmt == "plain":
             return _render_improvement_plain(obj)

@@ -143,7 +143,7 @@ def vector_store(vectors):
 def reference_load_embeddings(path):
     """The vector-file loader as it was before the one-pass parse: every row
     split into strings and converted on its own, with Python's `float`
-    grammar. Returns the dimension, the words in row order and their rows
+    grammar, and refused when its squared norm is not finite. Returns the dimension, the words in row order and their rows
     as one matrix."""
     path = Path(path)
     words: list[str] = []
@@ -177,6 +177,10 @@ def reference_load_embeddings(path):
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: expected {dim} components, found {vec.shape[0]}"
                 )
+            # Python's float arithmetic overflows to inf without a warning
+            if not math.isfinite(sum(x * x for x in vec.tolist())):
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: vector too large (its squared norm overflows)")
             if word in index:
                 continue
             index[word] = len(rows)
@@ -378,6 +382,31 @@ def reference_evaluate(dataset, split, cfg, store=None):
               "random_seed": cfg.random_seed, "split": split}
     accuracy = sum(r.correct for r in records) / len(records)
     return EvaluationReport(config=config, records=tuple(records), accuracy=accuracy)
+
+
+def report_dict(report):
+    """A report as the dict that `render_report(report, "json")` writes,
+    which is `json.dumps(..., ensure_ascii=False, sort_keys=True, indent=2)`
+    of it and a newline: the report's JSON as it was built before records
+    were written from a template."""
+    return {
+        "config": report.config,
+        "accuracy": report.accuracy,
+        "records": [{
+            "question_id": r.question_id,
+            "predicted": r.predicted,
+            "gold": r.gold,
+            "correct": r.correct,
+            "breakdown": {
+                "sw": r.breakdown.sw, "dist": r.breakdown.dist, "web": r.breakdown.web,
+                "final": r.breakdown.final, "predicted": r.breakdown.predicted,
+                "method": r.breakdown.method,
+            },
+            "question_length": r.question_length,
+            "grade": r.grade,
+            "reasoning_type": r.reasoning_type,
+        } for r in report.records],
+    }
 
 
 # The scoring index and the `web` kernel as they were before integer token

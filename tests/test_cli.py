@@ -972,6 +972,17 @@ class TestLazyVectorRows:
                                   "--embeddings", "tests/data/toy_vectors_used_bad_row.vec")
             assert (code, err) == (code_want, "" if code_want == EXIT_OK else want)
 
+    def test_a_row_too_large_for_its_squared_norm_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA_DIR.parent.parent)
+        lines = Path(VECTORS).read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[90].startswith("thì_thầm ")
+        lines[90] = "thì_thầm" + " 1e200" * 16 + "\n"
+        vectors = tmp_path / "v.vec"
+        vectors.write_text("".join(lines), encoding="utf-8")
+        code, out, err = self.evaluate(capsys, str(vectors))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"error: {vectors}:91: vector too large (its squared norm overflows)\n"
+
     def test_a_non_positive_header_dimension_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(DATA_DIR.parent.parent)
         vectors = tmp_path / "v.vec"

@@ -96,6 +96,21 @@ class TestLoader:
         with pytest.raises(EmbeddingFormatError, match="finite"):
             load_embeddings(f)
 
+    def test_a_row_whose_squared_norm_overflows(self, tmp_path):
+        """Finite components whose sum of squares is not a finite float
+        would make `web`'s cosines NaN."""
+        f = tmp_path / "v.vec"
+        f.write_text("a 1 0\nb 1e200 2e200\nc 1e150 2e150\n", encoding="utf-8")
+        store = load_embeddings(f)
+        assert vector(store, "c").tolist() == [1e150, 2e150]
+        with pytest.raises(EmbeddingFormatError) as exc:
+            load_all(f)
+        assert str(exc.value) == f"{f}:2: vector too large (its squared norm overflows)"
+        # the first row is converted at load
+        f.write_text("a 3e200 -1e200\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=r":1: vector too large"):
+            load_embeddings(f)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "v.vec"
         f.write_text("", encoding="utf-8")
@@ -528,7 +543,7 @@ class TestLazyRows:
     @settings(max_examples=30, deadline=None)
     def test_rows_converted_in_any_order_match_reference(self, tmp_path_factory, order, step):
         f = tmp_path_factory.mktemp("order") / "v.vec"
-        f.write_text("".join(f"w{i} {i / 7} {-i}e-3 {i * 1e300}\n" for i in range(40)),
+        f.write_text("".join(f"w{i} {i / 7} {-i}e-3 {i * 1e150}\n" for i in range(40)),
                      encoding="utf-8")
         store = load_embeddings(f)
         _, words, want = reference_load_embeddings(f)
@@ -738,8 +753,9 @@ class TestStoreConstruction:
         assert str(exc.value) == f"{f}:1: non-positive dimension in header"
 
     def test_the_mapping_helper_round_trips_bit_for_bit(self):
-        # signed zeros, the smallest subnormal, a huge value and a third
-        values = [-0.0, 0.0, 5e-324, 1e308, 1 / 3, -2.5]
+        # signed zeros, the smallest subnormal, a value whose square is
+        # near the largest float, and a third
+        values = [-0.0, 0.0, 5e-324, 1.3e154, 1 / 3, -2.5]
         store = make_store(a=values[:3], b=values[3:])
         assert (store.dim, list(store)) == (3, ["a", "b"])
         assert store.rows([0, 1]).tobytes() == np.array([values[:3], values[3:]]).tobytes()

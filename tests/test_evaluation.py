@@ -4,13 +4,17 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lexmrc.corpus import Dataset, MCQuestion, ReadingText, compute_stats
+from lexmrc.corpus import GRADES, REASONING_TYPES, Dataset, MCQuestion, ReadingText, compute_stats
 from lexmrc.evaluation import (
     FACETS,
     EmptySplitError,
+    EvaluationReport,
     FacetRow,
     FacetTable,
+    PredictionRecord,
     _render_facet_plain,
     compare_reports,
     evaluate,
@@ -20,9 +24,9 @@ from lexmrc.evaluation import (
     render_stats,
 )
 from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig
-from lexmrc.scoring import MethodConfig
+from lexmrc.scoring import DISTANCE_AGGREGATIONS, METHODS, MethodConfig, ScoreBreakdown
 
-from oracles import vector_store
+from oracles import report_dict, vector_store
 
 
 def make_question(qid, text_id, stem, options, gold, split="dev", reasoning=None):
@@ -290,6 +294,45 @@ def dump(payload):
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
+# characters JSON escapes or that are not ASCII: quote, backslash, the
+# controls, DEL, the line and paragraph separators, a Latin-1 letter, an
+# astral letter and lone surrogates
+HOSTILE_CHARS = ['"', "\\", "\x7f", "\u2028", "\u2029", "é", "\U0001d538", "\ud800", "\udfff"]
+HOSTILE_CHARS += [chr(c) for c in range(0x20)]
+EXTREME_FLOATS = [-0.0, 1e16, 5e-324, 1.7976931348623157e308, float("nan"), float("inf"),
+                  float("-inf")]
+
+
+def hostile_text():
+    return st.text(st.one_of(st.sampled_from(HOSTILE_CHARS), st.characters(),
+                             st.integers(0xD800, 0xDFFF).map(chr)), max_size=12)
+
+
+@st.composite
+def reports(draw):
+    """Evaluation reports of up to 5 records, drawn field by field."""
+    score = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats())
+    scores = st.tuples(score, score, score, score)
+    method = draw(st.sampled_from(METHODS))
+    records = []
+    for _ in range(draw(st.integers(0, 5))):
+        predicted, gold = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        records.append(PredictionRecord(
+            question_id=draw(hostile_text()), predicted=predicted, gold=gold,
+            correct=predicted == gold,
+            breakdown=ScoreBreakdown(sw=draw(scores), dist=draw(scores), web=draw(scores),
+                                     final=draw(scores), predicted=predicted, method=method),
+            question_length=draw(st.integers(0, 10**6)), grade=draw(st.sampled_from(GRADES)),
+            reasoning_type=draw(st.sampled_from((None,) + REASONING_TYPES)),
+        ))
+    config = {"method": method,
+              "distance_aggregation": draw(st.sampled_from(DISTANCE_AGGREGATIONS)),
+              "random_seed": draw(st.one_of(st.none(), st.integers(-2**70, 2**70))),
+              "split": draw(st.sampled_from(["train", "dev", "test"]))}
+    return EvaluationReport(config=config, records=tuple(records),
+                            accuracy=draw(st.floats(0.0, 1.0)))
+
+
 class TestRender:
     # a facet table is rendered only inside a plain report
     def test_empty_facet_table_renders_header_only(self):
@@ -350,6 +393,17 @@ class TestRender:
         table = compare_reports(base, method, "grade")
         want = {"facet": table.facet, "rows": [dataclasses.asdict(r) for r in table.rows]}
         assert render_report(table, "json") == dump(want)
+
+    @given(reports())
+    @settings(max_examples=300, deadline=None)
+    @example(EvaluationReport(config={"method": "sw", "distance_aggregation": "min",
+                                      "random_seed": None, "split": "dev"},
+                              records=(), accuracy=0.0))
+    def test_json_report_is_json_dumps_of_its_dict(self, report):
+        """The JSON report, written record by record from a template, is
+        `json.dumps` of the report's dict byte for byte: hostile strings,
+        every non-finite and extreme float, no records."""
+        assert render_report(report, "json") == dump(report_dict(report))
 
     def test_improvement_rendering(self, toy_dataset):
         a = evaluate(toy_dataset, "dev", SW)

@@ -158,6 +158,15 @@ class TestBoost:
     def test_all_oov_option(self):
         assert TextIndex(pt("a", "b"), toy_store()).boost(["zz"]) == 0.0
 
+    def test_huge_finite_rows_give_a_finite_boost(self):
+        """Components near 1e150 square to near 1e300: the squared norms
+        of the rows, and so of every window mean, stay finite. A store
+        refuses rows near 1e155 and above (`tests/test_embedding.py`)."""
+        store = vector_store({"a": [1e150, 2e150], "b": [3e150, -1e150]})
+        index = TextIndex(pt("a", "b", "c"), store)
+        assert index.boost(["a"]) == pytest.approx(1.0)
+        assert index.boost(["b", "c"]) == pytest.approx(1.0)
+
     def test_empty_option_or_text(self):
         store = toy_store()
         assert TextIndex(pt("a", "b"), store).boost([]) == 0.0
