@@ -227,7 +227,8 @@ def _score_text(
     options = [[preprocess_sentence(o, preprocess) for o in q.options] for q in questions]
     if store is not None:
         words = set(body.flat).union(*(option for q_options in options for option in q_options))
-        store.convert(row for row in map(store.row_index, words) if row is not None)
+        rows = store.row_ids(words)
+        store.convert(rows[rows >= 0])
     return list(zip(lengths, score_questions(TextIndex(body, store), stems, options, cfgs)))
 
 

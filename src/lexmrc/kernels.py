@@ -3,9 +3,11 @@
 One vectorized numpy function per job: the best window sums of token
 weights (`sw`) and the extreme distances between question and option
 positions (`d`), each for every option of a text at once, and the best
-cosine between a target vector and a window's mean vector (`web`), over
-window means that `window_means` forms once per text and width.
-`BACKEND` names the build for reports that record it.
+cosine between each option's mean vector and a window's mean vector
+(`web`), for every option of one width at once, over window means that
+`window_means` forms once per text and width. Every float is the one
+that scoring each option alone gives. `BACKEND` names the build for
+reports that record it.
 """
 
 from __future__ import annotations
@@ -114,16 +116,26 @@ def window_means(vec_prefix: np.ndarray, cnt_prefix: np.ndarray, width: int) -> 
     return WindowMeans(means, norms, valid)
 
 
-def max_window_cosine(windows: WindowMeans, target: np.ndarray) -> float:
-    """Best cosine between `target` and the mean vector of any window of
-    `windows` (see `window_means`).
+def max_window_cosine(windows: WindowMeans, targets: np.ndarray) -> np.ndarray:
+    """Best cosine between each row of `targets` (k, dim) and the mean
+    vector of any window of `windows` (see `window_means`), as a (k,)
+    array.
 
-    Windows with no known token or a zero-norm mean count as similarity 0.
-    Returns 0.0 when `target` has zero norm.
+    Windows with no known token or a zero-norm mean count as similarity 0;
+    a zero-norm target scores 0.0. Each of the two stacked `np.matmul`
+    calls makes per target the BLAS call that scoring it alone makes: the
+    `dot` of `target @ target` and the `gemv` of `means @ target`. No
+    matrix product over targets is formed, so every cosine is the float
+    that the target gets on its own.
     """
-    target_norm = float(np.sqrt(target @ target))
-    if target_norm == 0.0:
-        return 0.0
-    scores = np.zeros(windows.valid.shape[0])
-    scores[windows.valid] = (windows.means @ target) / (windows.norms * target_norm)
-    return float(scores.max())
+    target_norms = np.sqrt(np.matmul(targets[:, None, :], targets[:, :, None])[:, 0, 0])
+    best = np.zeros(targets.shape[0])
+    live = target_norms != 0.0
+    dots = np.matmul(windows.means[None], targets[live][:, :, None])[:, :, 0]
+    cosines = dots / (windows.norms * target_norms[live][:, None])
+    if not windows.valid.all():
+        scores = np.zeros((cosines.shape[0], windows.valid.shape[0]))
+        scores[:, windows.valid] = cosines
+        cosines = scores
+    best[live] = cosines.max(axis=1)
+    return best

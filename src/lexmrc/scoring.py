@@ -13,9 +13,8 @@ component scores:
   and the mean vector of any |O|-token span of T.
 
 `score_questions` scores every question of one text through its
-`TextIndex`: `sw` and `d` of all the text's options in one batch each,
-with the floats that scoring each option alone gives, and `web` option
-by option.
+`TextIndex`: `sw`, `d` and `web` of all the text's options in one batch
+each, with the floats that scoring each option alone gives.
 
 The final score is sw - d + web, with the components a method does not
 use set to zero (d and web for sw, web for sw_d); ties on the final score
@@ -121,10 +120,10 @@ class TextIndex:
             # row i + 1 of the tables is vocabulary word i; row 0 is the
             # prefix start, a zero vector that is no known token, so one
             # cumsum gives the running sums from +0.0 as sequential adds
-            rows = [store.row_index(w) for w in self.vocab]
-            known = np.array([False] + [r is not None for r in rows])
+            rows = store.row_ids(self.vocab)
+            known = np.concatenate(([False], rows >= 0))
             table = np.zeros((len(rows) + 1, store.dim))
-            table[known] = store.rows([r for r in rows if r is not None])
+            table[known] = store.rows(rows[rows >= 0])
             token_rows = np.concatenate(([0], self.ids + 1))
             self.vec_prefix = np.cumsum(table[token_rows], axis=0)
             self.cnt_prefix = np.cumsum(known[token_rows], dtype=np.int64)
@@ -167,19 +166,30 @@ class TextIndex:
         dist = iter(np.where(extreme >= 0, extreme / max(len(self.tokens) - 1, 1), 1.0).tolist())
         return [tuple(islice(dist, len(options))) for options in option_sets]
 
-    def boost(self, option: WordList) -> float:
+    def boost(self, options: Sequence[WordList]) -> list[float]:
+        """The `web` of each of `options`: the best cosine between its mean
+        vector and the mean vector of any window of as many tokens (the
+        whole text when the option is longer), or 0.0 for an empty option
+        or text and for an option with no known word. The options' means
+        are formed in one call, and the options of one width are scored
+        in one kernel call."""
         if self.store is None:
             raise ValueError("text index was built without an embedding store")
-        if not option or not self.tokens:
-            return 0.0
-        target = average_embedding(self.store, option)
-        if target is None:
-            return 0.0
-        width = min(len(option), len(self.tokens))
-        windows = self._windows.get(width)
-        if windows is None:
-            windows = self._windows[width] = window_means(self.vec_prefix, self.cnt_prefix, width)
-        return max_window_cosine(windows, target)
+        web = [0.0] * len(options)
+        n = len(self.tokens)
+        if not n:
+            return web
+        targets, found = average_embedding(self.store, options)
+        by_width: dict[int, list[int]] = {}
+        for k in np.flatnonzero(found).tolist():
+            by_width.setdefault(min(len(options[k]), n), []).append(k)
+        for width, ks in by_width.items():
+            windows = self._windows.get(width)
+            if windows is None:
+                windows = self._windows[width] = window_means(self.vec_prefix, self.cnt_prefix, width)
+            for k, cosine in zip(ks, max_window_cosine(windows, targets[ks]).tolist()):
+                web[k] = cosine
+        return web
 
 
 @dataclass(frozen=True)
@@ -203,9 +213,9 @@ def score_questions(
     `stems[i]` and whose four options are `options[i]`: every component
     score that some config in `cfgs` needs, each computed once. `sw` and
     `d` (for sw_d and sw_d_web, at the distance aggregation the configs
-    share) are scored for every option of the text in one call each, and
-    `web` (for sw_d_web) option by option. The caller scores no question
-    when every config is random."""
+    share) and `web` (for sw_d_web) are scored for every option of the
+    text in one call each. The caller scores no question when every
+    config is random."""
     for q_options in options:
         if len(q_options) != 4:
             raise ValueError(f"expected exactly 4 options, got {len(q_options)}")
@@ -219,7 +229,8 @@ def score_questions(
         dist = index.distance(stem_sets, option_sets, cfgs[0].distance_aggregation)
     web = [None] * len(stems)
     if "sw_d_web" in methods:
-        web = [tuple(index.boost(o) for o in q_options) for q_options in options]
+        boosts = iter(index.boost([o for q_options in options for o in q_options]))
+        web = [tuple(islice(boosts, 4)) for _ in options]
     return [OptionScores(sw=tuple(islice(sw, 4)), dist=d, web=w) for d, w in zip(dist, web)]
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 from lexmrc.corpus import load_dataset
-from lexmrc.embedding import load_embeddings
+from lexmrc.embedding import average_embedding, load_embeddings
 from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig, load_lexicon
 
 from pathlib import Path
@@ -41,3 +41,15 @@ def sw_of(index, words):
 def d_of(index, question, option, aggregation):
     """The `d` of one option, through the batched `TextIndex.distance`."""
     return index.distance([set(question)], [[set(option)]], aggregation)[0][0]
+
+
+def web_of(index, option):
+    """The `web` of one option, through the batched `TextIndex.boost`."""
+    return index.boost([option])[0]
+
+
+def mean_of(store, words):
+    """The mean vector of one span, or None when the store knows no word
+    of it, through the batched `average_embedding`."""
+    means, found = average_embedding(store, [words])
+    return means[0] if found[0] else None

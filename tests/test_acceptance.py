@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText, compute_stats, load_dataset
-from lexmrc.embedding import average_embedding, load_embeddings
+from lexmrc.embedding import load_embeddings
 from lexmrc.evaluation import evaluate, render_report
 from lexmrc.preprocess import DictionarySegmenter, ProcessedText
 from lexmrc.scoring import MethodConfig, TextIndex, decide, score_options
 
-from conftest import d_of, sw_of
+from conftest import d_of, mean_of, sw_of, web_of
 from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
 
 DATASET_ENV = "LEXMRC_DATASET"
@@ -75,7 +75,7 @@ class TestOracleEquivalence:
         for _ in range(500):
             tokens = [rng.choice(vocab) for _ in range(rng.randint(0, 30))]
             option = [rng.choice(vocab) for _ in range(rng.randint(0, 4))]
-            got = TextIndex(pt(*tokens), store).boost(option)
+            got = web_of(TextIndex(pt(*tokens), store), option)
             want = boost_oracle(tokens, option, vectors)
             assert abs(got - want) <= 1e-12
         elapsed = time.perf_counter() - start
@@ -111,11 +111,11 @@ class TestInvariantSuite:
         # span averaging is permutation invariant (bitwise)
         store = vector_store({f"w{i}": [rng.uniform(-1, 1) for _ in range(3)] for i in range(6)})
         words = ["w0", "w3", "w1", "w0", "oov", "w5"]
-        base = average_embedding(store, words)
+        base = mean_of(store, words)
         for _ in range(20):
             shuffled = words[:]
             rng.shuffle(shuffled)
-            other = average_embedding(store, shuffled)
+            other = mean_of(store, shuffled)
             assert np.array_equal(other, base)
 
         # sw >= 0, d in range, web in [-1, 1]
@@ -131,7 +131,7 @@ class TestInvariantSuite:
                 assert 0.0 < d <= 1.0
                 if len(tokens) >= 2 and d != 1.0:
                     assert d >= 1.0 / (len(tokens) - 1)
-            web = index.boost(option)
+            web = web_of(index, option)
             assert -1.0 - 1e-12 <= web <= 1.0 + 1e-12
 
         # argmax tie-break is deterministic: identical options -> index 0

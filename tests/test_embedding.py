@@ -1,6 +1,7 @@
 import io
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lexmrc import embedding
 from lexmrc.embedding import EmbeddingFormatError, average_embedding, load_embeddings
 
+from conftest import mean_of
 from oracles import _is_int, reference_average_embedding, reference_load_embeddings, vector_store
 
 
@@ -675,45 +677,70 @@ class TestConvert:
         store.convert([1])
         with pytest.raises(EmbeddingFormatError, match=":3: non-numeric"):
             store.convert([3, 2, 1])
-        assert sorted(store._rows) == [0, 1]
         passes = count_conversions(monkeypatch)
-        assert store.rows([3, 1]).tolist() == [[6.0, 7.0], [0.0, 3.0]]
+        # row 1 is served with no read, and row 3 is read once
+        assert store.rows([1]).tolist() == [[0.0, 3.0]]
+        assert passes == []
+        assert store.rows([3, 1, 3]).tolist() == [[6.0, 7.0], [0.0, 3.0], [6.0, 7.0]]
+        assert store.rows([3]).tolist() == [[6.0, 7.0]]
         assert passes == [[3]]
+
+    def test_one_row_passes_keep_the_rows_within_twice_their_size(self, tmp_path):
+        """299 passes of one row each grow the store's row matrix
+        geometrically: the memory it holds stays within twice the bytes of
+        the 300 converted rows (row 0 is converted at load), a bound that
+        growth by 3x or more, or old matrices kept alive, would break."""
+        dim, n = 64, 299
+        f = tmp_path / "v.vec"
+        f.write_text("".join(f"w{i}" + f" {i}.5" * dim + "\n" for i in range(n + 1)),
+                     encoding="utf-8")
+        store = load_embeddings(f)
+        store.convert([1])  # any first-use import happens before the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2, n + 1):
+                store.convert([i])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert store.rows([n])[0].tolist() == [n + 0.5] * dim
+        assert held <= 2 * (n + 1) * dim * 8
 
 
 class TestAverage:
     def test_singleton(self):
         store = make_store(a=(1.0, 0.0, 0.0))
-        assert np.array_equal(average_embedding(store, ["a"]), [1.0, 0.0, 0.0])
+        assert np.array_equal(mean_of(store, ["a"]), [1.0, 0.0, 0.0])
 
     def test_midpoint(self):
         store = make_store(a=(1.0, 0.0, 0.0), b=(0.0, 1.0, 0.0))
-        assert np.allclose(average_embedding(store, ["a", "b"]), [0.5, 0.5, 0.0])
+        assert np.allclose(mean_of(store, ["a", "b"]), [0.5, 0.5, 0.0])
 
     def test_oov_words_skipped(self):
         store = make_store(a=(1.0, 0.0, 0.0), b=(0.0, 1.0, 0.0))
-        with_oov = average_embedding(store, ["a", "oov", "b"])
-        without = average_embedding(store, ["a", "b"])
+        with_oov = mean_of(store, ["a", "oov", "b"])
+        without = mean_of(store, ["a", "b"])
         assert np.array_equal(with_oov, without)
 
     def test_all_oov(self):
         store = make_store(a=(1.0, 0.0))
-        assert average_embedding(store, ["x", "y"]) is None
+        assert mean_of(store, ["x", "y"]) is None
 
     def test_empty_span(self):
         store = make_store(a=(1.0, 0.0))
-        assert average_embedding(store, []) is None
+        assert mean_of(store, []) is None
 
     def test_duplicates_weighted(self):
         store = make_store(a=(3.0,), b=(0.0,))
-        assert average_embedding(store, ["a", "a", "b"])[0] == pytest.approx(2.0)
+        assert mean_of(store, ["a", "a", "b"])[0] == pytest.approx(2.0)
 
     @given(st.permutations(["a", "b", "c", "oov", "a"]))
     @settings(max_examples=60, deadline=None)
     def test_permutation_invariant(self, words):
         store = make_store(a=(0.1, 0.7), b=(-0.3, 0.2), c=(0.9, -0.4))
-        base = average_embedding(store, ["a", "b", "c", "oov", "a"])
-        other = average_embedding(store, list(words))
+        base = mean_of(store, ["a", "b", "c", "oov", "a"])
+        other = mean_of(store, list(words))
         assert np.array_equal(other, base)
 
 
@@ -725,19 +752,25 @@ VALUES = st.one_of(st.integers(-10**9, 10**9).map(lambda k: k / 7), st.floats(-1
 @given(dim=st.integers(1, 4), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_average_matches_reference(dim, data):
+    """The means of a batch of spans, from empty to all unknown, with
+    repeated words, signed zeros and rows that cancel, are the reference
+    means span by span."""
     vocab = data.draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
     vectors = {w: data.draw(st.one_of(st.lists(VALUES, min_size=dim, max_size=dim),
                                       st.just([0.0] * dim)))
                for w in vocab}
+    if data.draw(st.booleans()):  # a row and its negation, whose sum is +0.0
+        vectors["n"] = [-x for x in vectors[vocab[0]]]
     store = vector_store(vectors)
-    words = data.draw(st.lists(st.sampled_from(vocab + ["oov"]), max_size=16))
-    got = average_embedding(store, words)
-    want = reference_average_embedding(store, words)
-    if want is None:
-        assert got is None
-    else:
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    spans = data.draw(st.lists(st.lists(st.sampled_from([*vectors, "oov"]), max_size=16),
+                               max_size=8))
+    means, found = average_embedding(store, spans)
+    assert means.shape == (len(spans), dim) and found.shape == (len(spans),)
+    for words, got, known in zip(spans, means, found):
+        want = reference_average_embedding(store, words)
+        assert known == (want is not None)
+        if known:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestStoreConstruction:

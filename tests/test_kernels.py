@@ -122,9 +122,10 @@ def prefixes(rows, known):
 
 
 def window_cosine(vec_prefix, cnt_prefix, target, width):
-    """The best window cosine as a scorer forms it: the window means of one
-    width, then the cosine of `target` against them."""
-    return kernels.max_window_cosine(kernels.window_means(vec_prefix, cnt_prefix, width), target)
+    """The best window cosine of one target as a scorer forms it: the
+    window means of one width, then the cosine of `target` against them."""
+    windows = kernels.window_means(vec_prefix, cnt_prefix, width)
+    return float(kernels.max_window_cosine(windows, target[None])[0])
 
 
 window_cosine.__name__ = "max_window_cosine"
@@ -159,6 +160,50 @@ class TestMaxWindowCosine:
         target = np.array([1.0, 0.0])
         got = impl(vec, cnt, target, 1)
         assert got == pytest.approx(-np.sqrt(0.5))
+
+
+def cosines_one_target_at_a_time(windows, targets):
+    """`max_window_cosine` as it scored one target alone: `target @ target`
+    and `means @ target`, then the max of a zero-filled row of windows."""
+    out = []
+    for target in targets:
+        target_norm = float(np.sqrt(target @ target))
+        if target_norm == 0.0:
+            out.append(0.0)
+            continue
+        scores = np.zeros(windows.valid.shape[0])
+        scores[windows.valid] = (windows.means @ target) / (windows.norms * target_norm)
+        out.append(float(scores.max()))
+    return out
+
+
+@pytest.mark.parametrize("valid", ["all", "some", "one", "none"])
+@pytest.mark.parametrize("dim", [1, 3, 100])
+def test_stacked_cosines_equal_one_target_at_a_time(valid, dim):
+    """The stacked kernel gives every target the float it gets alone,
+    bit for bit, whichever windows are valid; among the targets are a
+    zero one, a -0.0 one, and repeated rows of the text."""
+    rng = np.random.default_rng(dim)
+    n = 40
+    rows = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    signed_zeros = rng.random(size=(n, dim)) < 0.2
+    signed_zeros[:, 0] = False  # every row keeps a nonzero component
+    rows[signed_zeros] = -0.0
+    known = np.ones(n, dtype=np.int64)
+    if valid != "all":
+        known[:] = 0
+        if valid == "some":
+            known[::3] = 1
+        elif valid == "one":
+            known[17] = 1
+    vec, cnt = prefixes(rows, known)
+    windows = kernels.window_means(vec, cnt, 1)
+    assert windows.valid.sum() == known.sum() == {"all": n, "some": 14, "one": 1, "none": 0}[valid]
+    targets = np.concatenate([rng.normal(size=(30, dim)), np.zeros((1, dim)),
+                              np.full((1, dim), -0.0), rows[:5], rows[:5]])
+    got = kernels.max_window_cosine(windows, targets)
+    want = cosines_one_target_at_a_time(windows, targets)
+    assert [repr(x) for x in got.tolist()] == [repr(x) for x in want]
 
 
 class TestWindowMeans:

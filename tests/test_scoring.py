@@ -14,7 +14,7 @@ from lexmrc.scoring import (
     score_options,
 )
 
-from conftest import d_of, sw_of
+from conftest import d_of, sw_of, web_of
 from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
 
 LN2 = math.log(2.0)
@@ -149,14 +149,14 @@ def toy_store():
 class TestBoost:
     def test_self_similarity(self):
         store = toy_store()
-        assert TextIndex(pt("c", "a", "d"), store).boost(["a"]) == pytest.approx(1.0)
+        assert web_of(TextIndex(pt("c", "a", "d"), store), ["a"]) == pytest.approx(1.0)
 
     def test_against_high_precision_value(self):
         store = vector_store({"u": [1.0, 2.0, 3.0], "v": [4.0, 5.0, 6.0]})
-        assert TextIndex(pt("v"), store).boost(["u"]) == pytest.approx(COS_123_456, abs=1e-12)
+        assert web_of(TextIndex(pt("v"), store), ["u"]) == pytest.approx(COS_123_456, abs=1e-12)
 
     def test_all_oov_option(self):
-        assert TextIndex(pt("a", "b"), toy_store()).boost(["zz"]) == 0.0
+        assert web_of(TextIndex(pt("a", "b"), toy_store()), ["zz"]) == 0.0
 
     def test_huge_finite_rows_give_a_finite_boost(self):
         """Components near 1e150 square to near 1e300: the squared norms
@@ -164,17 +164,17 @@ class TestBoost:
         refuses rows near 1e155 and above (`tests/test_embedding.py`)."""
         store = vector_store({"a": [1e150, 2e150], "b": [3e150, -1e150]})
         index = TextIndex(pt("a", "b", "c"), store)
-        assert index.boost(["a"]) == pytest.approx(1.0)
-        assert index.boost(["b", "c"]) == pytest.approx(1.0)
+        assert web_of(index, ["a"]) == pytest.approx(1.0)
+        assert web_of(index, ["b", "c"]) == pytest.approx(1.0)
 
     def test_empty_option_or_text(self):
         store = toy_store()
-        assert TextIndex(pt("a", "b"), store).boost([]) == 0.0
-        assert TextIndex(pt(), store).boost(["a"]) == 0.0
+        assert web_of(TextIndex(pt("a", "b"), store), []) == 0.0
+        assert web_of(TextIndex(pt(), store), ["a"]) == 0.0
 
     def test_option_longer_than_text_uses_whole_text(self):
         store = toy_store()
-        got = TextIndex(pt("a", "b"), store).boost(["a", "b", "c", "d"])
+        got = web_of(TextIndex(pt("a", "b"), store), ["a", "b", "c", "d"])
         want = boost_oracle(["a", "b"], ["a", "b", "c", "d"], toy_vectors())
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -185,7 +185,7 @@ class TestBoost:
         for _ in range(200):
             tokens = [rng.choice(vocab) for _ in range(rng.randrange(0, 12))]
             option = [rng.choice(vocab) for _ in range(rng.randrange(0, 4))]
-            web = TextIndex(pt(*tokens), store).boost(option)
+            web = web_of(TextIndex(pt(*tokens), store), option)
             assert -1.0 - 1e-12 <= web <= 1.0 + 1e-12
 
     def test_matches_oracle(self):
@@ -195,7 +195,7 @@ class TestBoost:
         for _ in range(300):
             tokens = [rng.choice(vocab) for _ in range(rng.randrange(0, 10))]
             option = [rng.choice(vocab) for _ in range(rng.randrange(0, 4))]
-            got = TextIndex(pt(*tokens), store).boost(option)
+            got = web_of(TextIndex(pt(*tokens), store), option)
             want = boost_oracle(tokens, option, toy_vectors())
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -206,8 +206,8 @@ class TestBoost:
         for _ in range(100):
             tokens = [rng.choice(vocab) for _ in range(rng.randrange(1, 10))]
             option = [rng.choice(vocab) for _ in range(rng.randrange(1, 4))]
-            a = TextIndex(pt(*tokens), toy_store()).boost(option)
-            b = TextIndex(pt(*tokens), scaled).boost(option)
+            a = web_of(TextIndex(pt(*tokens), toy_store()), option)
+            b = web_of(TextIndex(pt(*tokens), scaled), option)
             assert b == pytest.approx(a, abs=1e-9)
 
 
@@ -319,4 +319,4 @@ class TestPredict:
 class TestTextIndex:
     def test_boost_requires_store(self):
         with pytest.raises(ValueError):
-            TextIndex(pt("a")).boost(["a"])
+            web_of(TextIndex(pt("a")), ["a"])

@@ -22,7 +22,7 @@ from lexmrc import scoring
 from lexmrc.preprocess import ProcessedText
 from lexmrc.scoring import MethodConfig, TextIndex, score_questions
 
-from conftest import d_of, sw_of
+from conftest import d_of, sw_of, web_of
 from oracles import ReferenceTextIndex, vector_store
 
 # w*: words with vectors, z*: words whose vector is zero, u*: words the
@@ -91,8 +91,59 @@ def test_matches_reference_bit_for_bit(text, store, queries):
         for (question, option), got_sw, got_d in zip(queries, sw, dist):
             same(got_sw, ref.window_score(set(question) | set(option)))
             same(got_d, ref.distance(set(question), set(option), aggregation))
-    for _, option in queries:
-        same(index.boost(option), ref.boost(option))
+    web = index.boost([option for _, option in queries])
+    assert len(web) == len(queries)
+    for (_, option), got in zip(queries, web):
+        same(got, ref.boost(option))
+
+
+# rows with -0.0 components, zero rows, and "c0", the negation of "w0",
+# with which it cancels to a zero mean
+WEB_WORDS = TEXT_WORDS + ["c0"]
+
+
+@st.composite
+def web_stores(draw):
+    dim = draw(st.integers(1, 4))
+    vectors = {w: [draw(st.one_of(components, st.just(-0.0))) for _ in range(dim)]
+               for w in KNOWN}
+    vectors.update({w: [0.0] * dim for w in ZERO})
+    vectors["c0"] = [-x for x in vectors["w0"]]
+    return vector_store(vectors)
+
+
+web_texts = st.one_of(
+    st.just(pt()),
+    st.sampled_from(WEB_WORDS).map(pt),
+    st.lists(st.sampled_from(WEB_WORDS), min_size=2, max_size=48).map(
+        lambda words: ProcessedText(tuple(words))),
+)
+
+
+@st.composite
+def web_options(draw):
+    """A text's options in any order: free ones (some longer than any
+    text), an empty one, an all-unknown one, one that cancels to a zero
+    mean, one word repeated, and many of one width."""
+    free = draw(st.lists(st.lists(st.sampled_from(WEB_WORDS + ["absent"]), max_size=60),
+                         max_size=12))
+    width = draw(st.integers(1, 6))
+    same_width = draw(st.lists(st.lists(st.sampled_from(WEB_WORDS), min_size=width,
+                                        max_size=width), max_size=20))
+    fixed = [[], ["u0", "absent", "u0"], ["w0", "c0"], ["w1"] * 50]
+    return draw(st.permutations(free + fixed + same_width))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=web_texts, store=web_stores(), options=web_options())
+def test_boost_of_a_text_matches_reference_option_by_option(text, store, options):
+    """All options of a text scored in one `boost` get, bit for bit, the
+    float the reference gives each of them alone."""
+    got = TextIndex(text, store).boost(options)
+    ref = ReferenceTextIndex(text, store)
+    assert len(got) == len(options)
+    for web, option in zip(got, options):
+        same(web, ref.boost(option))
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,9 +205,7 @@ def test_boost_builds_window_means_only_inside_the_text(text, store, queries):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scoring, "window_means", checked)
-        index = TextIndex(text, store)
-        for _, option in queries:
-            index.boost(option)
+        TextIndex(text, store).boost([option for _, option in queries])
 
 
 @pytest.fixture
@@ -179,7 +228,7 @@ class TestIds:
         assert index.vec_prefix.shape == (1, 2)
         assert sw_of(index, {"a"}) == 0.0
         assert d_of(index, {"a"}, {"b"}, "min") == 1.0
-        assert index.boost(["a"]) == 0.0
+        assert index.boost([["a"], []]) == [0.0, 0.0]
 
 
 class TestWindowCache:
@@ -194,7 +243,7 @@ class TestWindowCache:
         monkeypatch.setattr(scoring, "window_means", counting)
         index = TextIndex(pt("a", "b", "z", "a"), store)
         for option in (["a"], ["b", "a"], ["b"], ["a", "b"], ["z"], ["a"] * 9, ["b"] * 4):
-            index.boost(option)
+            web_of(index, option)
         # widths past the text end share the width of the whole text
         assert built == [1, 2, 4]
         assert sorted(index._windows) == [1, 2, 4]
@@ -202,19 +251,18 @@ class TestWindowCache:
     def test_undefined_boosts_build_nothing(self, store, monkeypatch):
         monkeypatch.setattr(scoring, "window_means", None)
         index = TextIndex(pt("a", "b"), store)
-        assert index.boost([]) == 0.0
-        assert index.boost(["u"]) == 0.0  # no known word: support 0
+        assert index.boost([[], ["u"]]) == [0.0, 0.0]  # ["u"]: no known word, support 0
         assert index._windows == {}
 
     def test_zero_norm_target(self, store):
         index = TextIndex(pt("a", "b"), store)
-        assert index.boost(["z"]) == 0.0
+        assert web_of(index, ["z"]) == 0.0
         assert sorted(index._windows) == [1]
-        assert index.boost(["a"]) == pytest.approx(1.0)
+        assert web_of(index, ["a"]) == pytest.approx(1.0)
 
     def test_cache_is_freed_with_its_index(self, store):
         index = TextIndex(pt("a", "b"), store)
-        index.boost(["a"])
+        web_of(index, ["a"])
         means = weakref.ref(index._windows[1].means)
         del index
         gc.collect()
@@ -222,7 +270,7 @@ class TestWindowCache:
 
     def test_cached_means_are_read_only(self, store):
         index = TextIndex(pt("a", "b"), store)
-        index.boost(["a"])
+        web_of(index, ["a"])
         windows = index._windows[1]
         assert not windows.means.flags.writeable
         assert not windows.norms.flags.writeable
@@ -230,22 +278,27 @@ class TestWindowCache:
 
 
 def test_threads_sharing_one_index_get_the_reference_floats():
-    """Threads that share one text's index race to fill its cache; every
-    boost must still be the reference float."""
+    """Threads that share one text's index race to fill its cache and to
+    convert their options' rows in the store, each scoring a batch of
+    options of several widths; every boost must still be the reference
+    float."""
     rng = np.random.default_rng(3)
     words = [f"w{i}" for i in range(40)]
-    store = vector_store({w: rng.normal(size=8) for w in words[:30]})
+    # o*: option words the text lacks, so their rows are converted by the threads
+    vectors = {w: rng.normal(size=8) for w in words[:30] + [f"o{i}" for i in range(60)]}
     text = ProcessedText(tuple(words[i] for i in rng.integers(0, 40, size=300)))
-    options = [[words[i] for i in rng.integers(0, 30, size=k)] for k in range(1, 13)] * 4
-    ref = ReferenceTextIndex(text, store)
+    option_words = words[:30] + [f"o{i}" for i in range(60)]
+    options = [[option_words[i] for i in rng.integers(0, 90, size=k)] for k in range(1, 13)] * 4
+    ref = ReferenceTextIndex(text, vector_store(vectors))
     want = [ref.boost(o) for o in options]
+    batches = [options[i:i + 4] for i in range(0, len(options), 4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            index = TextIndex(text, store)
+        for _ in range(100):  # a race in the store shows in some rounds, not all
+            index = TextIndex(text, vector_store(vectors))
             with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(index.boost, options))
+                got = [web for batch in pool.map(index.boost, batches) for web in batch]
             assert got == want
             assert sorted(index._windows) == list(range(1, 13))
     finally:
