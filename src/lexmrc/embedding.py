@@ -111,9 +111,6 @@ class EmbeddingStore:
     def __iter__(self):
         return iter(self._index)
 
-    def row_index(self, word: str) -> int | None:
-        return self._index.get(word)
-
     def row_ids(self, words: Iterable[str]) -> np.ndarray:
         """The row id of each of `words`, -1 for a word the store does not
         know, as one array."""

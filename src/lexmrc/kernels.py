@@ -132,10 +132,7 @@ def max_window_cosine(windows: WindowMeans, targets: np.ndarray) -> np.ndarray:
     best = np.zeros(targets.shape[0])
     live = target_norms != 0.0
     dots = np.matmul(windows.means[None], targets[live][:, :, None])[:, :, 0]
-    cosines = dots / (windows.norms * target_norms[live][:, None])
-    if not windows.valid.all():
-        scores = np.zeros((cosines.shape[0], windows.valid.shape[0]))
-        scores[:, windows.valid] = cosines
-        cosines = scores
-    best[live] = cosines.max(axis=1)
+    scores = np.zeros((dots.shape[0], windows.valid.shape[0]))
+    scores[:, windows.valid] = dots / (windows.norms * target_norms[live][:, None])
+    best[live] = scores.max(axis=1)
     return best

@@ -4,7 +4,7 @@ Everything here is deliberately naive pure Python: windows are enumerated
 one by one, pair distances come from a double loop, and span means are
 computed with list arithmetic. Nothing is shared with the package code
 but `reference_load_embeddings`' error class, the store lookups
-(`row_index`, `rows`) that `reference_average_embedding` and
+(`row_ids`, `rows`) that `reference_average_embedding` and
 `ReferenceTextIndex` read vectors through, the `ProcessedText` and
 report types `reference_evaluate` runs on, and the lexicon and stopwords
 of its config.
@@ -199,7 +199,7 @@ def reference_average_embedding(store, words):
     total = np.zeros(store.dim)
     found = 0
     for word in sorted(counts):
-        total += counts[word] * store.rows([store.row_index(word)])[0]
+        total += counts[word] * store.rows(store.row_ids([word]))[0]
         found += counts[word]
     if found == 0:
         return None
@@ -441,8 +441,8 @@ class ReferenceTextIndex:
             vec_prefix = np.zeros((n + 1, store.dim))
             cnt_prefix = np.zeros(n + 1, dtype=np.int64)
             for i, tok in enumerate(self.tokens):
-                row = store.row_index(tok)
-                vec = None if row is None else store.rows([row])[0]
+                row = store.row_ids([tok])[0]
+                vec = None if row < 0 else store.rows([row])[0]
                 vec_prefix[i + 1] = vec_prefix[i] if vec is None else vec_prefix[i] + vec
                 cnt_prefix[i + 1] = cnt_prefix[i] + (0 if vec is None else 1)
             self.vec_prefix = vec_prefix

@@ -28,7 +28,7 @@ def load_all(path):
 
 def vector(store, word):
     """The row of `word`, a word the store knows."""
-    return store.rows([store.row_index(word)])[0]
+    return store.rows(store.row_ids([word]))[0]
 
 
 def count_conversions(monkeypatch):
@@ -123,9 +123,9 @@ class TestLoader:
         f = tmp_path / "v.vec"
         f.write_text("zero 0 0\n", encoding="utf-8")
         store = load_embeddings(f)
-        assert store.row_index("zero") == 0
+        assert store.row_ids(["zero"]).tolist() == [0]
         assert vector(store, "zero").tolist() == [0.0, 0.0]
-        assert store.row_index("missing") is None and "missing" not in store
+        assert store.row_ids(["missing"]).tolist() == [-1] and "missing" not in store
 
     def test_multi_syllable_words(self, tmp_path):
         f = tmp_path / "v.vec"
