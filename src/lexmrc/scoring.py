@@ -50,7 +50,6 @@ __all__ = [
     "ScoreBreakdown",
     "TextIndex",
     "decide",
-    "score_options",
     "score_questions",
 ]
 
@@ -232,16 +231,6 @@ def score_questions(
         boosts = iter(index.boost([o for q_options in options for o in q_options]))
         web = [tuple(islice(boosts, 4)) for _ in options]
     return [OptionScores(sw=tuple(islice(sw, 4)), dist=d, web=w) for d, w in zip(dist, web)]
-
-
-def score_options(
-    index: TextIndex,
-    question: WordList,
-    options: Sequence[WordList],
-    cfgs: Sequence[MethodConfig],
-) -> OptionScores:
-    """`score_questions` of one question."""
-    return score_questions(index, [question], [options], cfgs)[0]
 
 
 def decide(scores: OptionScores, cfg: MethodConfig, rng: random.Random | None) -> ScoreBreakdown:

@@ -6,6 +6,7 @@ from hypothesis import settings
 from lexmrc.corpus import load_dataset
 from lexmrc.embedding import average_embedding, load_embeddings
 from lexmrc.preprocess import DictionarySegmenter, PreprocessConfig, load_lexicon
+from lexmrc.scoring import score_questions
 
 from pathlib import Path
 
@@ -31,6 +32,12 @@ def toy_store():
 def toy_preprocess():
     lexicon = load_lexicon(DATA_DIR / "toy_lexicon.txt")
     return PreprocessConfig(segmenter=DictionarySegmenter(lexicon))
+
+
+def scores_of(index, question, options, cfgs):
+    """The `OptionScores` of one question, through the batched
+    `score_questions`."""
+    return score_questions(index, [question], [options], cfgs)[0]
 
 
 def sw_of(index, words):

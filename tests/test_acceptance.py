@@ -19,9 +19,9 @@ from lexmrc.corpus import Dataset, MCQuestion, ReadingText, compute_stats, load_
 from lexmrc.embedding import load_embeddings
 from lexmrc.evaluation import evaluate, render_report
 from lexmrc.preprocess import DictionarySegmenter, ProcessedText
-from lexmrc.scoring import MethodConfig, TextIndex, decide, score_options
+from lexmrc.scoring import MethodConfig, TextIndex, decide
 
-from conftest import d_of, mean_of, sw_of, web_of
+from conftest import d_of, mean_of, scores_of, sw_of, web_of
 from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
 
 DATASET_ENV = "LEXMRC_DATASET"
@@ -136,7 +136,7 @@ class TestInvariantSuite:
 
         # argmax tie-break is deterministic: identical options -> index 0
         cfg = MethodConfig(method="sw")
-        scores = score_options(TextIndex(pt("a", "b")), ["a"], [["b"]] * 4, (cfg,))
+        scores = scores_of(TextIndex(pt("a", "b")), ["a"], [["b"]] * 4, (cfg,))
         assert decide(scores, cfg, None).predicted == 0
 
         # log-base change rescales sw, leaving the sw argmax unchanged
@@ -144,7 +144,7 @@ class TestInvariantSuite:
         for _ in range(100):
             tokens, question, _ = random_instance(rng)
             opts = [random_instance(rng)[2] for _ in range(4)]
-            bd = decide(score_options(TextIndex(pt(*tokens)), question, opts, (cfg,)), cfg, None)
+            bd = decide(scores_of(TextIndex(pt(*tokens)), question, opts, (cfg,)), cfg, None)
             rescaled = [s / math.log(2.0) for s in bd.sw]
             assert rescaled[bd.predicted] == max(rescaled)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lexmrc import cli, embedding, evaluation, scoring
+from lexmrc import cli, embedding, evaluation, preprocess, scoring
 from lexmrc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, run
 from lexmrc.corpus import OPTION_LABELS, load_dataset
 from lexmrc.embedding import EmbeddingStore
@@ -852,6 +852,36 @@ class TestInputCache:
             argv[argv.index("--out") + 1] = str(alone)
             assert run(argv) == EXIT_OK
             assert batched.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("lexicon", [True, False], ids=["lexicon-file", "store-lexicon"])
+    def test_only_a_lone_answer_builds_no_prefix_set(self, tmp_path, monkeypatch, lexicon):
+        """The segmenter's run prefixes repay their build only over many
+        strings. An answer on a cache of its own never builds them; answers
+        in a batch build them once for their shared `Lexicon`, and every
+        `evaluate`, `stats` and `compare` once for its own. The bytes are the
+        same either way."""
+        resources = ["--embeddings", VECTORS] + (["--lexicon", LEXICON] if lexicon else [])
+        answers = self.batch_commands(tmp_path, resources)[:-1]
+        builds = count_calls(monkeypatch, preprocess, "_run_prefixes")
+        alone = [tmp_path / f"alone-{i}.out" for i in range(len(answers))]
+        for argv, out in zip(answers, alone):
+            slot = argv.index("--out") + 1
+            assert run(argv[:slot] + [str(out)] + argv[slot + 1:]) == EXIT_OK
+        assert builds == []
+
+        batch = tmp_path / "cmds.txt"
+        batch.write_text("\n".join(shlex.join(c) for c in answers) + "\n", encoding="utf-8")
+        assert run(["batch", str(batch)]) == EXIT_OK
+        assert len(builds) == 1
+        for argv, out in zip(answers, alone):
+            assert Path(argv[argv.index("--out") + 1]).read_bytes() == out.read_bytes()
+
+        common = ["--dataset", FIXTURES, "--out", str(tmp_path / "other.out")] + resources
+        for command in (["evaluate", "--split", "dev"], ["stats"],
+                        ["compare", "--split", "dev", "--baseline", "sw", "--candidate", "sw_d",
+                         "--facet", "grade"]):
+            assert run(command + common) == EXIT_OK
+        assert len(builds) == 4
 
     def answer(self, cache, dataset, out):
         argv = ["answer", "--dataset", str(dataset), "--question-id", "q", "--method", "sw",

@@ -202,6 +202,9 @@ def test_ci_step_writes_every_golden_through_a_console_script(tmp_path):
     assert result.returncode == 0, result.stderr
     for name in COMMANDS:
         assert (runner_temp / "golden" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+    # and each answer golden once more from a lone command
+    lone = sorted(p.name for p in (runner_temp / "lone").iterdir())
+    assert lone == sorted(name for name in COMMANDS if name.startswith("answer_"))
 
 
 if __name__ == "__main__":

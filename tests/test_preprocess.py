@@ -235,12 +235,13 @@ class TestAgainstReference:
     @example(lexicon=["a_b"], tokens=[])
     def test_segmenter(self, lexicon, tokens):
         ref = ReferenceDictionarySegmenter(lexicon, MAX_SYLLABLES)
-        seg = DictionarySegmenter(lexicon)
-        assert seg.lexicon == ref.lexicon
-        assert seg(tokens) == ref(tokens)
         # runs drawn from the entries themselves, so that long matches occur
         planted = [t for w in sorted(ref.lexicon) for t in w.split("_")] + tokens
-        assert seg(planted) == ref(planted)
+        # with the prefix set, and with every run extended to MAX_SYLLABLES
+        for seg in DictionarySegmenter(lexicon), DictionarySegmenter(lexicon, prefixes=False):
+            assert seg.lexicon == ref.lexicon
+            assert seg(tokens) == ref(tokens)
+            assert seg(planted) == ref(planted)
 
     @given(st.lists(st.lists(st.text(alphabet="abđ", min_size=1, max_size=2), min_size=1,
                              max_size=MAX_SYLLABLES + 1).map("_".join), max_size=16))
@@ -264,6 +265,7 @@ class TestAgainstReference:
                             lambda lexicon: calls.append(lexicon) or run_prefixes(lexicon))
         lexicon = Lexicon(["Học Sinh", " ", "a_b_c", "a_b_c"])
         assert lexicon == {"học_sinh", "a_b_c"} and Lexicon(lexicon) is lexicon
+        assert DictionarySegmenter(lexicon, prefixes=False).lexicon is lexicon and not calls
         first, second = DictionarySegmenter(lexicon), DictionarySegmenter(lexicon)
         assert first.lexicon is second.lexicon is lexicon
         assert first._prefixes is second._prefixes == {"a_b"}

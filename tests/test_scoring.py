@@ -11,10 +11,9 @@ from lexmrc.scoring import (
     OptionScores,
     TextIndex,
     decide,
-    score_options,
 )
 
-from conftest import d_of, sw_of, web_of
+from conftest import d_of, scores_of, sw_of, web_of
 from oracles import boost_oracle, distance_oracle, random_instance, vector_store, window_score_oracle
 
 LN2 = math.log(2.0)
@@ -52,8 +51,8 @@ class TestSlidingWindow:
         # set semantics: repeating an option word must not change the score
         cfgs = (MethodConfig(method="sw"),)
         index = TextIndex(pt("a", "b", "c"))
-        once = score_options(index, ["a"], [["b"]] * 4, cfgs).sw
-        repeated = score_options(index, ["a", "a"], [["b", "b", "a"]] * 4, cfgs).sw
+        once = scores_of(index, ["a"], [["b"]] * 4, cfgs).sw
+        repeated = scores_of(index, ["a", "a"], [["b", "b", "a"]] * 4, cfgs).sw
         assert repeated == once
 
     def test_zero_iff_no_overlap_or_empty(self):
@@ -230,18 +229,18 @@ class TestPredict:
     def test_forced_tie_breaks_to_lowest_index(self):
         cfg = MethodConfig(method="sw")
         opts = self.options(["b"], ["b"], ["b"], ["b"])
-        bd = decide(score_options(TextIndex(pt("a", "b", "c")), ["a"], opts, (cfg,)), cfg, None)
+        bd = decide(scores_of(TextIndex(pt("a", "b", "c")), ["a"], opts, (cfg,)), cfg, None)
         assert bd.predicted == 0
 
     def test_component_arrays_zeroed_per_method(self):
         index = TextIndex(pt("a", "b", "c"))
         opts = self.options(["a"], ["b"], ["c"], ["zz"])
         cfg = MethodConfig(method="sw")
-        sw_only = decide(score_options(index, ["a"], opts, (cfg,)), cfg, None)
+        sw_only = decide(scores_of(index, ["a"], opts, (cfg,)), cfg, None)
         assert sw_only.dist == (0.0,) * 4 and sw_only.web == (0.0,) * 4
         assert sw_only.final == sw_only.sw
         cfg = MethodConfig(method="sw_d")
-        sw_d = decide(score_options(index, ["a"], opts, (cfg,)), cfg, None)
+        sw_d = decide(scores_of(index, ["a"], opts, (cfg,)), cfg, None)
         assert sw_d.web == (0.0,) * 4
         assert sw_d.final == tuple(s - d for s, d in zip(sw_d.sw, sw_d.dist))
 
@@ -249,7 +248,7 @@ class TestPredict:
         index = TextIndex(pt("a", "b", "c", "d", "e"), toy_store())
         opts = self.options(["a", "b"], ["c"], ["d", "e"], ["zz"])
         cfg = MethodConfig(method="sw_d_web")
-        bd = decide(score_options(index, ["b", "c"], opts, (cfg,)), cfg, None)
+        bd = decide(scores_of(index, ["b", "c"], opts, (cfg,)), cfg, None)
         assert bd.final == tuple(s - d + w for s, d, w in zip(bd.sw, bd.dist, bd.web))
         assert bd.predicted == bd.final.index(max(bd.final))
 
@@ -275,13 +274,13 @@ class TestPredict:
 
     def test_wrong_option_count_rejected(self):
         with pytest.raises(ValueError):
-            score_options(TextIndex(pt("a")), ["a"], self.options(["a"], ["b"]),
-                          (MethodConfig(method="sw"),))
+            scores_of(TextIndex(pt("a")), ["a"], self.options(["a"], ["b"]),
+                      (MethodConfig(method="sw"),))
 
     def test_random_is_repeatable(self):
         cfg = MethodConfig(method="random", random_seed=1234)
         opts = self.options(["a"], ["b"], ["c"], ["d"])
-        scores = score_options(TextIndex(pt("a")), ["a"], opts, (cfg,))
+        scores = scores_of(TextIndex(pt("a")), ["a"], opts, (cfg,))
         first = [decide(scores, cfg, random.Random(1234)).predicted for _ in range(20)]
         second = [decide(scores, cfg, random.Random(1234)).predicted for _ in range(20)]
         # a fresh generator per call replays the same value; a shared one
@@ -305,14 +304,14 @@ class TestPredict:
         for _ in range(200):
             tokens, question, _ = random_instance(rng, max_tokens=20)
             opts = [random_instance(rng, max_tokens=0)[2] for _ in range(4)]
-            bd = decide(score_options(TextIndex(pt(*tokens)), question, opts, (cfg,)), cfg, None)
+            bd = decide(scores_of(TextIndex(pt(*tokens)), question, opts, (cfg,)), cfg, None)
             base2 = [s / LN2 for s in bd.sw]
             assert base2[bd.predicted] == max(base2)
 
     def test_method_recorded(self):
         cfg = MethodConfig(method="sw")
         opts = self.options(["a"], ["b"], ["c"], ["d"])
-        bd = decide(score_options(TextIndex(pt("a")), ["a"], opts, (cfg,)), cfg, None)
+        bd = decide(scores_of(TextIndex(pt("a")), ["a"], opts, (cfg,)), cfg, None)
         assert bd.method == "sw"
 
 
