@@ -225,7 +225,7 @@ def cmd_answer(cfg: RunConfig, question_id: str, cache: _EmbeddingCache, *,
         question = dataset.question_by_id(question_id)
     except KeyError:
         raise DatasetValidationError([f"unknown question id {question_id!r}"]) from None
-    # the one-question case of evaluate, so the two cannot disagree
+    # the one-question case of evaluate, which it matches for all but random
     one = Dataset(texts=(dataset.text_by_id(question.text_id),), questions=(question,))
     report = evaluate(one, question.split, _method_config(cfg, preprocess), store)
     breakdown = report.records[0].breakdown

@@ -4,25 +4,21 @@ One vectorized numpy function per job: the best window sums of token
 weights (`sw`) and the extreme distances between question and option
 positions (`d`), each for every option of a text at once, and the best
 cosine between each option's mean vector and a window's mean vector
-(`web`), for every option of one width at once, over window means that
-`window_means` forms once per text and width. Every float is the one
-that scoring each option alone gives. `BACKEND` names the build for
-reports that record it.
+(`web`), for every option of one width at once, against the window
+means of that width, formed from the text's running sums in the same
+call. Every float is the one that scoring each option alone gives.
+`BACKEND` names the build for reports that record it.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "WindowMeans",
     "extreme_pair_distance",
     "max_window_cosine",
     "max_window_sum",
-    "window_means",
 ]
 
 BACKEND = "numpy"
@@ -86,23 +82,22 @@ def extreme_pair_distance(
     return np.where(nearest < n, nearest, -1)
 
 
-class WindowMeans(NamedTuple):
-    """The window means of one text at one width, as `max_window_cosine`
-    scores them: the mean vectors and norms of the valid windows (at least
-    one known token, nonzero norm) and which windows those are."""
-
-    means: np.ndarray  # (valid windows, dim)
-    norms: np.ndarray  # (valid windows,)
-    valid: np.ndarray  # (windows,) bool
-
-
-def window_means(vec_prefix: np.ndarray, cnt_prefix: np.ndarray, width: int) -> WindowMeans:
-    """The mean vector of every window of `width` tokens, from the running
-    sums of a text of n tokens, for 1 <= `width` <= n.
+def max_window_cosine(
+    vec_prefix: np.ndarray, cnt_prefix: np.ndarray, width: int, targets: np.ndarray
+) -> np.ndarray:
+    """Best cosine between each row of `targets` (k, dim) and the mean
+    vector of any window of `width` tokens of a text of n tokens, for
+    1 <= `width` <= n, as a (k,) array.
 
     `vec_prefix` is the (n+1, dim) running sum of per-token vectors (zero
     rows for unknown tokens) and `cnt_prefix` the (n+1,) running count of
-    known tokens. The arrays are read-only, so a caller may cache them.
+    known tokens; the window means are formed from them once per call.
+    Windows with no known token or a zero-norm mean count as similarity 0;
+    a zero-norm target scores 0.0. Each of the two stacked `np.matmul`
+    calls makes per target the BLAS call that scoring it alone makes: the
+    `dot` of `target @ target` and the `gemv` of `means @ target`. No
+    matrix product over targets is formed, so every cosine is the float
+    that the target gets on its own.
     """
     sums = vec_prefix[width:] - vec_prefix[:-width]
     cnts = (cnt_prefix[width:] - cnt_prefix[:-width]).astype(np.float64)
@@ -111,28 +106,11 @@ def window_means(vec_prefix: np.ndarray, cnt_prefix: np.ndarray, width: int) -> 
     # a window with no known token sums +0.0 rows, so its norm is 0 too
     valid = norms > 0
     means, norms = means[valid], norms[valid]
-    for array in (means, norms, valid):
-        array.setflags(write=False)
-    return WindowMeans(means, norms, valid)
-
-
-def max_window_cosine(windows: WindowMeans, targets: np.ndarray) -> np.ndarray:
-    """Best cosine between each row of `targets` (k, dim) and the mean
-    vector of any window of `windows` (see `window_means`), as a (k,)
-    array.
-
-    Windows with no known token or a zero-norm mean count as similarity 0;
-    a zero-norm target scores 0.0. Each of the two stacked `np.matmul`
-    calls makes per target the BLAS call that scoring it alone makes: the
-    `dot` of `target @ target` and the `gemv` of `means @ target`. No
-    matrix product over targets is formed, so every cosine is the float
-    that the target gets on its own.
-    """
     target_norms = np.sqrt(np.matmul(targets[:, None, :], targets[:, :, None])[:, 0, 0])
     best = np.zeros(targets.shape[0])
     live = target_norms != 0.0
-    dots = np.matmul(windows.means[None], targets[live][:, :, None])[:, :, 0]
-    scores = np.zeros((dots.shape[0], windows.valid.shape[0]))
-    scores[:, windows.valid] = dots / (windows.norms * target_norms[live][:, None])
+    dots = np.matmul(means[None], targets[live][:, :, None])[:, :, 0]
+    scores = np.zeros((dots.shape[0], valid.shape[0]))
+    scores[:, valid] = dots / (norms * target_norms[live][:, None])
     best[live] = scores.max(axis=1)
     return best

@@ -34,13 +34,7 @@ from typing import AbstractSet, Sequence
 import numpy as np
 
 from .embedding import EmbeddingStore, average_embedding
-from .kernels import (
-    WindowMeans,
-    extreme_pair_distance,
-    max_window_cosine,
-    max_window_sum,
-    window_means,
-)
+from .kernels import extreme_pair_distance, max_window_cosine, max_window_sum
 from .preprocess import PreprocessConfig, ProcessedText, WordList
 
 __all__ = [
@@ -98,8 +92,6 @@ class TextIndex:
     `web` averages spans from. The tokens that each of a batch of word
     sets hits, the `sw` masks and the `d` positions of every option of the
     text, are one gather of a membership array over the vocabulary.
-    `boost` caches the window means of each width it sees on the index,
-    so they live as long as the index does.
     """
 
     def __init__(self, text: ProcessedText, store: EmbeddingStore | None = None):
@@ -114,7 +106,6 @@ class TextIndex:
         self.store = store
         self.vec_prefix = None
         self.cnt_prefix = None
-        self._windows: dict[int, WindowMeans] = {}
         if store is not None:
             # row i + 1 of the tables is vocabulary word i; row 0 is the
             # prefix start, a zero vector that is no known token, so one
@@ -171,7 +162,7 @@ class TextIndex:
         whole text when the option is longer), or 0.0 for an empty option
         or text and for an option with no known word. The options' means
         are formed in one call, and the options of one width are scored
-        in one kernel call."""
+        in one kernel call, which forms that width's window means."""
         if self.store is None:
             raise ValueError("text index was built without an embedding store")
         web = [0.0] * len(options)
@@ -183,10 +174,8 @@ class TextIndex:
         for k in np.flatnonzero(found).tolist():
             by_width.setdefault(min(len(options[k]), n), []).append(k)
         for width, ks in by_width.items():
-            windows = self._windows.get(width)
-            if windows is None:
-                windows = self._windows[width] = window_means(self.vec_prefix, self.cnt_prefix, width)
-            for k, cosine in zip(ks, max_window_cosine(windows, targets[ks]).tolist()):
+            cosines = max_window_cosine(self.vec_prefix, self.cnt_prefix, width, targets[ks])
+            for k, cosine in zip(ks, cosines.tolist()):
                 web[k] = cosine
         return web
 

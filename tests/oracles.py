@@ -410,8 +410,7 @@ def report_dict(report):
 
 
 # The scoring index and the `web` kernel as they were before integer token
-# ids, the per-width cache of window means and the per-text batches of `sw`
-# and `d`.
+# ids and the per-text batches of `sw`, `d` and `web`.
 
 class ReferenceTextIndex:
     """`TextIndex` as it was before integer token ids and before a text's
@@ -501,8 +500,9 @@ def reference_max_window_cosine(
     target: np.ndarray,
     width: int,
 ) -> float:
-    """The `web` kernel as it was before the window means were cached:
-    every window mean of the text is formed again on each call.
+    """The `web` kernel as it was before the options of one width were
+    scored in one call: every window mean of the text is formed again for
+    each option.
 
     Best cosine between `target` and the mean vector of any window.
 

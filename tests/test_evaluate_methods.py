@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexmrc.corpus import Dataset, MCQuestion, ReadingText
-from lexmrc import evaluation
+from lexmrc import evaluation, scoring
 from lexmrc.cli import EXIT_OK, run
 from lexmrc.corpus import OPTION_LABELS
 from lexmrc.evaluation import evaluate, evaluate_methods, render_report
@@ -151,6 +151,35 @@ def test_at_most_one_text_index_is_alive(monkeypatch):
     assert len(built) == len(DATASET.texts)
     assert alive_at_build == [0] * len(built)
     assert all(ref() is None for ref in built)
+
+
+@pytest.mark.parametrize("stopwords", [False, True], ids=["plain", "stopwords"])
+def test_web_scores_each_text_once_and_each_width_once(monkeypatch, stopwords):
+    """A `sw_d_web` evaluate makes one `boost` per text, and each boost one
+    `max_window_cosine` call per distinct width, clipped to the text, of
+    the options with a known word: no window mean is formed twice, so
+    there is nothing for the index to keep between calls."""
+    boosts = []
+    real_boost = TextIndex.boost
+    real_kernel = scoring.max_window_cosine
+
+    def boost(self, options):
+        boosts.append((len(self.tokens), options, []))
+        return real_boost(self, options)
+
+    def kernel(vec_prefix, cnt_prefix, width, targets):
+        boosts[-1][2].append(width)
+        return real_kernel(vec_prefix, cnt_prefix, width, targets)
+
+    monkeypatch.setattr(TextIndex, "boost", boost)
+    monkeypatch.setattr(scoring, "max_window_cosine", kernel)
+    evaluate(DATASET, "dev", config("sw_d_web", "min", stopwords), STORE)
+    assert len(boosts) == len({q.text_id for q in DATASET.questions if q.split == "dev"})
+    for n, options, widths in boosts:
+        want = {min(len(o), n) for o in options if n and any(w in VECTORS for w in o)}
+        assert sorted(widths) == sorted(want)
+    # the fixture has texts whose options take several widths
+    assert max(len(widths) for *_, widths in boosts) >= 3
 
 
 @pytest.mark.parametrize("stopwords", [False, True], ids=["plain", "stopwords"])

@@ -62,6 +62,8 @@ COMMANDS = {
     "evaluate_sw_d_hostile_ids.json": evaluate("sw_d", dataset=HOSTILE_IDS),
     "evaluate_sw_d_hostile_ids.csv": evaluate("sw_d", dataset=HOSTILE_IDS, fmt="csv"),
     "evaluate_sw_d_web.json": evaluate("sw_d_web"),
+    # the default output format, with its facet tables
+    "evaluate_sw_d_web.plain": evaluate("sw_d_web", fmt="plain"),
     # with stopwords, question_length is counted on the raw stem
     "evaluate_sw_d_web_stopwords.json": evaluate("sw_d_web", *STOPWORDS),
     "compare_sw_sw_d.json": compare("sw", "sw_d", "reasoning_type", "json"),

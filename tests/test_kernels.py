@@ -7,8 +7,9 @@ from lexmrc import kernels
 def read_only(kernel):
     """`kernel` called on read-only copies of its array arguments.
 
-    Scorers hand the kernels arrays that `TextIndex` caches, so a kernel
-    must never write into its inputs; numpy raises if one tries.
+    Scorers hand the kernels arrays that `TextIndex` keeps for every call
+    on its text, so a kernel must never write into its inputs; numpy
+    raises if one tries.
     """
 
     def call(*args):
@@ -122,10 +123,8 @@ def prefixes(rows, known):
 
 
 def window_cosine(vec_prefix, cnt_prefix, target, width):
-    """The best window cosine of one target as a scorer forms it: the
-    window means of one width, then the cosine of `target` against them."""
-    windows = kernels.window_means(vec_prefix, cnt_prefix, width)
-    return float(kernels.max_window_cosine(windows, target[None])[0])
+    """The best window cosine of one target at one width."""
+    return float(kernels.max_window_cosine(vec_prefix, cnt_prefix, width, target[None])[0])
 
 
 window_cosine.__name__ = "max_window_cosine"
@@ -161,28 +160,52 @@ class TestMaxWindowCosine:
         got = impl(vec, cnt, target, 1)
         assert got == pytest.approx(-np.sqrt(0.5))
 
+    def test_keeps_only_valid_windows(self):
+        # a known zero vector and an unknown token give no valid window:
+        # their 0 beats the one real window's -1, and no 0/0 is formed
+        rows = [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        vec, cnt = prefixes(rows, [1, 1, 0])
+        targets = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert kernels.max_window_cosine(vec, cnt, 1, targets).tolist() == [0.0, 1.0]
 
-def cosines_one_target_at_a_time(windows, targets):
-    """`max_window_cosine` as it scored one target alone: `target @ target`
-    and `means @ target`, then the max of a zero-filled row of windows."""
+    def test_width_of_the_whole_text_is_one_window(self):
+        # the one window's mean is [0.5, 0.5]; a window of either token
+        # alone would give [1.0, 0.0] a cosine of 1
+        vec, cnt = prefixes([[1.0, 0.0], [0.0, 1.0]], [1, 1])
+        got = kernels.max_window_cosine(vec, cnt, 2, np.array([[1.0, 0.0]]))
+        assert got.tolist() == [pytest.approx(np.sqrt(0.5))]
+
+
+def cosines_one_target_at_a_time(vec_prefix, cnt_prefix, width, targets):
+    """`max_window_cosine` as it scored one target alone: the valid window
+    means of `width` and their norms, then per target `target @ target`
+    and `means @ target`, and the max of a zero-filled row of windows.
+    Also returns how many windows are valid."""
+    sums = vec_prefix[width:] - vec_prefix[:-width]
+    cnts = (cnt_prefix[width:] - cnt_prefix[:-width]).astype(np.float64)
+    means = sums / np.maximum(cnts, 1.0)[:, None]
+    norms = np.sqrt((means * means).sum(axis=1))
+    valid = norms > 0
+    means, norms = means[valid], norms[valid]
     out = []
     for target in targets:
         target_norm = float(np.sqrt(target @ target))
         if target_norm == 0.0:
             out.append(0.0)
             continue
-        scores = np.zeros(windows.valid.shape[0])
-        scores[windows.valid] = (windows.means @ target) / (windows.norms * target_norm)
+        scores = np.zeros(valid.shape[0])
+        scores[valid] = (means @ target) / (norms * target_norm)
         out.append(float(scores.max()))
-    return out
+    return out, int(valid.sum())
 
 
 @pytest.mark.parametrize("valid", ["all", "some", "one", "none"])
 @pytest.mark.parametrize("dim", [1, 3, 100])
 def test_stacked_cosines_equal_one_target_at_a_time(valid, dim):
     """The stacked kernel gives every target the float it gets alone,
-    bit for bit, whichever windows are valid; among the targets are a
-    zero one, a -0.0 one, and repeated rows of the text."""
+    bit for bit, whichever windows are valid and at widths from one token
+    to the whole text; among the targets are a zero one, a -0.0 one, and
+    repeated rows of the text."""
     rng = np.random.default_rng(dim)
     n = 40
     rows = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
@@ -197,33 +220,12 @@ def test_stacked_cosines_equal_one_target_at_a_time(valid, dim):
         elif valid == "one":
             known[17] = 1
     vec, cnt = prefixes(rows, known)
-    windows = kernels.window_means(vec, cnt, 1)
-    assert windows.valid.sum() == known.sum() == {"all": n, "some": 14, "one": 1, "none": 0}[valid]
     targets = np.concatenate([rng.normal(size=(30, dim)), np.zeros((1, dim)),
                               np.full((1, dim), -0.0), rows[:5], rows[:5]])
-    got = kernels.max_window_cosine(windows, targets)
-    want = cosines_one_target_at_a_time(windows, targets)
-    assert [repr(x) for x in got.tolist()] == [repr(x) for x in want]
-
-
-class TestWindowMeans:
-    def test_cached_arrays_are_read_only(self):
-        vec, cnt = prefixes([[1.0, 0.0], [0.0, 0.0]], [1, 1])
-        windows = kernels.window_means(vec, cnt, 1)
-        for array in windows:
-            with pytest.raises(ValueError):
-                array[...] = 0
-
-    def test_keeps_only_valid_windows(self):
-        # an unknown token and a known zero vector give no valid window
-        vec, cnt = prefixes([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [1, 0, 1])
-        windows = kernels.window_means(vec, cnt, 1)
-        assert windows.valid.tolist() == [True, False, False]
-        assert windows.means.tolist() == [[1.0, 0.0]]
-        assert windows.norms.tolist() == [1.0]
-
-    def test_width_of_the_whole_text_is_one_window(self):
-        vec, cnt = prefixes([[1.0, 0.0], [0.0, 1.0]], [1, 1])
-        windows = kernels.window_means(vec, cnt, 2)
-        assert windows.valid.tolist() == [True]
-        assert windows.means.tolist() == [[0.5, 0.5]]
+    for width in (1, 4, n):
+        got = kernels.max_window_cosine(vec, cnt, width, targets)
+        want, valid_windows = cosines_one_target_at_a_time(vec, cnt, width, targets)
+        assert [repr(x) for x in got.tolist()] == [repr(x) for x in want]
+        if width == 1:
+            assert valid_windows == known.sum() == {"all": n, "some": 14, "one": 1,
+                                                    "none": 0}[valid]

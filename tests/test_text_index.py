@@ -3,14 +3,11 @@
 `ReferenceTextIndex` (tests/oracles.py) is the earlier index: per-token
 loops and every window mean formed again on each `boost`. The current
 index must give the same float, bit for bit, for `sw`, `d` (min and max)
-and `web`, with its per-width cache of window means hit and missed in any
-order, and with `sw` and `d` of every option of a text scored in one
-batch where the reference scores one option at a time.
+and `web`, with `sw`, `d` and `web` of every option of a text scored in
+one batch where the reference scores one option at a time.
 """
 
-import gc
 import sys
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -190,21 +187,21 @@ def test_whole_texts_match_reference_option_by_option(text, questions, aggregati
 
 @settings(max_examples=300, deadline=None)
 @given(text=texts, store=stores(), queries=queries)
-def test_boost_builds_window_means_only_inside_the_text(text, store, queries):
-    """The kernels rely on `boost` for the web edge cases: every width it
-    builds window means for is 1 <= width <= n, whatever the option (empty,
-    with no known word, or longer than the text) and whatever the text
-    (from 0 tokens)."""
-    original = scoring.window_means
+def test_boost_scores_windows_only_inside_the_text(text, store, queries):
+    """The kernel relies on `boost` for the web edge cases: every width it
+    is called with is 1 <= width <= n, whatever the option (empty, with no
+    known word, or longer than the text) and whatever the text (from 0
+    tokens)."""
+    original = scoring.max_window_cosine
 
-    def checked(vec_prefix, cnt_prefix, width):
+    def checked(vec_prefix, cnt_prefix, width, targets):
         n = cnt_prefix.shape[0] - 1
         assert n == len(text.flat)
         assert 1 <= width <= n
-        return original(vec_prefix, cnt_prefix, width)
+        return original(vec_prefix, cnt_prefix, width, targets)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scoring, "window_means", checked)
+        patch.setattr(scoring, "max_window_cosine", checked)
         TextIndex(text, store).boost([option for _, option in queries])
 
 
@@ -231,57 +228,50 @@ class TestIds:
         assert index.boost([["a"], []]) == [0.0, 0.0]
 
 
+def counting_kernel(monkeypatch):
+    """The widths and target counts of each `max_window_cosine` call that
+    `scoring` makes, in call order."""
+    calls = []
+    original = scoring.max_window_cosine
+
+    def counting(vec_prefix, cnt_prefix, width, targets):
+        calls.append((width, len(targets)))
+        return original(vec_prefix, cnt_prefix, width, targets)
+
+    monkeypatch.setattr(scoring, "max_window_cosine", counting)
+    return calls
+
+
 class TestWindowCache:
+    """`boost` keeps nothing on the index between calls: the window means
+    of a width are formed once per call, inside the kernel call that
+    scores all the options of that width."""
+
     def test_one_build_per_width(self, store, monkeypatch):
-        built = []
-        original = scoring.window_means
-
-        def counting(vec_prefix, cnt_prefix, width):
-            built.append(width)
-            return original(vec_prefix, cnt_prefix, width)
-
-        monkeypatch.setattr(scoring, "window_means", counting)
+        calls = counting_kernel(monkeypatch)
         index = TextIndex(pt("a", "b", "z", "a"), store)
-        for option in (["a"], ["b", "a"], ["b"], ["a", "b"], ["z"], ["a"] * 9, ["b"] * 4):
-            web_of(index, option)
+        index.boost([["a"], ["b", "a"], ["b"], ["a", "b"], ["z"], ["a"] * 9, ["b"] * 4])
         # widths past the text end share the width of the whole text
-        assert built == [1, 2, 4]
-        assert sorted(index._windows) == [1, 2, 4]
+        assert calls == [(1, 3), (2, 2), (4, 2)]
 
     def test_undefined_boosts_build_nothing(self, store, monkeypatch):
-        monkeypatch.setattr(scoring, "window_means", None)
+        monkeypatch.setattr(scoring, "max_window_cosine", None)
         index = TextIndex(pt("a", "b"), store)
         assert index.boost([[], ["u"]]) == [0.0, 0.0]  # ["u"]: no known word, support 0
-        assert index._windows == {}
 
-    def test_zero_norm_target(self, store):
+    def test_zero_norm_target(self, store, monkeypatch):
+        calls = counting_kernel(monkeypatch)
         index = TextIndex(pt("a", "b"), store)
         assert web_of(index, ["z"]) == 0.0
-        assert sorted(index._windows) == [1]
+        assert calls == [(1, 1)]
         assert web_of(index, ["a"]) == pytest.approx(1.0)
 
-    def test_cache_is_freed_with_its_index(self, store):
-        index = TextIndex(pt("a", "b"), store)
-        web_of(index, ["a"])
-        means = weakref.ref(index._windows[1].means)
-        del index
-        gc.collect()
-        assert means() is None
 
-    def test_cached_means_are_read_only(self, store):
-        index = TextIndex(pt("a", "b"), store)
-        web_of(index, ["a"])
-        windows = index._windows[1]
-        assert not windows.means.flags.writeable
-        assert not windows.norms.flags.writeable
-        assert np.array_equal(windows.valid, [True, True])
-
-
-def test_threads_sharing_one_index_get_the_reference_floats():
-    """Threads that share one text's index race to fill its cache and to
-    convert their options' rows in the store, each scoring a batch of
-    options of several widths; every boost must still be the reference
-    float."""
+def test_threads_sharing_one_index_get_the_reference_floats(monkeypatch):
+    """Threads that share one text's index race to convert their options'
+    rows in the store, each scoring a batch of options of several widths;
+    every boost must still be the reference float, from one kernel call
+    per width of each batch."""
     rng = np.random.default_rng(3)
     words = [f"w{i}" for i in range(40)]
     # o*: option words the text lacks, so their rows are converted by the threads
@@ -292,14 +282,16 @@ def test_threads_sharing_one_index_get_the_reference_floats():
     ref = ReferenceTextIndex(text, vector_store(vectors))
     want = [ref.boost(o) for o in options]
     batches = [options[i:i + 4] for i in range(0, len(options), 4)]
+    calls = counting_kernel(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(100):  # a race in the store shows in some rounds, not all
             index = TextIndex(text, vector_store(vectors))
+            calls.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 got = [web for batch in pool.map(index.boost, batches) for web in batch]
             assert got == want
-            assert sorted(index._windows) == list(range(1, 13))
+            assert sorted(calls) == sorted((len(o), 1) for o in options)
     finally:
         sys.setswitchinterval(interval)
